@@ -8,8 +8,6 @@ complexity     annealed complexity functionals and their maximization
 singlespecies  one-species threshold energies and complexity ellipse
 hamiltonian    finite-N sampled Hamiltonians and local derivative data
 landscape      critical-point following, classification, band recursion
-dynamics       spherical Langevin simulation
-cli            command-line interface
 """
 
 __version__ = "0.1.0"

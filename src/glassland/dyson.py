@@ -27,6 +27,9 @@ ETA_LADDER = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 HOLDER_ALLOW = 10.0 * ETA_LADDER[-1] ** (1.0 / 3.0)
 REAL_TOL = 1e-5
 TAU_SUPP = 1e-4
+# support endpoints: bisection steps, and steps settled per batched call
+SUPPORT_BISECTIONS = 20
+DYADIC_DEPTH = 4
 SOLVER_TOL = 1e-12
 MAX_SWEEPS = 100000
 
@@ -84,26 +87,53 @@ def _resid(m, shift, K, z):
     return np.abs(1.0 + (z + shift + m @ K.T) * m).max(axis=-1)
 
 
+def _carried(live):
+    # numpy multiplies a lone row through gemv, which rounds differently
+    # from the gemm it uses for two or more rows; one settled row rides
+    # along so a last straggler gets the bits it would get in the full batch
+    keep = live.copy()
+    if len(keep) > 1 and keep.sum() == 1:
+        keep[np.argmin(keep)] = True
+    return keep
+
+
 def _damped_sweeps(m, shift, K, z, tol, sweeps):
-    """Damped half-plane iteration; the step map preserves Im m >= 0."""
+    """Damped half-plane iteration; the step map preserves Im m >= 0.
+
+    A step is taken only where it does not raise the residual, so a row's
+    residual never increases and a row at or below tol is final.  Only
+    the live rows are therefore carried through the sweeps; each row is
+    written back to m and res when it leaves them.  The result, and the
+    count of sweeps used, equal those of sweeping the whole batch.
+    """
     res = _resid(m, shift, K, z)
-    alpha = np.full(m.shape[0], 0.5)
+    idx = np.flatnonzero(_carried(res > tol))
+    ml, sl, rl = m[idx], shift[idx], res[idx]
+    alpha = np.full(len(idx), 0.5)
     used = 0
     for _ in range(sweeps):
-        live = res > tol
+        live = rl > tol
         if not live.any():
             break
+        keep = _carried(live)
+        if not keep.all():
+            m[idx[~keep]] = ml[~keep]
+            res[idx[~keep]] = rl[~keep]
+            idx, ml, sl, rl = idx[keep], ml[keep], sl[keep], rl[keep]
+            alpha, live = alpha[keep], live[keep]
         used += 1
-        step = -1.0 / (z + shift + m @ K.T)
-        cand = (1.0 - alpha[:, None]) * m + alpha[:, None] * step
+        step = -1.0 / (z + sl + ml @ K.T)
+        cand = (1.0 - alpha[:, None]) * ml + alpha[:, None] * step
         np.maximum(cand.imag, 0.0, out=cand.imag)
-        rc = _resid(cand, shift, K, z)
-        better = live & (rc <= res)
+        rc = _resid(cand, sl, K, z)
+        better = live & (rc <= rl)
         worse = live & ~better
-        m[better] = cand[better]
-        res[better] = rc[better]
+        ml[better] = cand[better]
+        rl[better] = rc[better]
         alpha[better] = np.minimum(0.5, alpha[better] * 1.2)
         alpha[worse] = np.maximum(1e-3, alpha[worse] * 0.5)
+    m[idx] = ml
+    res[idx] = rl
     return m, res, used
 
 
@@ -157,7 +187,10 @@ def _solve_batch(shift, K, z, warm=None, tol=SOLVER_TOL, max_sweeps=MAX_SWEEPS):
 
     Damped fixed-point iterations interleaved with guarded Newton rounds;
     the damped phase alone satisfies the contract but the Newton rounds
-    make edge points converge in practice.
+    make edge points converge in practice.  Both phases accept a step
+    only where it does not raise the residual, so a row's residual never
+    increases: a row that reaches tol is final, and each phase works on
+    the rows still above it.
     """
     n, r = shift.shape
     if warm is not None:
@@ -367,9 +400,9 @@ def spectral_measure(stats: MixtureStats, x, grid_spec=None,
     agg = wagg @ dens_s
 
     def agg_density_at(g):
-        row = (g + d)[None, :]
-        mm = _boundary_batch(row, K, wagg, polish=False, holder_check=False)
-        return float(wagg @ mm[0].imag) / np.pi
+        rows = g[:, None] + d[None, :]
+        mm = _boundary_batch(rows, K, wagg, polish=False, holder_check=False)
+        return mm.imag @ wagg / np.pi
 
     support = _detect_support(grid, agg, agg_density_at)
     return SpectralMeasure(grid=grid, density_s=dens_s, density=agg,
@@ -377,7 +410,18 @@ def spectral_measure(stats: MixtureStats, x, grid_spec=None,
 
 
 def _detect_support(grid, agg, density_at):
-    """Threshold runs at TAU_SUPP, merge narrow gaps, bisect the endpoints."""
+    """Threshold runs at TAU_SUPP, merge narrow gaps, refine the endpoints.
+
+    An endpoint inside the grid is refined by SUPPORT_BISECTIONS steps of
+    bisection on density_at > TAU_SUPP, all endpoints at once: density_at
+    takes an array of abscissae and returns their densities.  Each call
+    evaluates every bracket's 2**DYADIC_DEPTH - 1 interior dyadic points,
+    built as nested midpoints exactly as bisection computes them, and
+    DYADIC_DEPTH bisection steps are replayed from those values.  The
+    endpoints equal those of one-point bisection, with
+    SUPPORT_BISECTIONS / DYADIC_DEPTH calls in all instead of
+    SUPPORT_BISECTIONS per endpoint.
+    """
     mask = agg > TAU_SUPP
     runs = []
     i = 0
@@ -398,22 +442,50 @@ def _detect_support(grid, agg, density_at):
         else:
             merged.append(run)
 
-    def bisect(g_out, g_in):
-        # density crosses TAU_SUPP between an outside and an inside point
-        for _ in range(20):
-            mid = 0.5 * (g_out + g_in)
-            if density_at(mid) > TAU_SUPP:
-                g_in = mid
-            else:
-                g_out = mid
-        return 0.5 * (g_out + g_in)
+    support = [[grid[i0], grid[i1]] for i0, i1 in merged]
+    ends, g_out, g_in = [], [], []
+    for k, (i0, i1) in enumerate(merged):
+        if i0 > 0:
+            ends.append((k, 0))
+            g_out.append(grid[i0 - 1])
+            g_in.append(grid[i0])
+        if i1 < n - 1:
+            ends.append((k, 1))
+            g_out.append(grid[i1 + 1])
+            g_in.append(grid[i1])
+    if ends:
+        found = _bisect_brackets(np.array(g_out), np.array(g_in), density_at)
+        for (k, side), g in zip(ends, found):
+            support[k][side] = g
+    return tuple((float(lo), float(hi)) for lo, hi in support)
 
-    support = []
-    for i0, i1 in merged:
-        left = grid[i0] if i0 == 0 else bisect(grid[i0 - 1], grid[i0])
-        right = grid[i1] if i1 == n - 1 else bisect(grid[i1 + 1], grid[i1])
-        support.append((float(left), float(right)))
-    return tuple(support)
+
+def _bisect_brackets(g_out, g_in, density_at):
+    """Midpoints of the brackets after SUPPORT_BISECTIONS bisection steps.
+
+    The density crosses TAU_SUPP between g_out (outside the support) and
+    g_in (inside); all brackets advance DYADIC_DEPTH steps per call.
+    """
+    span = 2 ** DYADIC_DEPTH
+    rows = np.arange(len(g_out))
+    for _ in range(SUPPORT_BISECTIONS // DYADIC_DEPTH):
+        pts = np.empty((len(g_out), span + 1))
+        pts[:, 0], pts[:, span] = g_out, g_in
+        h = span // 2
+        while h:
+            pts[:, h::2 * h] = 0.5 * (pts[:, :-h:2 * h] + pts[:, 2 * h::2 * h])
+            h //= 2
+        inner = pts[:, 1:span]
+        above = (density_at(inner.ravel()) > TAU_SUPP).reshape(inner.shape)
+        i_out = np.zeros(len(g_out), dtype=int)
+        i_in = np.full(len(g_out), span)
+        for _ in range(DYADIC_DEPTH):
+            mid = (i_out + i_in) // 2
+            hit = above[rows, mid - 1]
+            i_in = np.where(hit, mid, i_in)
+            i_out = np.where(hit, i_out, mid)
+        g_out, g_in = pts[rows, i_out], pts[rows, i_in]
+    return 0.5 * (g_out + g_in)
 
 
 def psi(stats: MixtureStats, x, mode: str = "closed_form") -> float:

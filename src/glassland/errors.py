@@ -1,8 +1,7 @@
 """Exception hierarchy shared by all modules.
 
-ValidationError subclasses mean the inputs were bad (CLI exit code 1).
-NumericalError subclasses mean a solver or check failed on valid
-inputs (CLI exit code 2).
+ValidationError subclasses mean the inputs were bad.  NumericalError
+subclasses mean a solver or check failed on valid inputs.
 """
 
 
@@ -78,13 +77,5 @@ class MaxIters(NumericalError):
     """Newton refinement hit its iteration cap."""
 
 
-class SingularHessian(NumericalError):
-    """Hessian too singular even for the pseudo-inverse fallback."""
-
-
 class DegenerateGradient(NumericalError):
     """Band recursion hit a vanishing projected gradient."""
-
-
-class Blowup(NumericalError):
-    """Langevin state left the manifold neighborhood."""

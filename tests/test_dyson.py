@@ -11,6 +11,7 @@ P3 = mx.stats(get_preset("pure3"))
 FB = mx.stats(get_preset("symmetric-pair"))
 FC = mx.stats(get_preset("skew-pair"))
 TC = mx.stats(get_preset("cubic-pair"))
+T3 = mx.stats(get_preset("three-species"))
 
 
 def test_boundary_semicircle_center():
@@ -119,6 +120,119 @@ def test_boundary_jacobian_is_inverse_stability_matrix():
         assert np.linalg.norm(J - Minv) / np.linalg.norm(Minv) < 1e-4
         checked += 1
     assert checked >= 20
+
+
+def _full_batch_damped_sweeps(m, shift, K, z, tol, sweeps, live_counts):
+    # reference: every sweep steps the whole batch and masks with live
+    res = dy._resid(m, shift, K, z)
+    alpha = np.full(m.shape[0], 0.5)
+    used = 0
+    for _ in range(sweeps):
+        live = res > tol
+        if not live.any():
+            break
+        live_counts.append(int(live.sum()))
+        used += 1
+        step = -1.0 / (z + shift + m @ K.T)
+        cand = (1.0 - alpha[:, None]) * m + alpha[:, None] * step
+        np.maximum(cand.imag, 0.0, out=cand.imag)
+        rc = dy._resid(cand, shift, K, z)
+        better = live & (rc <= res)
+        worse = live & ~better
+        m[better] = cand[better]
+        res[better] = rc[better]
+        alpha[better] = np.minimum(0.5, alpha[better] * 1.2)
+        alpha[worse] = np.maximum(1e-3, alpha[worse] * 0.5)
+    return m, res, used
+
+
+@pytest.fixture(scope="module")
+def edge_batch():
+    """Rows outside the support, in the bulk and just below a band edge,
+    continued to the fourth eta level, every seventh row already solved."""
+    x = np.array([0.1, -0.2, 0.3])
+    meas = dy.spectral_measure(T3, x)
+    grid = meas.grid
+    edge = np.searchsorted(grid, meas.support[0][0])
+    mid = len(grid) // 2
+    rows = np.r_[edge - 200:edge - 190, mid - 10:mid + 10, edge - 1]
+    shift = grid[rows, None] + (x / np.sqrt(T3.lam))[None, :]
+    K = dy._coupling(T3)
+    m0 = None
+    for eta in dy.ETA_LADDER[:3]:
+        m0, _ = dy._solve_batch(shift, K, 1j * eta, warm=m0)
+    z = 1j * dy.ETA_LADDER[3]
+    m0[::7] = dy._solve_batch(shift[::7], K, z, warm=m0[::7])[0]
+    return shift, K, z, m0
+
+
+# the damped phases of _solve_batch run at these two tolerances
+@pytest.mark.parametrize("tol", [1e-6, dy.SOLVER_TOL])
+def test_damped_sweeps_on_live_rows_match_full_batch(edge_batch, tol):
+    shift, K, z, m0 = edge_batch
+    settled = dy._resid(m0, shift, K, z) <= tol
+    assert 0 < settled.sum() < len(m0)
+
+    live_counts = []
+    m_ref, res_ref, used_ref = _full_batch_damped_sweeps(
+        m0.copy(), shift, K, z, tol, 400, live_counts)
+    m, res, used = dy._damped_sweeps(m0.copy(), shift, K, z, tol, 400)
+    # the batch thins out to a lone straggler, the case numpy multiplies
+    # through gemv rather than gemm
+    assert live_counts[0] < len(m0) and 1 in live_counts
+    assert np.array_equal(m, m_ref)
+    assert np.array_equal(res, res_ref)
+    assert used == used_ref
+    assert np.array_equal(m[settled], m0[settled])
+
+
+def _two_bands(g):
+    # unit-mass semicircles of radius 1 on [-3, -1] and [0.5, 2.5]
+    dens = np.zeros_like(g)
+    for c in (-2.0, 1.5):
+        dens += 2.0 / np.pi * np.sqrt(np.clip(1.0 - (g - c) ** 2, 0.0, None))
+    return dens
+
+
+def _bisected_support(grid, density):
+    # reference: 20 scalar bisection steps per endpoint inside the grid
+    def bisect(g_out, g_in):
+        for _ in range(20):
+            mid = 0.5 * (g_out + g_in)
+            if density(np.array([mid]))[0] > dy.TAU_SUPP:
+                g_in = mid
+            else:
+                g_out = mid
+        return 0.5 * (g_out + g_in)
+
+    inside = np.flatnonzero(density(grid) > dy.TAU_SUPP)
+    runs = np.split(inside, np.flatnonzero(np.diff(inside) > 1) + 1)
+    n = len(grid)
+    return tuple(
+        (float(grid[r[0]] if r[0] == 0 else bisect(grid[r[0] - 1], grid[r[0]])),
+         float(grid[r[-1]] if r[-1] == n - 1
+               else bisect(grid[r[-1] + 1], grid[r[-1]])))
+        for r in runs)
+
+
+# from -4 all four endpoints lie inside the grid; from -2.5 the grid starts
+# inside the first band, so its first endpoint is the grid end.  On this
+# grid, linearly interpolated midpoints in place of nested ones change some
+# endpoints.
+@pytest.mark.parametrize("lo, first", [(-4.0, -3.0), (-2.5, -2.5)])
+def test_support_refinement_matches_bisection(lo, first):
+    grid = np.linspace(lo, 4.0, 157)
+    calls = []
+
+    def density_at(g):
+        calls.append(len(g))
+        return _two_bands(g)
+
+    support = dy._detect_support(grid, _two_bands(grid), density_at)
+    assert support == _bisected_support(grid, _two_bands)
+    assert np.allclose(support, ((first, -1.0), (0.5, 2.5)), rtol=0, atol=1e-6)
+    # a work count: 5 batched calls whatever the number of endpoints
+    assert len(calls) <= 5
 
 
 def test_measure_semicircle():
