@@ -8,8 +8,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import (DegreeTooHigh, NumericalError, OffManifold, TooLarge,
-                     ValidationError)
+from .errors import DegreeTooHigh, OffManifold, TooLarge, ValidationError
 from .mixture import (MixtureSpec, mixture_from_dict, mixture_to_dict,
                       species_sizes, stats as mixture_stats)
 
@@ -174,35 +173,20 @@ def overlap(sigma, rho, partition: Partition) -> np.ndarray:
 def tangent_basis(partition: Partition, sigma) -> list:
     """Orthonormal tangent bases, one (N_s, N_s - 1) block per species.
 
-    Standard basis vectors of I_s are projected against sigma_s and
-    Gram-Schmidt orthonormalized in index order; the one dependent
-    direction drops out.  Deterministic given sigma.
+    With u = sigma_s/|sigma_s| and v = u + sign(u_0) e_0, sign(0) = +1,
+    block s is columns 1..N_s-1 of the Householder reflector
+    I - v v^T/(1 + |u_0|).  Column 0 is -sign(u_0) u, so the rest span the
+    tangent space; the sign keeps u_0 + sign(u_0) from cancelling.  At
+    +-north_pole the block is exactly the standard coordinates 1..N_s-1.
     """
     sig = _as_sigma(sigma)
     blocks = []
-    for s, sl in enumerate(partition.slices()):
-        part = sig[sl]
-        n = part.shape[0]
-        unit = part / np.linalg.norm(part)
-        basis = np.empty((n, n - 1))
-        count = 0
-        for i in range(n):
-            vec = -unit[i] * unit
-            vec[i] += 1.0
-            if count:
-                vec -= basis[:, :count] @ (basis[:, :count].T @ vec)
-            nrm = np.linalg.norm(vec)
-            if nrm < 1e-8:
-                continue
-            if count:
-                vec -= basis[:, :count] @ (basis[:, :count].T @ vec)
-                nrm = np.linalg.norm(vec)
-            basis[:, count] = vec / nrm
-            count += 1
-            if count == n - 1:
-                break
-        if count != n - 1:
-            raise NumericalError(f"tangent basis incomplete for species {s}")
+    for sl in partition.slices():
+        v = sig[sl] / np.linalg.norm(sig[sl])
+        head = abs(v[0])
+        v[0] += 1.0 if v[0] >= 0 else -1.0
+        basis = np.outer(v, v[1:] / -(1.0 + head))
+        basis[1:] += np.eye(v.shape[0] - 1)
         blocks.append(basis)
     return blocks
 
@@ -315,32 +299,10 @@ def local_data(instance: HamiltonianInstance, sigma,
 
 
 def energy(instance: HamiltonianInstance, sigma, degree_weights=None) -> float:
-    """H(sigma) alone, skipping the gradient passes of local_data."""
+    """H(sigma) alone, without the Hessian."""
     sig = _as_sigma(sigma)
-    part = instance.partition
-    check_on_manifold(part, sig)
-    N = instance.N
-    labels = part.labels
-    tabs = instance.gamma_tables
-    wts = degree_weights or {}
-    value = 0.0
-    if 1 in instance.tensors and wts.get(1, 1.0) != 0.0:
-        value += wts.get(1, 1.0) * float((tabs[1][labels] * instance.tensors[1]) @ sig)
-    if 2 in instance.tensors and wts.get(2, 1.0) != 0.0:
-        weighted = tabs[2][labels[:, None], labels[None, :]] * instance.tensors[2]
-        value += wts.get(2, 1.0) * N ** -0.5 * float(sig @ (weighted @ sig))
-    if 3 in instance.tensors and wts.get(3, 1.0) != 0.0:
-        G3 = instance.tensors[3]
-        g3 = tabs[3]
-        sls = part.slices()
-        w3 = wts.get(3, 1.0)
-        for s3, sl3 in enumerate(sls):
-            t = G3[:, :, sl3] @ sig[sl3]
-            for s2, sl2 in enumerate(sls):
-                y = t[:, sl2] @ sig[sl2]
-                for s1, sl1 in enumerate(sls):
-                    value += w3 * g3[s1, s2, s3] * float(y[sl1] @ sig[sl1]) / N
-    return value
+    check_on_manifold(instance.partition, sig)
+    return _contract(instance, sig, False, degree_weights)[0]
 
 
 def g1_overlap(instance: HamiltonianInstance, sigma) -> np.ndarray:

@@ -142,6 +142,11 @@ def newton_refine(instance: HamiltonianInstance, sigma0, max_iters: int = 50,
     |eigenvalue| < 1e-6 are dropped from the solve (a pseudo-inverse
     step) and the point is flagged ill conditioned rather than rejected.
     Steps are capped at 0.5 sqrt(N) and backtracked on the residual norm.
+    A full-length trial (alpha = 1) carries its Hessian, so when it is
+    accepted, as it nearly always is near a critical point, it is the next
+    iterate's local data as it stands.  Backtracked trials skip the
+    Hessian and an accepted one is evaluated again with it; a rejected
+    full-length trial pays for a Hessian it does not use.
     Raises MaxIters when the budget runs out or the search stalls, unless
     raise_on_fail is off, in which case the best iterate is returned with
     its unconverged grad_norm.
@@ -197,7 +202,7 @@ def newton_refine(instance: HamiltonianInstance, sigma0, max_iters: int = 50,
             alpha = 1.0
             for _ in range(20):
                 cand = retract(part, sig + alpha * step).sigma
-                trial = local_data(instance, cand,
+                trial = local_data(instance, cand, want_hessian=alpha == 1.0,
                                    degree_weights=degree_weights)
                 gn2 = float(np.linalg.norm(trial.rgrad)) / sqrt_n
                 if np.isfinite(gn2) and gn2 <= (1.0 - 0.1 * alpha) * gn:
@@ -210,10 +215,11 @@ def newton_refine(instance: HamiltonianInstance, sigma0, max_iters: int = 50,
             if raise_on_fail:
                 raise MaxIters("newton line search stalled")
             break
-        sig = accepted
+        sig, ld = accepted, trial
+        if ld.rhess is None:
+            ld = local_data(instance, sig, want_hessian=True,
+                            degree_weights=degree_weights)
         iterations += 1
-        ld = local_data(instance, sig, want_hessian=True,
-                        degree_weights=degree_weights)
     spectrum = np.linalg.eigvalsh(ld.rhess)
     min_abs = float(np.min(np.abs(spectrum)))
     return CriticalPointResult(

@@ -1,4 +1,4 @@
-"""Named example mixtures used by tests, the CLI, and the acceptance suite."""
+"""Named example mixtures used by the tests and the benchmark workloads."""
 
 from __future__ import annotations
 

@@ -192,6 +192,61 @@ def test_tangent_basis_at_pole(inst):
         assert np.array_equal(blocks[s], expect)
 
 
+def test_tangent_basis_at_south_pole(inst):
+    # u_0 = -1 takes the other reflector sign and must give the same blocks
+    part = inst.partition
+    blocks = ham.tangent_basis(part, -ham.north_pole(part).sigma)
+    for s in range(part.r):
+        n = part.sizes[s]
+        expect = np.zeros((n, n - 1))
+        expect[1:, :] = np.eye(n - 1)
+        assert np.array_equal(blocks[s], expect)
+
+
+@pytest.mark.parametrize("head", ["zero", "negative"])
+def test_tangent_basis_sign_branches(inst, head):
+    # sigma_s[0] = 0 takes sign +1 by convention; sigma_s[0] < 0 takes -1
+    part = inst.partition
+    raw = ham.random_state(part, 23).sigma.copy()
+    for sl in part.slices():
+        raw[sl.start] = 0.0 if head == "zero" else -abs(raw[sl.start]) - 0.5
+    sig = ham.retract(part, raw)
+    blocks = ham.tangent_basis(part, sig)
+    for s, sl in enumerate(part.slices()):
+        Q = blocks[s]
+        n = part.sizes[s]
+        assert Q.shape == (n, n - 1)
+        assert np.abs(Q.T @ Q - np.eye(n - 1)).max() <= 1e-12
+        assert np.abs(Q.T @ sig.sigma[sl]).max() <= 1e-10
+        unit = sig.sigma[sl] / np.linalg.norm(sig.sigma[sl])
+        proj = np.eye(n) - np.outer(unit, unit)
+        assert np.abs(Q @ Q.T - proj).max() <= 1e-10
+
+
+@pytest.mark.parametrize("preset", ["cubic-pair", "skew-pair"])
+def test_rhess_is_basis_free(preset):
+    # P E P - sum_s c_s P_s + K sum_s u_s u_s^T acts as the Riemannian
+    # Hessian on the tangent space and as K on the normals, so its N - r
+    # smallest eigenvalues are the spectrum of rhess in any basis
+    it = ham.sample(get_preset(preset), 60, seed=17)
+    part = it.partition
+    sig = ham.random_state(part, 19)
+    d = ham.local_data(it, sig, want_hessian=True)
+    ehess = ham._contract(it, sig.sigma, True)[2]
+    K = 1e3
+    proj = np.zeros((part.N, part.N))
+    normal = np.zeros((part.N, part.N))
+    shift = np.zeros(part.N)
+    for s, sl in enumerate(part.slices()):
+        unit = sig.sigma[sl] / np.linalg.norm(sig.sigma[sl])
+        proj[sl, sl] = np.eye(part.sizes[s]) - np.outer(unit, unit)
+        normal[sl, sl] = np.outer(unit, unit)
+        shift[sl] = d.curvature[s]
+    amb = proj @ ehess @ proj - shift[:, None] * proj + K * normal
+    low = np.linalg.eigvalsh(amb)[:part.N - part.r]
+    assert np.abs(low - np.linalg.eigvalsh(d.rhess)).max() <= 1e-10
+
+
 def test_overlap_trivials(inst):
     part = inst.partition
     sig = ham.random_state(part, 31).sigma
