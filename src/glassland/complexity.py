@@ -8,11 +8,13 @@ from itertools import product
 import numpy as np
 
 from . import dyson
-from .errors import DegenerateU, DegenerateVariance, NumericalError, ValidationError
-from .mixture import MixtureStats, all_sign_patterns
+from .errors import DegenerateU, DegenerateVariance, NonConvergence, ValidationError
+from .mixture import MixtureStats
 
 DEDUP_TOL = 1e-6
 MAXIMALITY_TOL = 1e-9
+# the stationarity residual the census tests hold every preset to
+SUP_RESIDUAL_TOL = 1e-6
 SCAN_POINTS = {1: 1201, 2: 301, 3: 61}
 
 
@@ -68,21 +70,13 @@ def _quad_const(stats: MixtureStats) -> float:
     return 0.5 * (1.0 - float(stats.lam @ np.log(stats.xi_species)))
 
 
-def _psi_of_u(stats: MixtureStats, u) -> float:
-    # bilinear (unconjugated) pairing, as in dyson.psi
-    quad = 0.5 * np.real(u @ stats.xi_dprime @ u)
-    return float(quad - stats.lam @ np.log(np.abs(u)))
-
-
-def _x_of_delta(stats: MixtureStats, delta) -> np.ndarray:
+def _r_auto(stats: MixtureStats) -> float:
+    # beyond this radius the quadratic term dominates the log growth of Psi;
+    # radial is mixture.ideal_stats(spec, +1).radial, the all-plus ideal point
     sq = np.sqrt(stats.xi_prime)
     root_lam = np.sqrt(stats.lam)
-    return delta * sq + (stats.xi_dprime @ (delta * root_lam / sq)) / root_lam
-
-
-def _r_auto(stats: MixtureStats) -> float:
-    # beyond this radius the quadratic term dominates the log growth of Psi
-    return 2.0 * float(np.max(_x_of_delta(stats, np.ones(stats.r)))) + 4.0
+    radial = sq + (stats.xi_dprime @ (root_lam / sq)) / root_lam
+    return 2.0 * float(np.max(radial)) + 4.0
 
 
 def F_point(stats: MixtureStats, x) -> ComplexityPoint:
@@ -96,7 +90,7 @@ def F_point(stats: MixtureStats, x) -> ComplexityPoint:
     if np.abs(u).min() < 1e-8:
         raise DegenerateU("some |u_s| < 1e-8; log|u_s| is unstable")
     ainv_v = np.linalg.solve(stats.A, v)
-    value = _quad_const(stats) - 0.5 * float(v @ ainv_v) + _psi_of_u(stats, u)
+    value = _quad_const(stats) - 0.5 * float(v @ ainv_v) + dyson.psi_of_u(stats, u)
     grad_v = -ainv_v - u.real
     return ComplexityPoint(
         x=x, v=v, F=value,
@@ -210,7 +204,7 @@ def find_stationary_points(stats: MixtureStats,
     grad = -np.linalg.solve(stats.A, V.T).T - u_dyson.real
     values = [
         _quad_const(stats) - 0.5 * float(v @ np.linalg.solve(stats.A, v))
-        + _psi_of_u(stats, u)
+        + dyson.psi_of_u(stats, u)
         for _, u, v in kept
     ]
     fmax = max(values)
@@ -240,65 +234,39 @@ def fd_hessian(stats: MixtureStats, x, h: float = 1e-4) -> np.ndarray:
 
 def sup_F(stats: MixtureStats, region=None, multistart: int = 32,
           seed: int = 0):
-    """Maximize F over a box by multistart ascent with a Newton polish."""
-    from scipy.optimize import minimize
+    """sup F and a maximiser x, read off the stationary census.
 
-    radius = _r_auto(stats) if region is None else float(region)
-    if radius <= 0:
+    F -> -inf as |x| grows, so sup F is attained at a stationary point, and
+    find_stationary_points gives every one in closed form through the
+    per-species dichotomy: the largest census value is sup F, with no
+    ascent or polish.  The census caps r at 6 (ValidationError).
+
+    region=None means all of R^r.  A radius restricts x to the box
+    [-region, region]^r; a maximiser outside it raises ValidationError, as
+    the census gives no box-constrained maximum.  NonConvergence means an
+    empty census, or a maximiser whose stationarity residual, checked
+    independently through the Dyson solve, exceeds SUP_RESIDUAL_TOL.
+
+    multistart and seed are unused; perfbench still passes multistart, and
+    both go away with the perfbench change that replaces its sup F check.
+    """
+    if region is not None and float(region) <= 0:
         raise ValidationError("region radius must be positive")
     if multistart < 1:
         raise ValidationError("multistart must be at least 1")
-    r = stats.r
-    rng = np.random.default_rng(seed)
-
-    def negative(xv):
-        try:
-            pt = F_point(stats, xv)
-        except NumericalError:
-            return 1e10, np.zeros(r)
-        return -pt.F, -pt.gradF_x
-
-    starts = [np.zeros(r)]
-    if 2 ** r <= max(multistart, 2):
-        for delta in all_sign_patterns(r):
-            starts.append(np.clip(_x_of_delta(stats, delta), -radius, radius))
-    while len(starts) < multistart:
-        starts.append(rng.uniform(-radius, radius, r))
-
-    best_x, best_f = None, -np.inf
-    bounds = [(-radius, radius)] * r
-    for start in starts[:max(multistart, len(starts))]:
-        res = minimize(negative, start, jac=True, method="L-BFGS-B",
-                       bounds=bounds,
-                       options={"ftol": 1e-14, "gtol": 1e-12, "maxiter": 500})
-        if np.isfinite(res.fun) and -res.fun > best_f:
-            best_f, best_x = -float(res.fun), np.asarray(res.x)
-
-    # local Newton refinement off the box constraints
-    x = best_x
-    for _ in range(8):
-        try:
-            g = F_point(stats, x).gradF_x
-            if np.abs(g).max() < 1e-12:
-                break
-            step = np.linalg.solve(fd_hessian(stats, x), -g)
-        except (np.linalg.LinAlgError, NumericalError):
-            break
-        moved = False
-        for t in (1.0, 0.5, 0.25, 0.125):
-            xn = np.clip(x + t * step, -radius, radius)
-            try:
-                if np.abs(F_point(stats, xn).gradF_x).max() < np.abs(g).max():
-                    x, moved = xn, True
-                    break
-            except NumericalError:
-                continue
-        if not moved:
-            break
-    final = F_point(stats, x).F
-    if final < best_f:
-        x, final = best_x, best_f
-    return float(final), x
+    points = find_stationary_points(stats)
+    if not points:
+        raise NonConvergence("stationary census is empty")
+    best = points[0]
+    if best.residual > SUP_RESIDUAL_TOL:
+        raise NonConvergence(
+            f"census maximiser residual {best.residual:.3e} "
+            f"> {SUP_RESIDUAL_TOL:.0e}")
+    x = best.v / np.sqrt(stats.lam)
+    if region is not None and np.abs(x).max() > float(region):
+        raise ValidationError(
+            f"the maximiser of F lies outside the box of radius {region}")
+    return best.F, x
 
 
 def _parse_scan_grid(stats: MixtureStats, grid_spec):

@@ -491,22 +491,29 @@ def _bisect_brackets(g_out, g_in, density_at):
 def psi(stats: MixtureStats, x, mode: str = "closed_form") -> float:
     """Log-potential Psi(x) of the limiting measure.
 
-    closed_form evaluates (1/2) Re <u, xi'' u> - sum_s lambda_s log|u_s|
-    with the bilinear (unconjugated) pairing; quadrature integrates
-    log|gamma| against the measure with the 0-singularity handled by a
-    piecewise-linear-density analytic integral.
+    closed_form evaluates psi_of_u at the boundary value u; quadrature
+    integrates log|gamma| against the measure with the 0-singularity
+    handled by a piecewise-linear-density analytic integral.
     """
     x = np.asarray(x, dtype=float)
     if mode == "closed_form":
         u = boundary_u(stats, np.sqrt(stats.lam) * x)
         if np.abs(u).min() < 1e-8:
             raise DegenerateU("some |u_s| < 1e-8; log|u_s| is unstable")
-        quad = 0.5 * np.real(u @ stats.xi_dprime @ u)
-        return float(quad - stats.lam @ np.log(np.abs(u)))
+        return psi_of_u(stats, u)
     if mode == "quadrature":
         meas = spectral_measure(stats, x)
         return _log_integral(meas.grid, meas.density)
     raise ValidationError(f"unknown psi mode {mode!r}")
+
+
+def psi_of_u(stats: MixtureStats, u) -> float:
+    """(1/2) Re <u, xi'' u> - sum_s lambda_s log|u_s|, the closed form of Psi.
+
+    The pairing is bilinear (unconjugated).
+    """
+    quad = 0.5 * np.real(u @ stats.xi_dprime @ u)
+    return float(quad - stats.lam @ np.log(np.abs(u)))
 
 
 def _log_integral(grid, density):

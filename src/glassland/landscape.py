@@ -590,23 +590,3 @@ def survey_approx_crits(instance: HamiltonianInstance, predictions,
                         max_dist_to_followed=max_dist,
                         points=tuple(exact_points))
 
-
-def result_to_dict(result: CriticalPointResult, report=None) -> dict:
-    """JSON-ready record of one critical point."""
-    rec = {
-        "delta": (list(result.delta) if isinstance(result.delta, tuple)
-                  else result.delta),
-        "energy": float(result.energy),
-        "grad_norm": float(result.grad_norm),
-        "radial": [float(v) for v in result.radial],
-        "overlap": [float(v) for v in result.g1_overlap],
-        "index": int(result.index),
-        "min_abs_eig": float(result.min_abs_eig),
-        "gap_at_zero": float(result.min_abs_eig),
-        "ill_conditioned": bool(result.ill_conditioned),
-        "iterations": int(result.iterations),
-    }
-    if report is not None:
-        rec["w2"] = float(report.w2)
-        rec["hausdorff"] = float(report.hausdorff)
-    return rec

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 from scipy import ndimage
+from scipy.optimize import minimize
 
 from glassland import complexity as cx
 from glassland import dyson as dy
 from glassland import mixture as mx
-from glassland.errors import DegenerateU, DegenerateVariance, ValidationError
-from glassland.presets import get_preset, single_species
+from glassland.errors import (DegenerateU, DegenerateVariance, NumericalError,
+                              ValidationError)
+from glassland.presets import PRESETS, get_preset, single_species
 
 SC = mx.stats(get_preset("one-species-quadratic"))
 P3 = mx.stats(get_preset("pure3"))
@@ -17,6 +19,53 @@ TS = mx.stats(get_preset("three-species"))
 # hand-evaluated closed forms for the symmetric-pair census
 FB_MIXED_F = -0.5 * np.log(8.0) + 0.25 * np.log(52.0 / 3.0)
 FB_CENTER_F = 0.5 * np.log(3.0 / 8.0)
+# how far the oracle ascent may land from the census maximum
+ORACLE_TOL = 1e-6
+ORACLE_STARTS = 8
+
+
+def ascent_oracle(spec):
+    """Maximise F by multistart L-BFGS-B in the box of radius _r_auto.
+
+    The starts are the origin, the ideal points of every sign pattern (when
+    there are few enough) and uniform draws; no census value is used.
+    """
+    stats = mx.stats(spec)
+    r = stats.r
+    radius = cx._r_auto(stats)
+    rng = np.random.default_rng(0)
+
+    def negative(xv):
+        try:
+            pt = cx.F_point(stats, xv)
+        except NumericalError:
+            return 1e10, np.zeros(r)
+        return -pt.F, -pt.gradF_x
+
+    starts = [np.zeros(r)]
+    if 2 ** r <= ORACLE_STARTS:
+        starts += [np.clip(mx.ideal_stats(spec, d).radial, -radius, radius)
+                   for d in mx.all_sign_patterns(r)]
+    while len(starts) < ORACLE_STARTS:
+        starts.append(rng.uniform(-radius, radius, r))
+    best = None
+    for start in starts:
+        res = minimize(negative, start, jac=True, method="L-BFGS-B",
+                       bounds=[(-radius, radius)] * r,
+                       options={"ftol": 1e-14, "gtol": 1e-12, "maxiter": 500})
+        if best is None or res.fun < best.fun:
+            best = res
+    return -float(best.fun), best.x
+
+
+def uncoupled(r):
+    """r species, each with its own quadratic and linear term."""
+    spec = mx.MixtureSpec(
+        r=r, lam=np.full(r, 1.0 / r),
+        coeffs=tuple((2, (s, s), 1.0) for s in range(r)) + tuple(
+            (1, (s,), 1.0) for s in range(r)),
+        max_degree=2)
+    return mx.stats(spec)
 
 
 def test_F_at_ideal_points_one_species():
@@ -169,14 +218,8 @@ def test_census_points_satisfy_pattern_pins():
 
 
 def test_census_rejects_large_r():
-    lam = np.full(7, 1.0 / 7)
-    spec = mx.MixtureSpec(
-        r=7, lam=lam,
-        coeffs=tuple((2, (s, s), 1.0) for s in range(7)) + tuple(
-            (1, (s,), 1.0) for s in range(7)),
-        max_degree=2)
     with pytest.raises(ValidationError):
-        cx.find_stationary_points(mx.stats(spec))
+        cx.find_stationary_points(uncoupled(7))
 
 
 def test_imag_pattern_points_are_not_local_maxima():
@@ -216,6 +259,65 @@ def test_sup_validation():
         cx.sup_F(SC, region=-1.0)
     with pytest.raises(ValidationError):
         cx.sup_F(SC, multistart=0)
+
+
+@pytest.mark.parametrize("spec", [
+    get_preset("one-species-quadratic"), get_preset("pure3"),
+    single_species([2.0, 1.0, 1.0]), get_preset("symmetric-pair"),
+], ids=["one-species-quadratic", "pure3", "cubic-single", "symmetric-pair"])
+def test_sup_matches_ascent_oracle(spec):
+    st = mx.stats(spec)
+    value, arg = cx.sup_F(st)
+    oracle, _ = ascent_oracle(spec)
+    # the ascent reaches the census value ...
+    assert value - oracle < ORACLE_TOL
+    # ... and finds nothing higher, which a stationary point the census
+    # missed would show
+    assert oracle - value < ORACLE_TOL
+    assert abs(cx.F_point(st, arg).F - value) < ORACLE_TOL
+
+
+def test_sup_is_census_maximum_exactly():
+    for name in PRESETS:
+        st = mx.stats(get_preset(name))
+        value, arg = cx.sup_F(st)
+        best = cx.find_stationary_points(st)[0]
+        assert value == best.F
+        assert np.array_equal(arg, best.v / np.sqrt(st.lam))
+        assert np.abs(arg).max() <= cx._r_auto(st)
+        if name.startswith("pure"):
+            # total complexity of the pure p-spin model
+            p = int(name[len("pure"):])
+            assert abs(value - 0.5 * np.log(p - 1.0)) < 1e-12
+        else:
+            label = mx.classify_solvability(get_preset(name)).label
+            assert label == "strictly_super_solvable"
+            assert abs(value) < 1e-12
+
+
+def test_sup_typed_errors():
+    # the one-species maximiser has |x| = 4/sqrt(3) > 1
+    with pytest.raises(ValidationError):
+        cx.sup_F(SC, region=1.0)
+    with pytest.raises(ValidationError):
+        cx.sup_F(uncoupled(7))
+
+
+def test_F_point_is_quadratic_part_plus_psi():
+    for x in (np.array([0.4, -1.2]), np.array([2.5, 0.3]),
+              np.array([-3.0, -2.0])):
+        v = np.sqrt(FC.lam) * x
+        want = (cx._quad_const(FC) - 0.5 * float(v @ np.linalg.solve(FC.A, v))
+                + dy.psi(FC, x))
+        assert cx.F_point(FC, x).F == want
+
+
+def test_r_auto_is_twice_the_ideal_radial_plus_four():
+    for name in PRESETS:
+        spec = get_preset(name)
+        plus = mx.ideal_stats(spec, np.ones(spec.r)).radial
+        assert abs(cx._r_auto(mx.stats(spec))
+                   - (2.0 * np.max(plus) + 4.0)) < 1e-14
 
 
 def test_decay_at_auto_radius():
@@ -273,14 +375,8 @@ def test_scan_validation():
         cx.scan(FB, (2.0, -2.0, 10))
     with pytest.raises(ValidationError):
         cx.scan(FB, (-2.0, 2.0, 1))
-    lam = np.full(4, 0.25)
-    spec = mx.MixtureSpec(
-        r=4, lam=lam,
-        coeffs=tuple((2, (s, s), 1.0) for s in range(4)) + tuple(
-            (1, (s,), 1.0) for s in range(4)),
-        max_degree=2)
     with pytest.raises(ValidationError):
-        cx.scan(mx.stats(spec))
+        cx.scan(uncoupled(4))
 
 
 def test_scan_csv_round_trip(tmp_path):
