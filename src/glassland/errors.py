@@ -75,7 +75,3 @@ class LostTrack(NumericalError):
 
 class MaxIters(NumericalError):
     """Newton refinement hit its iteration cap."""
-
-
-class DegenerateGradient(NumericalError):
-    """Band recursion hit a vanishing projected gradient."""

@@ -68,12 +68,16 @@ class StatePoint:
 
 @dataclass(frozen=True)
 class LocalData:
+    """rhess is in the coordinates of basis, the tangent_basis blocks;
+    both are None unless the Hessian was asked for."""
+
     value: float
     egrad: np.ndarray
     rgrad: np.ndarray
     radial: np.ndarray
     curvature: np.ndarray
     rhess: np.ndarray
+    basis: list = None
 
 
 @dataclass(frozen=True)
@@ -275,7 +279,7 @@ def local_data(instance: HamiltonianInstance, sigma,
     for s, sl in enumerate(sls):
         rgrad[sl] -= curvature[s] * sig[sl]
 
-    rhess = None
+    rhess = blocks = None
     if want_hessian:
         blocks = tangent_basis(part, sig)
         roff = np.concatenate([[0], np.cumsum(part.sizes - 1)])
@@ -295,7 +299,7 @@ def local_data(instance: HamiltonianInstance, sigma,
             view[idx] -= curvature[a]
 
     return LocalData(value=value, egrad=egrad, rgrad=rgrad, radial=radial,
-                     curvature=curvature, rhess=rhess)
+                     curvature=curvature, rhess=rhess, basis=blocks)
 
 
 def energy(instance: HamiltonianInstance, sigma, degree_weights=None) -> float:

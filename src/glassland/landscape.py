@@ -2,8 +2,8 @@
 
 Homotopy following from the pure external-field landscape, damped
 tangent-space Newton refinement, classification against the closed-form
-predictions, spectrum comparison, recursive band construction, and
-random-start surveys for approximate critical points.
+predictions, spectrum comparison, and random-start surveys for
+approximate critical points.
 """
 
 import warnings
@@ -12,16 +12,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dyson import SpectralMeasure, spectral_measure
-from .errors import (DegenerateGradient, LostTrack, MaxIters, NumericalError,
-                     OffManifold, ValidationError, ZeroComponent)
+from .errors import (LostTrack, MaxIters, NumericalError, OffManifold,
+                     ValidationError, ZeroComponent)
 from .hamiltonian import (HamiltonianInstance, StatePoint, _as_sigma,
                           check_on_manifold, g1_overlap, local_data,
-                          random_state, raw_gradient, retract, tangent_basis)
-from .mixture import MixtureSpec, classify_solvability, recursion_radii
+                          random_state, raw_gradient, retract)
+from .mixture import MixtureSpec, classify_solvability
 from .mixture import stats as mixture_stats
 
 UNCLASSIFIED = "unclassified"
 NEWTON_TOL = 1e-10
+# intermediate homotopy points only seed the next prediction; at 1e-6 they
+# sit about 1e-6 sqrt(N)/gap off the branch, far inside DEDUP_RADIUS sqrt(N)
+STEP_TOL = 1e-6
 SINGULAR_EIG = 1e-6
 ZERO_EIG = 1e-8
 DEDUP_RADIUS = 1e-4
@@ -36,8 +39,9 @@ class CriticalPointResult:
     grad_norm is the Riemannian gradient norm divided by sqrt(N), energy
     is H/N, radial the per-species radial derivatives, spectrum the sorted
     eigenvalues of the reduced Hessian.  index counts eigenvalues above
-    1e-8; any eigenvalue inside that window sets ill_conditioned instead
-    of guessing a sign.  delta is a sign tuple once classified.
+    1e-8; ill_conditioned is set by any |eigenvalue| < 1e-6, or by a mode
+    the Newton solve dropped, instead of guessing a sign.  delta is a sign
+    tuple once classified.
     """
 
     sigma_star: StatePoint
@@ -52,15 +56,6 @@ class CriticalPointResult:
     ill_conditioned: bool
     iterations: int
     grad_history: tuple
-
-
-@dataclass(frozen=True)
-class BandState:
-    k: int
-    R_k: np.ndarray
-    m_k: np.ndarray
-    U_k: np.ndarray
-    g_k: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -132,33 +127,39 @@ def _ambient(blocks, partition, red):
     return out
 
 
-def newton_refine(instance: HamiltonianInstance, sigma0, max_iters: int = 50,
-                  tol: float = NEWTON_TOL, degree_weights=None,
-                  raise_on_fail: bool = True) -> CriticalPointResult:
-    """Damped tangent-space Newton for the Riemannian gradient.
+def _try_step(instance, sig, ld, h, gn, degree_weights, halvings):
+    """Backtracking search along the reduced step h from sig.
 
-    The convergence test runs before any step, so a point already at
-    tolerance comes back unchanged with 0 iterations.  Hessian modes with
-    |eigenvalue| < 1e-6 are dropped from the solve (a pseudo-inverse
-    step) and the point is flagged ill conditioned rather than rejected.
-    Steps are capped at 0.5 sqrt(N) and backtracked on the residual norm.
-    A full-length trial (alpha = 1) carries its Hessian, so when it is
-    accepted, as it nearly always is near a critical point, it is the next
-    iterate's local data as it stands.  Backtracked trials skip the
-    Hessian and an accepted one is evaluated again with it; a rejected
-    full-length trial pays for a Hessian it does not use.
-    Raises MaxIters when the budget runs out or the search stalls, unless
-    raise_on_fail is off, in which case the best iterate is returned with
-    its unconverged grad_norm.
+    The step is capped at 0.5 sqrt(N) and halved until the gradient norm
+    falls to (1 - alpha/10) gn.  Only the full-length trial (alpha = 1)
+    carries its Hessian.  Returns the accepted (sigma, LocalData) or None.
     """
     part = instance.partition
-    sig = _as_sigma(sigma0)
-    try:
-        check_on_manifold(part, sig)
-    except OffManifold:
-        sig = retract(part, sig).sigma
+    step = _ambient(ld.basis, part, h)
+    cap = 0.5 * np.sqrt(part.N)
+    snorm = float(np.linalg.norm(step))
+    if snorm > cap:
+        step *= cap / snorm
+    alpha = 1.0
+    for _ in range(halvings):
+        cand = retract(part, sig + alpha * step).sigma
+        trial = local_data(instance, cand, want_hessian=alpha == 1.0,
+                           degree_weights=degree_weights)
+        gn2 = float(np.linalg.norm(trial.rgrad)) / np.sqrt(part.N)
+        if np.isfinite(gn2) and gn2 <= (1.0 - 0.1 * alpha) * gn:
+            return cand, trial
+        alpha *= 0.5
+    return None
+
+
+def _newton(instance, sig, max_iters, tol, degree_weights, raise_on_fail):
+    """The Newton loop of newton_refine on an on-manifold sig.
+
+    Returns (sigma, LocalData with Hessian, grad_norm history, iterations,
+    singular), singular meaning the eigh ladder dropped a soft mode.
+    """
+    part = instance.partition
     sqrt_n = np.sqrt(part.N)
-    cap = 0.5 * sqrt_n
     history = []
     singular = False
     iterations = 0
@@ -176,50 +177,75 @@ def newton_refine(instance: HamiltonianInstance, sigma0, max_iters: int = 50,
                 raise MaxIters(
                     f"no convergence in {max_iters} newton iterations")
             break
-        blocks = tangent_basis(part, sig)
-        g_red = _reduced(blocks, part, ld.rgrad)
-        eigs, vecs = np.linalg.eigh(ld.rhess)
-        scale_w = float(np.max(np.abs(eigs)))
-        if scale_w < SINGULAR_EIG:
-            raise MaxIters("hessian numerically zero, no newton step")
-        coef = vecs.T @ g_red
+        g_red = _reduced(ld.basis, part, ld.rgrad)
         accepted = None
-        # mu=0 is the plain newton step; soft hessian modes overshoot when
-        # the spectral gap pinches, so failures escalate the damping
-        for mu in (0.0, 1e-3 * scale_w, 1e-2 * scale_w, 0.1 * scale_w,
-                   scale_w):
-            if mu == 0.0:
-                keep = np.abs(eigs) >= SINGULAR_EIG
-                if not np.all(keep):
-                    singular = True
-                h = -(vecs[:, keep] @ (coef[keep] / eigs[keep]))
-            else:
-                h = -(vecs @ (coef * eigs / (eigs ** 2 + mu ** 2)))
-            step = _ambient(blocks, part, h)
-            snorm = float(np.linalg.norm(step))
-            if snorm > cap:
-                step *= cap / snorm
-            alpha = 1.0
-            for _ in range(20):
-                cand = retract(part, sig + alpha * step).sigma
-                trial = local_data(instance, cand, want_hessian=alpha == 1.0,
-                                   degree_weights=degree_weights)
-                gn2 = float(np.linalg.norm(trial.rgrad)) / sqrt_n
-                if np.isfinite(gn2) and gn2 <= (1.0 - 0.1 * alpha) * gn:
-                    accepted = cand
+        try:
+            h = -np.linalg.solve(ld.rhess, g_red)
+        except np.linalg.LinAlgError:
+            h = None
+        if h is not None and np.all(np.isfinite(h)):
+            accepted = _try_step(instance, sig, ld, h, gn, degree_weights, 1)
+        if accepted is None:
+            eigs, vecs = np.linalg.eigh(ld.rhess)
+            scale_w = float(np.max(np.abs(eigs)))
+            if scale_w < SINGULAR_EIG:
+                raise MaxIters("hessian numerically zero, no newton step")
+            coef = vecs.T @ g_red
+            # mu=0 is the pseudo-inverse step; soft hessian modes overshoot
+            # when the spectral gap pinches, so failures escalate the damping
+            for mu in (0.0, 1e-3 * scale_w, 1e-2 * scale_w, 0.1 * scale_w,
+                       scale_w):
+                if mu == 0.0:
+                    keep = np.abs(eigs) >= SINGULAR_EIG
+                    if not np.all(keep):
+                        singular = True
+                    h = -(vecs[:, keep] @ (coef[keep] / eigs[keep]))
+                else:
+                    h = -(vecs @ (coef * eigs / (eigs ** 2 + mu ** 2)))
+                accepted = _try_step(instance, sig, ld, h, gn,
+                                     degree_weights, 20)
+                if accepted is not None:
                     break
-                alpha *= 0.5
-            if accepted is not None:
-                break
         if accepted is None:
             if raise_on_fail:
                 raise MaxIters("newton line search stalled")
             break
-        sig, ld = accepted, trial
+        sig, ld = accepted
         if ld.rhess is None:
             ld = local_data(instance, sig, want_hessian=True,
                             degree_weights=degree_weights)
         iterations += 1
+    return sig, ld, history, iterations, singular
+
+
+def newton_refine(instance: HamiltonianInstance, sigma0, max_iters: int = 50,
+                  tol: float = NEWTON_TOL, degree_weights=None,
+                  raise_on_fail: bool = True) -> CriticalPointResult:
+    """Tangent-space Newton for the Riemannian gradient.
+
+    The convergence test runs before any step, so a point already at
+    tolerance comes back unchanged with 0 iterations.  Each iteration
+    first tries the plain step, an LU solve with the reduced Hessian, at
+    full length.  Only if the solve fails or that trial does not cut the
+    gradient norm by 10% does it fall back to an eigh ladder: the
+    pseudo-inverse step without the modes of |eigenvalue| < 1e-6, then
+    four increasing damping levels, each backtracked up to 20 times.
+    Steps are capped at 0.5 sqrt(N).  The accepted full-length trial
+    carries its Hessian into the next iteration; an accepted backtracked
+    one is evaluated again with it.  ill_conditioned is set when the
+    final spectrum has an |eigenvalue| < 1e-6 or the ladder dropped a
+    mode on the way.  Raises MaxIters when the budget runs out or the
+    search stalls, unless raise_on_fail is off, in which case the best
+    iterate is returned with its unconverged grad_norm.
+    """
+    part = instance.partition
+    sig = _as_sigma(sigma0)
+    try:
+        check_on_manifold(part, sig)
+    except OffManifold:
+        sig = retract(part, sig).sigma
+    sig, ld, history, iterations, singular = _newton(
+        instance, sig, max_iters, tol, degree_weights, raise_on_fail)
     spectrum = np.linalg.eigvalsh(ld.rhess)
     min_abs = float(np.min(np.abs(spectrum)))
     return CriticalPointResult(
@@ -232,10 +258,24 @@ def newton_refine(instance: HamiltonianInstance, sigma0, max_iters: int = 50,
         index=int(np.count_nonzero(spectrum > ZERO_EIG)),
         min_abs_eig=min_abs,
         delta=UNCLASSIFIED,
-        ill_conditioned=bool(min_abs < ZERO_EIG or singular),
+        ill_conditioned=bool(min_abs < SINGULAR_EIG or singular),
         iterations=iterations,
         grad_history=tuple(history),
     )
+
+
+def _tangent(instance, sig, ld):
+    """d sigma/dt of the homotopy branch through the critical point sig.
+
+    With the degree >= 2 parts weighted by t, differentiating
+    rgrad(sigma(t), t) = 0 gives rhess d = -P_sigma grad H_{>=2}(sigma),
+    with ld the local data at sig.  Returns the ambient vector; raises
+    LinAlgError when rhess is singular.
+    """
+    part = instance.partition
+    wts = {k: (0.0 if k == 1 else 1.0) for k in instance.tensors}
+    g_red = _reduced(ld.basis, part, raw_gradient(instance, sig, wts))
+    return _ambient(ld.basis, part, np.linalg.solve(ld.rhess, -g_red))
 
 
 def follow_critical_points(instance: HamiltonianInstance, delta,
@@ -244,9 +284,12 @@ def follow_critical_points(instance: HamiltonianInstance, delta,
 
     At t=0 only the degree-1 part acts and the critical point is the
     signed alignment with its coefficient field; the degree >= 2 parts are
-    scaled by t over a uniform grid with a Newton polish per step.  Losing
-    the sign pattern of the degree-1 overlap, or a Newton failure,
-    triggers one restart with four times the steps before LostTrack.
+    scaled by t over a uniform grid of steps points.  From the second
+    point on, each step is predicted along the branch tangent (an Euler
+    step, see _tangent) and corrected by Newton, to STEP_TOL for t < 1
+    and to NEWTON_TOL at t = 1.  Losing the sign pattern of the degree-1
+    overlap, or a Newton failure, triggers one restart with four times the
+    steps before LostTrack.
     """
     part = instance.partition
     ints, arr = _as_delta(delta, part.r)
@@ -265,18 +308,29 @@ def follow_critical_points(instance: HamiltonianInstance, delta,
 
     def attempt(n_steps):
         sigma = scale(instance.tensors[1], arr, np.ones(part.r), part)
-        res = None
+        ld = None
         for i in range(1, n_steps + 1):
             t = i / n_steps
             wts = {k: (1.0 if k == 1 else t) for k in degrees}
+            if ld is not None:
+                try:
+                    sigma = retract(part, sigma + _tangent(instance, sigma, ld)
+                                    / n_steps).sigma
+                except np.linalg.LinAlgError:
+                    pass
             # a fold can briefly swallow the branch mid-path, so stalls
             # carry the best iterate forward; only t=1 must converge
-            res = newton_refine(instance, sigma, max_iters=40,
-                                degree_weights=wts, raise_on_fail=False)
-            if np.any(np.sign(res.g1_overlap) != arr):
+            if i < n_steps:
+                sigma, ld, _, _, _ = _newton(instance, sigma, 40, STEP_TOL,
+                                             wts, False)
+                signs = np.sign(g1_overlap(instance, sigma))
+            else:
+                res = newton_refine(instance, sigma, max_iters=40,
+                                    degree_weights=wts, raise_on_fail=False)
+                sigma, signs = res.sigma_star.sigma, np.sign(res.g1_overlap)
+            if np.any(signs != arr):
                 raise LostTrack(f"overlap sign pattern left {ints} "
                                 f"at t={t:.4f}")
-            sigma = res.sigma_star.sigma
         if res.grad_norm > NEWTON_TOL:
             res = _soft_hop(instance, arr, expected, sigma)
             if res is None:
@@ -310,7 +364,7 @@ def _soft_hop(instance, arr, expected, sigma):
     ld = local_data(instance, sigma, want_hessian=True)
     eigs, vecs = np.linalg.eigh(ld.rhess)
     soft = vecs[:, int(np.argmin(np.abs(eigs)))]
-    direction = _ambient(tangent_basis(part, sigma), part, soft)
+    direction = _ambient(ld.basis, part, soft)
     fallback = None
     for amp in (0.3, 1.0, 3.0, 6.0):
         for sign in (1.0, -1.0):
@@ -431,86 +485,22 @@ def spectrum_compare(instance, result, measure) -> ComparisonReport:
                             gap_at_zero=float(np.min(np.abs(eigs))))
 
 
-def recursive_bands(instance: HamiltonianInstance, delta,
-                    k_max: int) -> list:
-    """Nested band centers by species-wise rescaling of projected gradients.
-
-    Returns BandStates for k = 0 .. k_max.  The center moves from m_{k-1}
-    along the projected gradient, per species, by exactly the radius
-    increment from mixture.recursion_radii; U_k accumulates the used unit
-    directions, and g_k is the gradient at m_k with those stripped off.
-    """
-    part = instance.partition
-    _, arr = _as_delta(delta, part.r)
-    if not 1 <= k_max <= 30:
-        raise ValidationError("k_max must be between 1 and 30")
-    if np.any(instance.mixture.gamma1 <= 0):
-        raise ValidationError("recursive bands need gamma^(1) > 0 "
-                              "in every species")
-    radii = recursion_radii(instance.mixture, k_max)
-    N = part.N
-    mk = np.zeros(N)
-    U = np.zeros((N, 0))
-    gk = raw_gradient(instance, mk)
-    states = [BandState(k=0, R_k=radii[0], m_k=mk, U_k=U, g_k=gk)]
-    for k in range(1, k_max + 1):
-        q = radii[k] - radii[k - 1]
-        if np.any(q < -1e-12):
-            raise NumericalError("band radii decreased along the recursion")
-        q = np.maximum(q, 0.0)
-        cols = np.empty((N, part.r))
-        m_new = mk.copy()
-        for s, sl in enumerate(part.slices()):
-            if float(np.linalg.norm(gk[sl])) < 1e-10:
-                raise DegenerateGradient(
-                    f"projected gradient vanished in species {s} at k={k}")
-            col = np.zeros(N)
-            col[sl] = gk[sl]
-            # strip residual components twice before trusting the norm
-            for _ in range(2):
-                if U.shape[1]:
-                    col -= U @ (U.T @ col)
-            nrm = float(np.linalg.norm(col))
-            if nrm < 1e-10:
-                raise DegenerateGradient(
-                    f"gradient direction fell inside U in species {s}")
-            col /= nrm
-            m_new[sl] = mk[sl] + arr[s] * np.sqrt(q[s] * part.sizes[s]) * col[sl]
-            cols[:, s] = col
-        U = np.concatenate([U, cols], axis=1)
-        mk = m_new
-        gk = raw_gradient(instance, mk)
-        for _ in range(2):
-            gk = gk - U @ (U.T @ gk)
-        states.append(BandState(k=k, R_k=radii[k], m_k=mk, U_k=U, g_k=gk))
-    return states
-
-
-def band_distance(state: BandState, sigma) -> float:
-    """Distance from sigma to the band through m_k along U_k."""
-    sig = _as_sigma(sigma)
-    if state.U_k.shape[1] == 0:
-        return 0.0
-    return float(np.linalg.norm(state.U_k.T @ (sig - state.m_k)))
-
-
 def _descend_grad_norm(instance: HamiltonianInstance, sig, iters: int):
     # minimizes ||rgrad||^2; the direction rhess @ g_red is its reduced
     # gradient up to curvature terms, which a line search absorbs
     part = instance.partition
     sqrt_n = np.sqrt(part.N)
     ld = local_data(instance, sig, want_hessian=True)
-    blocks = tangent_basis(part, sig)
     val = float(ld.rgrad @ ld.rgrad)
     eta = 0.02 * sqrt_n
     floor = 1e-9 * sqrt_n
     for _ in range(iters):
-        g_red = _reduced(blocks, part, ld.rgrad)
+        g_red = _reduced(ld.basis, part, ld.rgrad)
         direction = ld.rhess @ g_red
         dn = float(np.linalg.norm(direction))
         if dn < 1e-14 or val < 1e-28:
             break
-        step = _ambient(blocks, part, direction) * (-1.0 / dn)
+        step = _ambient(ld.basis, part, direction) * (-1.0 / dn)
         moved = False
         while eta > floor:
             cand = retract(part, sig + eta * step).sigma
@@ -524,7 +514,6 @@ def _descend_grad_norm(instance: HamiltonianInstance, sig, iters: int):
         if not moved:
             break
         ld = local_data(instance, sig, want_hessian=True)
-        blocks = tangent_basis(part, sig)
     return sig
 
 
