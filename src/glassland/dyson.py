@@ -4,11 +4,14 @@ The central object is the coupled fixed-point system
 
     1 + (z + x_s/sqrt(lambda_s) + sum_t xi''_{s,t} m_t / lambda_s) m_s = 0
 
-on the closed upper half-plane.  Boundary values u(v) at z -> 0 are
-obtained by geometric eta-continuation with warm starts, limiting
-spectral densities come from the imaginary parts, and boundary points
-are classified by feasibility conditions on the stability matrices and
-by multi-scale probes (edge vs cusp).
+on the closed upper half-plane.  For Im z > 0 it has a unique root with
+Im m >= 0, so each solve runs guarded Newton rounds first; only rows
+where Newton stalls, and a real z (reached from a warm start), take the
+slower path of damped half-plane sweeps before Newton.  Boundary values u(v)
+at z -> 0 are obtained by geometric eta-continuation with warm starts,
+limiting spectral densities come from the imaginary parts, and boundary
+points are classified by feasibility conditions on the stability
+matrices and by multi-scale probes (edge vs cusp).
 """
 
 from __future__ import annotations
@@ -43,7 +46,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DysonSolution:
-    """One solved spectral parameter: m_s(z; x) with residual bookkeeping."""
+    """One solved spectral parameter: m_s(z; x) with residual bookkeeping.
+
+    iterations is the solver's work: damped sweeps plus Newton rounds.
+    """
 
     z: complex
     x: np.ndarray
@@ -185,37 +191,60 @@ def _newton_rounds(m, shift, K, z, tol, rounds):
 def _solve_batch(shift, K, z, warm=None, tol=SOLVER_TOL, max_sweeps=MAX_SWEEPS):
     """Solve the system for a batch of per-point shifts at one z.
 
-    Damped fixed-point iterations interleaved with guarded Newton rounds;
-    the damped phase alone satisfies the contract but the Newton rounds
-    make edge points converge in practice.  Both phases accept a step
-    only where it does not raise the residual, so a row's residual never
-    increases: a row that reaches tol is final, and each phase works on
-    the rows still above it.
+    For Im z > 0 the system has exactly one root with Im m >= 0
+    (Ajanki-Erdos-Krueger), so guarded Newton clamped to the closed upper
+    half-plane cannot settle on a wrong root and runs first.  It can stall
+    on the boundary Im m_s = 0, far from the root, where no
+    residual-lowering step exists; the rows it leaves above tol restart
+    from their start value in _sweep_first.  On the real axis the
+    uniqueness argument is gone and _sweep_first solves every row.
+    Returns m and the work done, sweeps plus Newton rounds.
     """
     n, r = shift.shape
     if warm is not None:
-        m = np.array(warm, dtype=complex).reshape(n, r).copy()
+        m0 = np.array(warm, dtype=complex).reshape(n, r).copy()
         if z.imag > 0:
-            np.maximum(m.imag, 0.0, out=m.imag)
+            np.maximum(m0.imag, 0.0, out=m0.imag)
     else:
-        m = np.full((n, r), 1j, dtype=complex)
-    total = 0
-    m, res, used = _damped_sweeps(m, shift, K, z, max(tol, 1e-6), 400)
-    total += used
+        m0 = np.full((n, r), 1j, dtype=complex)
+    if z.imag == 0:
+        return _sweep_first(m0, shift, K, z, tol, max_sweeps)
+    m, res, work = _newton_rounds(m0.copy(), shift, K, z, tol, 40)
+    stalled = res > tol
+    if stalled.any():
+        m[stalled], more = _sweep_first(m0[stalled], shift[stalled], K, z,
+                                        tol, max_sweeps)
+        work += more
+    return m, work
+
+
+def _sweep_first(m, shift, K, z, tol, max_sweeps):
+    """Damped sweeps to 1e-6, then guarded Newton rounds and sweeps in turn.
+
+    The sweeps bring each row near the root before the first Newton
+    round.  Both phases accept a step only where it does not raise
+    the residual, so a row's residual never increases: a row that reaches
+    tol is final, and each phase works on the rows still above it.
+    Raises NonConvergence when max_sweeps or 60 rounds of phases leave a
+    row above tol.
+    """
+    m, res, sweeps = _damped_sweeps(m, shift, K, z, max(tol, 1e-6), 400)
+    rounds = 0
     for _ in range(60):
         if res.max() <= tol:
-            return m, total
+            return m, sweeps + rounds
         m, res, used = _newton_rounds(m, shift, K, z, tol, 40)
+        rounds += used
         if res.max() <= tol:
-            return m, total
+            return m, sweeps + rounds
         m, res, used = _damped_sweeps(m, shift, K, z, tol, 200)
-        total += used
-        if total > max_sweeps:
+        sweeps += used
+        if sweeps > max_sweeps:
             break
     if res.max() > tol:
         raise NonConvergence(
             f"dyson solver stalled at residual {res.max():.3e} (z={z})")
-    return m, total
+    return m, sweeps + rounds
 
 
 def _polish_real(shift_row, K, S, wgt, m_row):

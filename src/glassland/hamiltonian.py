@@ -256,13 +256,6 @@ def _contract(instance: HamiltonianInstance, sig: np.ndarray,
     return value, egrad, ehess
 
 
-def raw_gradient(instance: HamiltonianInstance, x,
-                 degree_weights=None) -> np.ndarray:
-    """Euclidean gradient at an arbitrary point, no manifold constraint."""
-    _, egrad, _ = _contract(instance, _as_sigma(x), False, degree_weights)
-    return egrad
-
-
 def local_data(instance: HamiltonianInstance, sigma,
                want_hessian: bool = False, degree_weights=None) -> LocalData:
     """Value, gradients, radial data, and optionally the Riemannian Hessian."""

@@ -16,7 +16,7 @@ from .errors import (LostTrack, MaxIters, NumericalError, OffManifold,
                      ValidationError, ZeroComponent)
 from .hamiltonian import (HamiltonianInstance, StatePoint, _as_sigma,
                           check_on_manifold, g1_overlap, local_data,
-                          random_state, raw_gradient, retract)
+                          random_state, retract)
 from .mixture import MixtureSpec, classify_solvability
 from .mixture import stats as mixture_stats
 
@@ -264,17 +264,19 @@ def newton_refine(instance: HamiltonianInstance, sigma0, max_iters: int = 50,
     )
 
 
-def _tangent(instance, sig, ld):
+def _tangent(instance, sig, ld, t):
     """d sigma/dt of the homotopy branch through the critical point sig.
 
-    With the degree >= 2 parts weighted by t, differentiating
+    With the degree >= 2 parts weighted by t > 0, differentiating
     rgrad(sigma(t), t) = 0 gives rhess d = -P_sigma grad H_{>=2}(sigma),
-    with ld the local data at sig.  Returns the ambient vector; raises
-    LinAlgError when rhess is singular.
+    with ld the local data at sig and weights t.  Since ld.egrad is
+    grad H_1 + t grad H_{>=2}, the degree >= 2 gradient is read off it
+    without contracting the tensors again.  Returns the ambient vector;
+    raises LinAlgError when rhess is singular.
     """
     part = instance.partition
-    wts = {k: (0.0 if k == 1 else 1.0) for k in instance.tensors}
-    g_red = _reduced(ld.basis, part, raw_gradient(instance, sig, wts))
+    g1 = instance.gamma_tables[1][part.labels] * instance.tensors[1]
+    g_red = _reduced(ld.basis, part, (ld.egrad - g1) / t)
     return _ambient(ld.basis, part, np.linalg.solve(ld.rhess, -g_red))
 
 
@@ -314,8 +316,8 @@ def follow_critical_points(instance: HamiltonianInstance, delta,
             wts = {k: (1.0 if k == 1 else t) for k in degrees}
             if ld is not None:
                 try:
-                    sigma = retract(part, sigma + _tangent(instance, sigma, ld)
-                                    / n_steps).sigma
+                    d = _tangent(instance, sigma, ld, (i - 1) / n_steps)
+                    sigma = retract(part, sigma + d / n_steps).sigma
                 except np.linalg.LinAlgError:
                     pass
             # a fold can briefly swallow the branch mid-path, so stalls

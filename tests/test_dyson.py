@@ -3,7 +3,8 @@ import pytest
 
 from glassland import dyson as dy
 from glassland import mixture as mx
-from glassland.errors import DegenerateU, ValidationError, ZeroComponent
+from glassland.errors import (DegenerateU, NonConvergence, ValidationError,
+                              ZeroComponent)
 from glassland.presets import get_preset
 
 SC = mx.stats(get_preset("one-species-quadratic"))
@@ -43,6 +44,8 @@ def test_solve_dyson_at_i():
     assert abs(sol.m[0] - 1j * (np.sqrt(5) - 1) / 2) < 1e-10
     assert sol.residual <= 1e-12
     assert sol.m[0].imag > 0
+    # Newton alone solves this point; its rounds count as work
+    assert sol.iterations >= 1
 
 
 def test_solve_dyson_invariants_random():
@@ -67,6 +70,14 @@ def test_solve_dyson_validation():
         dy.solve_dyson(SC, np.zeros(1), 1.0)
     warm = dy.solve_dyson(SC, np.zeros(1), 1e-7j).m
     sol = dy.solve_dyson(SC, np.zeros(1), 1e-12j, warm=warm)
+    assert sol.residual <= 1e-12
+
+
+def test_solve_dyson_on_real_axis():
+    # outside the semicircle support m is real: the root of 1 + (3 + m) m
+    # nearer zero, reached by sweeps from a warm start
+    sol = dy.solve_dyson(SC, np.array([3.0]), 0.0, warm=[-0.4])
+    assert abs(sol.m[0] - (np.sqrt(5) - 3) / 2) < 1e-12
     assert sol.residual <= 1e-12
 
 
@@ -166,7 +177,7 @@ def edge_batch():
     return shift, K, z, m0
 
 
-# the damped phases of _solve_batch run at these two tolerances
+# _sweep_first runs its damped phases at these two tolerances
 @pytest.mark.parametrize("tol", [1e-6, dy.SOLVER_TOL])
 def test_damped_sweeps_on_live_rows_match_full_batch(edge_batch, tol):
     shift, K, z, m0 = edge_batch
@@ -184,6 +195,71 @@ def test_damped_sweeps_on_live_rows_match_full_batch(edge_batch, tol):
     assert np.array_equal(res, res_ref)
     assert used == used_ref
     assert np.array_equal(m[settled], m0[settled])
+
+
+def _no_newton(m, shift, K, z, tol, rounds):
+    return m, dy._resid(m, shift, K, z), 0
+
+
+def test_newton_first_matches_sweep_first_down_the_ladder(edge_batch,
+                                                          monkeypatch):
+    shift, K, _, _ = edge_batch
+    # and rows outside the support [-2.49, 2.23]: far below, just above,
+    # and far above it
+    rows = np.r_[shift, shift[:1] + np.array([[-20.0], [6.0], [9.0], [60.0]])]
+    sweep_first = dy._sweep_first
+    fallbacks = []
+
+    def counted(*args):
+        fallbacks.append(len(args[0]))
+        return sweep_first(*args)
+
+    monkeypatch.setattr(dy, "_sweep_first", counted)
+    m = ref = None
+    for eta in dy.ETA_LADDER:
+        z = 1j * eta
+        m, _ = dy._solve_batch(rows, K, z, warm=m)
+        start = np.full(rows.shape, 1j) if ref is None else ref.copy()
+        ref, _ = sweep_first(start, rows, K, z, dy.SOLVER_TOL, dy.MAX_SWEEPS)
+        assert np.abs(m - ref).max() <= 1e-10
+        assert np.all(m.imag > 0)
+    # Newton alone solved every row at every level
+    assert fallbacks == []
+
+
+def test_sweeps_alone_reach_the_newton_root(edge_batch, monkeypatch):
+    shift, K, z, m0 = edge_batch
+    root, _ = dy._solve_batch(shift, K, z, warm=m0)
+    # just inside the band edge: Newton solves it, while sweeps alone need
+    # more than the 600 that a zero budget lets the first phases run
+    inside = shift[-1:] + 0.1
+    dy._solve_batch(inside, K, z, warm=m0[-1:], max_sweeps=0)
+    monkeypatch.setattr(dy, "_newton_rounds", _no_newton)
+    m, work = dy._solve_batch(shift, K, z, warm=m0)
+    assert np.abs(m - root).max() <= 1e-10
+    assert work > 0
+    with pytest.raises(NonConvergence):
+        dy._solve_batch(inside, K, z, warm=m0[-1:], max_sweeps=0)
+
+
+def test_stalled_newton_rows_restart_sweep_first():
+    # one tiny species weight makes the coupling stiff; from m = i, far
+    # below the support, Newton drives a component onto Im m_s = 0 and
+    # stops there, short of the root
+    lam = np.array([0.003, 0.2, 0.047, 0.75])
+    xi2 = np.array([[0.6, 1.1, 1.1, 1.3], [1.1, 2.0, 1.4, 0.8],
+                    [1.1, 1.4, 1.2, 1.7], [1.3, 0.8, 1.7, 2.0]])
+    K = xi2 / lam[:, None]
+    shift = np.array([[-80.0], [-70.0], [-60.0]]) * np.ones(4)
+    z = 1e-2j
+    start = np.full(shift.shape, 1j)
+    _, res, _ = dy._newton_rounds(start.copy(), shift, K, z, dy.SOLVER_TOL, 40)
+    assert res[0] <= dy.SOLVER_TOL and np.all(res[1:] > 1e-3)
+    m, _ = dy._solve_batch(shift, K, z)
+    ref, _ = dy._sweep_first(start, shift, K, z, dy.SOLVER_TOL, dy.MAX_SWEEPS)
+    assert dy._resid(m, shift, K, z).max() <= dy.SOLVER_TOL
+    assert np.all(m.imag > 0)
+    assert np.abs(m - ref).max() <= 1e-10
 
 
 def _two_bands(g):

@@ -91,7 +91,7 @@ def test_tangent_is_difference_quotient():
     sig = at_t.sigma_star.sigma
     ld = ham.local_data(inst, sig, want_hessian=True,
                         degree_weights=_weights(inst, t))
-    tangent = ls._tangent(inst, sig, ld)
+    tangent = ls._tangent(inst, sig, ld, t)
     quotient = (after.sigma_star.sigma - sig) / eps
     # the O(eps) term |sigma''| eps/2 measured 0.92 eps |tangent| here
     assert (np.linalg.norm(quotient - tangent)
