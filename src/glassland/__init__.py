@@ -7,7 +7,7 @@ dyson          vector Dyson equation, spectral measures, boundary values
 complexity     annealed complexity functionals and their maximization
 singlespecies  one-species threshold energies and complexity ellipse
 hamiltonian    finite-N sampled Hamiltonians and local derivative data
-landscape      critical-point following, classification, band recursion
+landscape      critical-point following, classification, surveys
 """
 
 __version__ = "0.1.0"

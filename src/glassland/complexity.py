@@ -232,8 +232,7 @@ def fd_hessian(stats: MixtureStats, x, h: float = 1e-4) -> np.ndarray:
     return 0.5 * (hess + hess.T)
 
 
-def sup_F(stats: MixtureStats, region=None, multistart: int = 32,
-          seed: int = 0):
+def sup_F(stats: MixtureStats, region=None, multistart: int = 32):
     """sup F and a maximiser x, read off the stationary census.
 
     F -> -inf as |x| grows, so sup F is attained at a stationary point, and
@@ -247,8 +246,8 @@ def sup_F(stats: MixtureStats, region=None, multistart: int = 32,
     empty census, or a maximiser whose stationarity residual, checked
     independently through the Dyson solve, exceeds SUP_RESIDUAL_TOL.
 
-    multistart and seed are unused; perfbench still passes multistart, and
-    both go away with the perfbench change that replaces its sup F check.
+    multistart is unused but must be >= 1; perfbench still passes it, and
+    it goes away with the perfbench change that replaces its sup F check.
     """
     if region is not None and float(region) <= 0:
         raise ValidationError("region radius must be positive")

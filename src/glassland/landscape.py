@@ -1,9 +1,10 @@
 """Finite-N critical points of sampled Hamiltonians.
 
-Homotopy following from the pure external-field landscape, damped
-tangent-space Newton refinement, classification against the closed-form
-predictions, spectrum comparison, and random-start surveys for
-approximate critical points.
+Homotopy following from the pure external-field landscape, with each
+endpoint labelled by the paper's predicted index and radial derivative,
+damped tangent-space Newton refinement, classification against the
+closed-form predictions, spectrum comparison, and random-start surveys
+for approximate critical points.
 """
 
 import warnings
@@ -17,7 +18,8 @@ from .errors import (LostTrack, MaxIters, NumericalError, OffManifold,
 from .hamiltonian import (HamiltonianInstance, StatePoint, _as_sigma,
                           check_on_manifold, g1_overlap, local_data,
                           random_state, retract)
-from .mixture import MixtureSpec, classify_solvability
+from .mixture import (MixtureSpec, all_sign_patterns, classify_solvability,
+                      ideal_stats)
 from .mixture import stats as mixture_stats
 
 UNCLASSIFIED = "unclassified"
@@ -286,12 +288,14 @@ def follow_critical_points(instance: HamiltonianInstance, delta,
 
     At t=0 only the degree-1 part acts and the critical point is the
     signed alignment with its coefficient field; the degree >= 2 parts are
-    scaled by t over a uniform grid of steps points.  From the second
-    point on, each step is predicted along the branch tangent (an Euler
-    step, see _tangent) and corrected by Newton, to STEP_TOL for t < 1
-    and to NEWTON_TOL at t = 1.  Losing the sign pattern of the degree-1
-    overlap, or a Newton failure, triggers one restart with four times the
-    steps before LostTrack.
+    scaled by t over a uniform grid of steps points, walked once.  From
+    the second point on, each step is predicted along the branch tangent
+    (an Euler step, see _tangent) and corrected by Newton, to STEP_TOL for
+    t < 1 and to NEWTON_TOL at t = 1.  The endpoint counts as the
+    type-delta point only if it converged, has the predicted index
+    sum_{delta_s = -1} (N_s - 1), and its radial derivative lies nearest
+    the ideal_stats prediction for delta.  Otherwise one soft-mode hop
+    (_soft_hop) looks for such a point beside it; if none passes, LostTrack.
     """
     part = instance.partition
     ints, arr = _as_delta(delta, part.r)
@@ -305,81 +309,59 @@ def follow_critical_points(instance: HamiltonianInstance, delta,
         warnings.warn("mixture is not strictly super-solvable; the homotopy "
                       "path is not guaranteed to stay on one branch")
     degrees = sorted(instance.tensors)
-
     expected = int(np.sum((part.sizes - 1)[arr < 0]))
+    predictions = [ideal_stats(instance.mixture, d)
+                   for d in all_sign_patterns(part.r)]
 
-    def attempt(n_steps):
-        sigma = scale(instance.tensors[1], arr, np.ones(part.r), part)
-        ld = None
-        for i in range(1, n_steps + 1):
-            t = i / n_steps
-            wts = {k: (1.0 if k == 1 else t) for k in degrees}
-            if ld is not None:
-                try:
-                    d = _tangent(instance, sigma, ld, (i - 1) / n_steps)
-                    sigma = retract(part, sigma + d / n_steps).sigma
-                except np.linalg.LinAlgError:
-                    pass
-            # a fold can briefly swallow the branch mid-path, so stalls
-            # carry the best iterate forward; only t=1 must converge
-            if i < n_steps:
-                sigma, ld, _, _, _ = _newton(instance, sigma, 40, STEP_TOL,
-                                             wts, False)
-                signs = np.sign(g1_overlap(instance, sigma))
-            else:
-                res = newton_refine(instance, sigma, max_iters=40,
-                                    degree_weights=wts, raise_on_fail=False)
-                sigma, signs = res.sigma_star.sigma, np.sign(res.g1_overlap)
-            if np.any(signs != arr):
-                raise LostTrack(f"overlap sign pattern left {ints} "
-                                f"at t={t:.4f}")
-        if res.grad_norm > NEWTON_TOL:
-            res = _soft_hop(instance, arr, expected, sigma)
-            if res is None:
-                raise MaxIters("homotopy endpoint not converged")
-        return res
+    def is_type_delta(res):
+        return (res.grad_norm <= NEWTON_TOL and res.index == expected
+                and _assign_delta(predictions, res.radial, np.inf) == ints)
 
-    try:
-        res = attempt(steps)
-    except (MaxIters, LostTrack):
-        try:
-            res = attempt(4 * steps)
-        except (MaxIters, LostTrack) as exc:
-            raise LostTrack(f"homotopy for delta={ints} failed even with "
-                            f"{4 * steps} steps") from exc
-    if res.index != expected:
-        hopped = _soft_hop(instance, arr, expected, res.sigma_star.sigma)
-        if hopped is not None and hopped.index == expected:
-            res = hopped
+    sigma = scale(instance.tensors[1], arr, np.ones(part.r), part)
+    ld = None
+    for i in range(1, steps + 1):
+        wts = {k: (1.0 if k == 1 else i / steps) for k in degrees}
+        if ld is not None:
+            try:
+                d = _tangent(instance, sigma, ld, (i - 1) / steps)
+                sigma = retract(part, sigma + d / steps).sigma
+            except np.linalg.LinAlgError:
+                pass
+        # a fold can briefly swallow the branch mid-path, so stalls carry
+        # the best iterate forward; only the endpoint is judged
+        if i < steps:
+            sigma, ld, _, _, _ = _newton(instance, sigma, 40, STEP_TOL, wts,
+                                         False)
+    res = newton_refine(instance, sigma, max_iters=40, degree_weights=wts,
+                        raise_on_fail=False)
+    if not is_type_delta(res):
+        res = _soft_hop(instance, res.sigma_star.sigma, is_type_delta)
+        if res is None:
+            raise LostTrack(f"homotopy for delta={ints} ended off the "
+                            "type-delta critical point")
     return replace(res, delta=ints)
 
 
-def _soft_hop(instance, arr, expected, sigma):
+def _soft_hop(instance, sigma, accept):
     """Escape a fold by stepping along the softest Hessian mode.
 
     Near a fold the branch point and a partner of neighboring index sit
     a soft-mode hop apart, and a stalled homotopy can end on either side.
-    Returns a converged critical point with the right overlap signs,
-    preferring the expected index, or None.
+    Returns the first Newton-refined candidate that accept passes, or None.
     """
     part = instance.partition
     ld = local_data(instance, sigma, want_hessian=True)
     eigs, vecs = np.linalg.eigh(ld.rhess)
     soft = vecs[:, int(np.argmin(np.abs(eigs)))]
     direction = _ambient(ld.basis, part, soft)
-    fallback = None
     for amp in (0.3, 1.0, 3.0, 6.0):
         for sign in (1.0, -1.0):
             start = retract(part, sigma + sign * amp * direction)
             cand = newton_refine(instance, start, max_iters=40,
                                  raise_on_fail=False)
-            if (cand.grad_norm <= NEWTON_TOL
-                    and np.all(np.sign(cand.g1_overlap) == arr)):
-                if cand.index == expected:
-                    return cand
-                if fallback is None:
-                    fallback = cand
-    return fallback
+            if accept(cand):
+                return cand
+    return None
 
 
 def _assign_delta(predictions, radial, eps: float):

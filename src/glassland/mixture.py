@@ -391,51 +391,26 @@ class BandMixture:
                                         - self.xi_dprime_one)[0])
 
 
-def band_mixture(spec: MixtureSpec, R_k, R_prev) -> BandMixture:
-    """Conditional mixture for the band at radius R_k, entered from R_prev.
+def band_mixture(spec: MixtureSpec, k: int) -> BandMixture:
+    """Conditional mixture for band k >= 1 of the recursion_radii orbit.
 
-    R_k and R_prev must be consecutive iterates of the recursion from
-    recursion_radii: the additive constant telescopes over the recursion
-    history, which is regenerated internally and matched against R_k.
+    The band sits at radius R^k and is entered from R^{k-1}; the additive
+    constant telescopes over the recursion history R^0, ..., R^k.
     """
-    R_k = np.asarray(R_k, dtype=float)
-    R_prev = np.asarray(R_prev, dtype=float)
-    if R_k.shape != (spec.r,) or R_prev.shape != (spec.r,):
-        raise ValidationError("radii must be r-vectors")
+    if k < 1:
+        raise ValidationError("k = 0 is the trivial band; need k >= 1")
+    radii = recursion_radii(spec, k)
+    grads = [eval_xi(spec, R, order=1)[1] for R in radii[:k]]
+    R_k = radii[k]
     if np.any(R_k >= 1.0):
         raise ValidationError("band radius must be < 1 in every coordinate")
-    if np.any(R_prev < -1e-15) or np.any(R_prev > R_k + 1e-12):
-        raise ValidationError("need 0 <= R_prev <= R_k coordinate-wise")
-    # regenerate the orbit to locate k and accumulate the constant
-    _, gone, _ = eval_xi(spec, np.ones(spec.r), order=1)
-    if np.any(gone <= 0):
-        raise ValidationError("band recursion requires xi'_s > 0")
-    R = np.zeros(spec.r)
-    grads = [eval_xi(spec, R, order=1)[1]]
-    matched = np.allclose(R, R_k, atol=1e-9)
-    for _ in range(100000):
-        if matched:
-            break
-        R = grads[-1] / gone
-        grads.append(eval_xi(spec, R, order=1)[1])
-        matched = np.allclose(R, R_k, atol=1e-9)
-    else:
-        raise ValidationError("R_k is not an iterate of the band recursion")
-    k = len(grads) - 1
-    if k == 0:
-        raise ValidationError("R_k = 0 is the trivial band; need k >= 1")
-    R_seq = [np.zeros(spec.r)]
-    for i in range(1, k + 1):
-        R_seq.append(grads[i - 1] / gone)
-    if not np.allclose(R_seq[k - 1], R_prev, atol=1e-9):
-        raise ValidationError("R_prev does not precede R_k in the recursion")
     constant = 0.0
     for i in range(1, k):
-        constant += float((grads[i] - grads[i - 1]) @ R_seq[i])
+        constant += float((grads[i] - grads[i - 1]) @ radii[i])
     shrink = 1.0 - R_k
     _, gk, hk = eval_xi(spec, np.ones(spec.r), order=2)
     return BandMixture(
-        spec=spec, R_k=R_k, R_prev=R_seq[k - 1], constant=constant,
+        spec=spec, R_k=R_k, R_prev=radii[k - 1], constant=constant,
         grad_prev=grads[k - 1],
         xi_prime_one=shrink ** 2 * gk,
         xi_dprime_one=np.outer(shrink, shrink) * hk,

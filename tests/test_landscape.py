@@ -11,20 +11,27 @@ from glassland.presets import get_preset
 
 SYM = get_preset("symmetric-pair")
 N = 60
-# the smallest |eigenvalue| seen was 0.27 on symmetric-pair seeds 0-2 and
-# 0.12 on cubic-pair seed 0
+# the smallest |eigenvalue| seen was 0.27 on symmetric-pair seeds 0-2, 0.12
+# on cubic-pair seed 0 and 0.30 on skew-pair N=40 seed 1
 MIN_GAP = 0.1
 
 
-# cubic-pair seed 0 lost its delta=(1,-1) branch before the Euler predictor
-@pytest.fixture(scope="module", params=[("symmetric-pair", 0),
-                                        ("symmetric-pair", 1),
-                                        ("symmetric-pair", 2),
-                                        ("cubic-pair", 0)],
-                ids=["0", "1", "2", "cubic-pair-0"])
+def _expected_index(inst, delta):
+    return int(np.sum((inst.partition.sizes - 1)[np.asarray(delta) < 0]))
+
+
+# cubic-pair seed 0 lost its delta=(1,-1) branch before the Euler predictor;
+# skew-pair N=40 seed 1 (N_0 = 12) lost two branches to an overlap-sign check
+# while every endpoint had its predicted index
+@pytest.fixture(scope="module", params=[("symmetric-pair", N, 0),
+                                        ("symmetric-pair", N, 1),
+                                        ("symmetric-pair", N, 2),
+                                        ("cubic-pair", N, 0),
+                                        ("skew-pair", 40, 1)],
+                ids=["0", "1", "2", "cubic-pair-0", "skew-pair-40-1"])
 def followed(request):
-    preset, seed = request.param
-    inst = ham.sample(get_preset(preset), N, seed=seed)
+    preset, n, seed = request.param
+    inst = ham.sample(get_preset(preset), n, seed=seed)
     return inst, [ls.follow_critical_points(inst, delta)
                   for delta in all_sign_patterns(inst.mixture.r)]
 
@@ -34,14 +41,12 @@ def test_trivialization_in_miniature(followed):
     # pattern, of index sum_{delta_s = -1} (N_s - 1), whose radial
     # derivative lies nearest the prediction for its own pattern
     inst, results = followed
-    part = inst.partition
     patterns = all_sign_patterns(inst.mixture.r)
     predictions = [ideal_stats(inst.mixture, d) for d in patterns]
     assert len(results) == len(patterns)
     for res in results:
-        delta = np.asarray(res.delta)
         assert res.grad_norm <= ls.NEWTON_TOL
-        assert res.index == int(np.sum((part.sizes - 1)[delta < 0]))
+        assert res.index == _expected_index(inst, res.delta)
         assert res.min_abs_eig >= MIN_GAP
         assert not res.ill_conditioned
         dists = [np.max(np.abs(res.radial - p.radial)) for p in predictions]
@@ -65,14 +70,40 @@ def test_follow_validation():
         ls.follow_critical_points(no_field, (1,))
 
 
-# Known defect: every branch ends at its predicted index, but the degree-1
-# overlap of species 0 (N_0 = 12) flips sign on the way (|overlap| 0.10 and
-# 0.19), and the sign check reads that as a lost branch
-@pytest.mark.xfail(strict=True, raises=LostTrack,
-                   reason="overlap-sign check mislabels a small species")
-def test_known_lost_track():
-    inst = ham.sample(get_preset("skew-pair"), 40, seed=1)
-    ls.follow_critical_points(inst, (1, -1))
+def test_small_species_follows_to_predicted_index():
+    # the degree-1 overlap of species 0 (N_0 = 12) is small enough to flip
+    # sign on the way; the branch still ends at its predicted point
+    inst = ham.sample(get_preset("skew-pair"), 40, seed=4)
+    res = ls.follow_critical_points(inst, (1, 1))
+    assert res.grad_norm <= ls.NEWTON_TOL
+    assert res.index == _expected_index(inst, (1, 1))
+    assert res.delta == (1, 1)
+
+
+def test_wrong_endpoint_raises_lost_track():
+    # a one-step path from the t = 0 alignment converges to a critical point
+    # of index 11, not the predicted 0; it must not come back labelled (1, 1)
+    inst = ham.sample(get_preset("skew-pair"), 40, seed=0)
+    with pytest.raises(LostTrack):
+        ls.follow_critical_points(inst, (1, 1), steps=1)
+
+
+# both paths end beside a fold: the t = 1 Newton line search stalls at scaled
+# gradient 8e-4 and 1e-3, where the smallest |hessian eigenvalue| is 3e-5 and
+# 2e-4, and only the soft-mode hop reaches the predicted point
+@pytest.mark.parametrize("preset,n,seed,delta",
+                         [("skew-pair", 60, 5, (1, -1)),
+                          ("cubic-pair", 40, 19, (1, 1))],
+                         ids=["skew-pair-60-5", "cubic-pair-40-19"])
+def test_soft_hop_rescues_endpoint(monkeypatch, preset, n, seed, delta):
+    inst = ham.sample(get_preset(preset), n, seed=seed)
+    res = ls.follow_critical_points(inst, delta)
+    assert res.grad_norm <= ls.NEWTON_TOL
+    assert res.index == _expected_index(inst, delta)
+    assert res.delta == delta
+    monkeypatch.setattr(ls, "_soft_hop", lambda *args: None)
+    with pytest.raises(LostTrack):
+        ls.follow_critical_points(inst, delta)
 
 
 def _weights(inst, t):

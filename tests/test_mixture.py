@@ -160,7 +160,7 @@ def test_recursion_radii_monotone_convergent():
 def test_band_mixture_derivatives():
     spec = presets.one_species_quadratic()
     radii = mx.recursion_radii(spec, 3)
-    band = mx.band_mixture(spec, radii[2], radii[1])
+    band = mx.band_mixture(spec, 2)
     shrink = 1 - radii[2][0]
     assert band.xi_prime_one[0] == pytest.approx(shrink ** 2 * 3.0, abs=1e-12)
     assert band.xi_dprime_one[0, 0] == pytest.approx(shrink ** 2 * 1.0, abs=1e-12)
@@ -171,22 +171,18 @@ def test_band_mixture_derivatives():
     assert band.solvability_min_eig() > 1e-9
 
 
-def test_band_mixture_rejects_off_orbit():
+def test_band_mixture_rejects_trivial_band():
     spec = presets.one_species_quadratic()
-    radii = mx.recursion_radii(spec, 2)
-    with pytest.raises(ValidationError):
-        mx.band_mixture(spec, np.array([0.5]), np.array([0.0]))
-    with pytest.raises(ValidationError):
-        mx.band_mixture(spec, radii[2], radii[0])
-    with pytest.raises(ValidationError):
-        mx.band_mixture(spec, np.zeros(1), np.zeros(1))
+    for k in (0, -1):
+        with pytest.raises(ValidationError):
+            mx.band_mixture(spec, k)
 
 
 def test_band_centered_covariance_matches_original():
     # xi_k agrees with xi((1-R)x + R) up to an affine function of x
     spec = presets.cubic_pair()
     radii = mx.recursion_radii(spec, 2)
-    band = mx.band_mixture(spec, radii[1], radii[0])
+    band = mx.band_mixture(spec, 1)
     shrink = 1 - radii[1]
     rng = np.random.default_rng(5)
     for _ in range(4):
