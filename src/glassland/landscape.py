@@ -1,7 +1,9 @@
 """Finite-N critical points of sampled Hamiltonians.
 
-Homotopy following from the pure external-field landscape, with each
-endpoint labelled by the paper's predicted index and radial derivative,
+Homotopy following from the pure external-field landscape, with a
+t-step that doubles after easy corrections and halves when a long step
+converges slowly, jumps or changes the predicted index, and each
+endpoint labelled by the paper's predicted index and radial derivative;
 damped tangent-space Newton refinement, classification against the
 closed-form predictions, spectrum comparison, and random-start surveys
 for approximate critical points.
@@ -27,6 +29,14 @@ NEWTON_TOL = 1e-10
 # intermediate homotopy points only seed the next prediction; at 1e-6 they
 # sit about 1e-6 sqrt(N)/gap off the branch, far inside DEDUP_RADIUS sqrt(N)
 STEP_TOL = 1e-6
+# homotopy steps longer than one grid unit (_long_step): a corrector that
+# needs more iterations than this means the branch bends within the step
+LONG_STEP_ITERS = 6
+# a jump beyond this times sqrt(N) from the Euler prediction can land on a
+# neighbouring critical point of the same index and radial label
+LONG_STEP_JUMP = 0.2
+# a step whose corrector converged this fast doubles the next one
+EASY_ITERS = 2
 SINGULAR_EIG = 1e-6
 ZERO_EIG = 1e-8
 DEDUP_RADIUS = 1e-4
@@ -288,14 +298,22 @@ def follow_critical_points(instance: HamiltonianInstance, delta,
 
     At t=0 only the degree-1 part acts and the critical point is the
     signed alignment with its coefficient field; the degree >= 2 parts are
-    scaled by t over a uniform grid of steps points, walked once.  From
-    the second point on, each step is predicted along the branch tangent
-    (an Euler step, see _tangent) and corrected by Newton, to STEP_TOL for
-    t < 1 and to NEWTON_TOL at t = 1.  The endpoint counts as the
-    type-delta point only if it converged, has the predicted index
-    sum_{delta_s = -1} (N_s - 1), and its radial derivative lies nearest
-    the ideal_stats prediction for delta.  Otherwise one soft-mode hop
-    (_soft_hop) looks for such a point beside it; if none passes, LostTrack.
+    scaled by t, which walks the grid k/steps: steps is the finest
+    resolution, and t = 1 is reached exactly.  The step is m grid units,
+    starting at m = 1.  Each step is predicted along the branch tangent
+    (an Euler step, see _tangent) and corrected by Newton to STEP_TOL.  A
+    one-unit step always advances, with up to 40 corrector iterations and
+    the best iterate carried forward.  A longer step advances only if its
+    corrector converges within LONG_STEP_ITERS, lands within
+    LONG_STEP_JUMP sqrt(N) of the prediction and keeps the predicted index
+    sum_{delta_s = -1} (N_s - 1); otherwise m is halved and the step
+    retried from the last accepted point.  A step whose corrector
+    converged within EASY_ITERS iterations doubles m.  At t = 1 Newton
+    polishes to NEWTON_TOL, and the endpoint counts as the type-delta
+    point only if it converged, has the predicted index, and its radial
+    derivative lies nearest the ideal_stats prediction for delta.
+    Otherwise one soft-mode hop (_soft_hop) looks for such a point beside
+    it; if none passes, LostTrack.
     """
     part = instance.partition
     ints, arr = _as_delta(delta, part.r)
@@ -318,20 +336,36 @@ def follow_critical_points(instance: HamiltonianInstance, delta,
                 and _assign_delta(predictions, res.radial, np.inf) == ints)
 
     sigma = scale(instance.tensors[1], arr, np.ones(part.r), part)
-    ld = None
-    for i in range(1, steps + 1):
-        wts = {k: (1.0 if k == 1 else i / steps) for k in degrees}
-        if ld is not None:
+    tangent = None
+    k, m = 0, 1
+    while k < steps:
+        m = min(m, steps - k)
+        wts = {j: (1.0 if j == 1 else (k + m) / steps) for j in degrees}
+        pred = sigma
+        if tangent is not None:
+            pred = retract(part, sigma + tangent * m / steps).sigma
+        if m == 1:
+            # a fold can briefly swallow the branch mid-path, so stalls
+            # carry the best iterate forward; only the endpoint is judged
+            sigma, ld, history, iters, _ = _newton(instance, pred, 40,
+                                                   STEP_TOL, wts, False)
+        else:
+            step = _long_step(instance, pred, wts, expected)
+            if step is None:
+                m //= 2
+                continue
+            sigma, ld, history, iters = step
+        k += m
+        if iters <= EASY_ITERS and history[-1] <= STEP_TOL:
+            m *= 2
+        if k < steps:
             try:
-                d = _tangent(instance, sigma, ld, (i - 1) / steps)
-                sigma = retract(part, sigma + d / steps).sigma
+                tangent = _tangent(instance, sigma, ld, k / steps)
             except np.linalg.LinAlgError:
-                pass
-        # a fold can briefly swallow the branch mid-path, so stalls carry
-        # the best iterate forward; only the endpoint is judged
-        if i < steps:
-            sigma, ld, _, _, _ = _newton(instance, sigma, 40, STEP_TOL, wts,
-                                         False)
+                tangent = None
+        # the next step needs only the tangent, so this point's Hessian is
+        # freed before the next corrector builds its own
+        ld = step = None
     res = newton_refine(instance, sigma, max_iters=40, degree_weights=wts,
                         raise_on_fail=False)
     if not is_type_delta(res):
@@ -340,6 +374,26 @@ def follow_critical_points(instance: HamiltonianInstance, delta,
             raise LostTrack(f"homotopy for delta={ints} ended off the "
                             "type-delta critical point")
     return replace(res, delta=ints)
+
+
+def _long_step(instance, pred, wts, expected):
+    """Correct a homotopy step longer than one grid unit, if it is safe.
+
+    Returns (sigma, LocalData, grad_norm history, iterations) when Newton
+    reaches STEP_TOL within LONG_STEP_ITERS, lands within LONG_STEP_JUMP
+    sqrt(N) of the prediction pred and the Hessian there has the index
+    expected; otherwise None, and the caller shortens the step.
+    """
+    try:
+        sig, ld, history, iters, _ = _newton(instance, pred, LONG_STEP_ITERS,
+                                             STEP_TOL, wts, True)
+    except MaxIters:
+        return None
+    jump = np.linalg.norm(sig - pred) / np.sqrt(instance.partition.N)
+    index = np.count_nonzero(np.linalg.eigvalsh(ld.rhess) > ZERO_EIG)
+    if jump > LONG_STEP_JUMP or index != expected:
+        return None
+    return sig, ld, history, iters
 
 
 def _soft_hop(instance, sigma, accept):

@@ -5,7 +5,7 @@ import pytest
 
 from glassland import hamiltonian as ham
 from glassland import landscape as ls
-from glassland.errors import LostTrack, ValidationError
+from glassland.errors import LostTrack, MaxIters, ValidationError
 from glassland.mixture import all_sign_patterns, ideal_stats
 from glassland.presets import get_preset
 
@@ -18,6 +18,34 @@ MIN_GAP = 0.1
 
 def _expected_index(inst, delta):
     return int(np.sum((inst.partition.sizes - 1)[np.asarray(delta) < 0]))
+
+
+def _weights(inst, t):
+    return {k: (1.0 if k == 1 else t) for k in inst.tensors}
+
+
+def _uniform_follow(inst, delta, steps=40):
+    # oracle: the homotopy walk with every step one grid unit long, each
+    # corrector run to its 40-iteration budget, then the t = 1 polish
+    part = inst.partition
+    sigma = ls.scale(inst.tensors[1], delta, np.ones(part.r), part)
+    ld = None
+    for i in range(1, steps + 1):
+        wts = _weights(inst, i / steps)
+        if ld is not None:
+            d = ls._tangent(inst, sigma, ld, (i - 1) / steps)
+            sigma = ham.retract(part, sigma + d / steps).sigma
+        if i < steps:
+            sigma, ld, _, _, _ = ls._newton(inst, sigma, 40, ls.STEP_TOL, wts,
+                                            False)
+    return ls.newton_refine(inst, sigma, max_iters=40, degree_weights=wts,
+                            raise_on_fail=False)
+
+
+def _assert_same_point(res, oracle):
+    assert oracle.grad_norm <= ls.NEWTON_TOL
+    assert np.max(np.abs(res.sigma_star.sigma
+                         - oracle.sigma_star.sigma)) <= 1e-8
 
 
 # cubic-pair seed 0 lost its delta=(1,-1) branch before the Euler predictor;
@@ -51,6 +79,49 @@ def test_trivialization_in_miniature(followed):
         assert not res.ill_conditioned
         dists = [np.max(np.abs(res.radial - p.radial)) for p in predictions]
         assert tuple(predictions[int(np.argmin(dists))].delta) == res.delta
+
+
+def test_followed_points_match_uniform_walk(followed):
+    # the adaptive step must end where the uniform walk ends, which checks
+    # the branch independently of the endpoint acceptance rule
+    inst, results = followed
+    for res in results:
+        _assert_same_point(res, _uniform_follow(inst, res.delta))
+
+
+# a weaker step control switched branch on each: a step guarded only by the
+# jump from its prediction took skew-pair N=60 seed 1 from index 17 to 16 and
+# then lost track (the index guard is needed); a step guarded only by the
+# index ended cubic-pair N=120 seed 3 at another critical point of the same
+# index and radial label, 3.65 away in max abs (the jump guard is needed)
+@pytest.mark.parametrize("preset,n,seed,delta",
+                         [("skew-pair", 60, 1, (-1, 1)),
+                          ("cubic-pair", 120, 3, (-1, -1))],
+                         ids=["skew-pair-60-1", "cubic-pair-120-3"])
+def test_long_steps_stay_on_branch(preset, n, seed, delta):
+    inst = ham.sample(get_preset(preset), n, seed=seed)
+    _assert_same_point(ls.follow_critical_points(inst, delta),
+                       _uniform_follow(inst, delta))
+
+
+def test_adaptive_step_halves_the_work(monkeypatch):
+    # 80 local_data calls against the uniform walk's 328 over the four
+    # patterns; a step control that fell back to uniform steps would fail
+    inst = ham.sample(SYM, N, seed=0)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return ham.local_data(*args, **kwargs)
+
+    monkeypatch.setattr(ls, "local_data", counted)
+    counts = []
+    for follow in (ls.follow_critical_points, _uniform_follow):
+        calls.clear()
+        for delta in all_sign_patterns(inst.mixture.r):
+            follow(inst, delta)
+        counts.append(len(calls))
+    assert counts[0] <= counts[1] / 2
 
 
 def test_followed_points_are_distinct(followed):
@@ -106,10 +177,6 @@ def test_soft_hop_rescues_endpoint(monkeypatch, preset, n, seed, delta):
         ls.follow_critical_points(inst, delta)
 
 
-def _weights(inst, t):
-    return {k: (1.0 if k == 1 else t) for k in inst.tensors}
-
-
 def test_tangent_is_difference_quotient():
     # smooth branch: sigma(t + eps) - sigma(t) = eps * tangent + O(eps^2)
     inst = ham.sample(SYM, N, seed=0)
@@ -156,3 +223,13 @@ def test_converged_point_returns_unchanged():
     assert again.iterations == 0
     assert np.array_equal(again.sigma_star.sigma, res.sigma_star.sigma)
     assert again.grad_history == (res.grad_norm,)
+
+
+def test_newton_budget_exhausted_raises_max_iters():
+    inst = ham.sample(SYM, N, seed=0)
+    start = ham.random_state(inst.partition, np.random.default_rng(0))
+    with pytest.raises(MaxIters):
+        ls.newton_refine(inst, start, max_iters=0)
+    res = ls.newton_refine(inst, start, max_iters=0, raise_on_fail=False)
+    assert res.iterations == 0
+    assert res.grad_norm > ls.NEWTON_TOL
