@@ -79,6 +79,17 @@ def _r_auto(stats: MixtureStats) -> float:
     return 2.0 * float(np.max(radial)) + 4.0
 
 
+def _F_rows(stats: MixtureStats, V, U):
+    """F and its gradient in v at the rows v of V with boundary values U.
+
+    F(v) = C - (1/2) v^T A^{-1} v + Psi(u(v)) and grad_v F = -A^{-1} v - Re u.
+    """
+    ainv_v = np.linalg.solve(stats.A, V.T).T
+    quad = (V[:, None, :] @ ainv_v[:, :, None])[:, 0, 0]
+    values = _quad_const(stats) - 0.5 * quad + dyson.psi_of_u(stats, U)
+    return values, -ainv_v - U.real
+
+
 def F_point(stats: MixtureStats, x) -> ComplexityPoint:
     """Evaluate F(x) and its closed-form gradient."""
     x = np.asarray(x, dtype=float)
@@ -89,12 +100,10 @@ def F_point(stats: MixtureStats, x) -> ComplexityPoint:
     u = dyson.boundary_u(stats, v)
     if np.abs(u).min() < 1e-8:
         raise DegenerateU("some |u_s| < 1e-8; log|u_s| is unstable")
-    ainv_v = np.linalg.solve(stats.A, v)
-    value = _quad_const(stats) - 0.5 * float(v @ ainv_v) + dyson.psi_of_u(stats, u)
-    grad_v = -ainv_v - u.real
+    values, grads = _F_rows(stats, v[None, :], u[None, :])
     return ComplexityPoint(
-        x=x, v=v, F=value,
-        gradF=grad_v, gradF_x=np.sqrt(stats.lam) * grad_v,
+        x=x, v=v, F=float(values[0]),
+        gradF=grads[0], gradF_x=np.sqrt(stats.lam) * grads[0],
         u=u, u_real=bool(np.abs(u.imag).max() <= dyson.REAL_TOL),
     )
 
@@ -198,15 +207,12 @@ def find_stationary_points(stats: MixtureStats,
     if not kept:
         return []
     V = np.array([v for _, _, v in kept])
-    # independent stationarity residual through the module-level gradient
-    u_dyson = dyson._boundary_batch(V / stats.lam, dyson._coupling(stats),
-                                    stats.lam, holder_check=False)
-    grad = -np.linalg.solve(stats.A, V.T).T - u_dyson.real
-    values = [
-        _quad_const(stats) - 0.5 * float(v @ np.linalg.solve(stats.A, v))
-        + dyson.psi_of_u(stats, u)
-        for _, u, v in kept
-    ]
+    # independent stationarity residual through the Dyson solve
+    _, grad = _F_rows(stats, V, dyson.boundary_values(stats, V))
+    # one row at a time: the maxima tie to within rounding, and the last
+    # bits of F pick sup_F's maximiser through the sort below
+    values = [float(_F_rows(stats, v[None, :], u[None, :])[0][0])
+              for _, u, v in kept]
     fmax = max(values)
     points = [
         StationaryPoint(v=v, pattern=pattern, F=value,
@@ -270,14 +276,11 @@ def sup_F(stats: MixtureStats, region=None, multistart: int = 32):
 
 def _parse_scan_grid(stats: MixtureStats, grid_spec):
     if grid_spec is None:
-        radius = _r_auto(stats)
-        return -radius, radius, SCAN_POINTS[stats.r]
+        grid_spec = SCAN_POINTS[stats.r]
     if isinstance(grid_spec, int):
         radius = _r_auto(stats)
-        lo, hi, n = -radius, radius, grid_spec
-    else:
-        lo, hi, n = grid_spec
-    lo, hi, n = float(lo), float(hi), int(n)
+        grid_spec = (-radius, radius, grid_spec)
+    lo, hi, n = float(grid_spec[0]), float(grid_spec[1]), int(grid_spec[2])
     if not lo < hi:
         raise ValidationError("grid range must satisfy lo < hi")
     if n < 2:
@@ -296,19 +299,12 @@ def scan(stats: MixtureStats, grid_spec=None, chunk: int = 4096) -> ScanResult:
     mesh = np.meshgrid(*axes, indexing="ij")
     X = np.stack([m.ravel() for m in mesh], axis=1)
     V = np.sqrt(stats.lam) * X
-    K = dyson._coupling(stats)
-    qc = _quad_const(stats)
     values = np.empty(X.shape[0])
     mask = np.empty(X.shape[0], dtype=bool)
     for start in range(0, X.shape[0], chunk):
         sl = slice(start, start + chunk)
-        u = dyson._boundary_batch(V[sl] / stats.lam, K, stats.lam,
-                                  polish=False, holder_check=False)
-        vb = V[sl]
-        quad = np.einsum("pi,pi->p", vb, np.linalg.solve(stats.A, vb.T).T)
-        pair = 0.5 * np.real(np.einsum("pi,ij,pj->p", u, stats.xi_dprime, u))
-        logs = np.log(np.maximum(np.abs(u), 1e-300)) @ stats.lam
-        values[sl] = qc - 0.5 * quad + pair - logs
+        u = dyson.boundary_values(stats, V[sl], polish=False)
+        values[sl] = _F_rows(stats, V[sl], u)[0]
         mask[sl] = u.imag.max(axis=1) > dyson.REAL_TOL
     shape = (n,) * stats.r
     return ScanResult(grid=axes, F_values=values.reshape(shape),

@@ -34,13 +34,12 @@ TAU_SUPP = 1e-4
 SUPPORT_BISECTIONS = 20
 DYADIC_DEPTH = 4
 SOLVER_TOL = 1e-12
-MAX_SWEEPS = 100000
 
 __all__ = [
     "DysonSolution", "SpectralMeasure", "StabilityMatrices",
-    "FeasibilityReport", "solve_dyson", "boundary_u", "spectral_measure",
-    "psi", "stability_matrices", "feasibility", "classify_boundary_point",
-    "sample_block_matrix",
+    "FeasibilityReport", "solve_dyson", "boundary_values", "boundary_u",
+    "spectral_measure", "psi", "psi_of_u", "stability_matrices",
+    "feasibility", "classify_boundary_point", "sample_block_matrix",
 ]
 
 
@@ -188,15 +187,15 @@ def _newton_rounds(m, shift, K, z, tol, rounds):
     return m, res, used
 
 
-def _solve_batch(shift, K, z, warm=None, tol=SOLVER_TOL, max_sweeps=MAX_SWEEPS):
-    """Solve the system for a batch of per-point shifts at one z.
+def _solve_batch(shift, K, z, warm=None):
+    """Solve the system to SOLVER_TOL for a batch of shifts at one z.
 
     For Im z > 0 the system has exactly one root with Im m >= 0
     (Ajanki-Erdos-Krueger), so guarded Newton clamped to the closed upper
     half-plane cannot settle on a wrong root and runs first.  It can stall
     on the boundary Im m_s = 0, far from the root, where no
-    residual-lowering step exists; the rows it leaves above tol restart
-    from their start value in _sweep_first.  On the real axis the
+    residual-lowering step exists; the rows it leaves above SOLVER_TOL
+    restart from their start value in _sweep_first.  On the real axis the
     uniqueness argument is gone and _sweep_first solves every row.
     Returns m and the work done, sweeps plus Newton rounds.
     """
@@ -208,25 +207,25 @@ def _solve_batch(shift, K, z, warm=None, tol=SOLVER_TOL, max_sweeps=MAX_SWEEPS):
     else:
         m0 = np.full((n, r), 1j, dtype=complex)
     if z.imag == 0:
-        return _sweep_first(m0, shift, K, z, tol, max_sweeps)
-    m, res, work = _newton_rounds(m0.copy(), shift, K, z, tol, 40)
-    stalled = res > tol
+        return _sweep_first(m0, shift, K, z, SOLVER_TOL)
+    m, res, work = _newton_rounds(m0.copy(), shift, K, z, SOLVER_TOL, 40)
+    stalled = res > SOLVER_TOL
     if stalled.any():
         m[stalled], more = _sweep_first(m0[stalled], shift[stalled], K, z,
-                                        tol, max_sweeps)
+                                        SOLVER_TOL)
         work += more
     return m, work
 
 
-def _sweep_first(m, shift, K, z, tol, max_sweeps):
+def _sweep_first(m, shift, K, z, tol):
     """Damped sweeps to 1e-6, then guarded Newton rounds and sweeps in turn.
 
     The sweeps bring each row near the root before the first Newton
     round.  Both phases accept a step only where it does not raise
     the residual, so a row's residual never increases: a row that reaches
     tol is final, and each phase works on the rows still above it.
-    Raises NonConvergence when max_sweeps or 60 rounds of phases leave a
-    row above tol.
+    Raises NonConvergence when 60 rounds of phases, at most
+    400 + 60 * 200 sweeps, leave a row above tol.
     """
     m, res, sweeps = _damped_sweeps(m, shift, K, z, max(tol, 1e-6), 400)
     rounds = 0
@@ -239,15 +238,13 @@ def _sweep_first(m, shift, K, z, tol, max_sweeps):
             return m, sweeps + rounds
         m, res, used = _damped_sweeps(m, shift, K, z, tol, 200)
         sweeps += used
-        if sweeps > max_sweeps:
-            break
     if res.max() > tol:
         raise NonConvergence(
             f"dyson solver stalled at residual {res.max():.3e} (z={z})")
     return m, sweeps + rounds
 
 
-def _polish_real(shift_row, K, S, wgt, m_row):
+def _polish_real(shift_row, K, wgt, m_row):
     """Newton on the real z=0 system from Re(m_row).
 
     Returns the real root only when it converges, stays within the Hoelder
@@ -311,7 +308,7 @@ def _polish_real(shift_row, K, S, wgt, m_row):
         return None
     if np.abs(w - m_row).max() > HOLDER_ALLOW:
         return None
-    Mb = np.diag(wgt / w ** 2) - S
+    Mb = np.diag(wgt / w ** 2) - wgt[:, None] * K
     # genuine edge roots carry O(sqrt(residual)) eigenvalue error; spurious
     # branches sit at order-one negative eigenvalues
     if np.linalg.eigvalsh(Mb)[0] < -1e-5:
@@ -319,25 +316,28 @@ def _polish_real(shift_row, K, S, wgt, m_row):
     return w
 
 
-def _boundary_batch(shift, K, wgt, polish=True, holder_check=True):
-    """eta-continuation down the ladder for a batch of shifts."""
-    S = wgt[:, None] * K
-    m_prev = None
+def _boundary_batch(shift, K, wgt, polish=True):
+    """eta-continuation down the ladder for a batch of shifts.
+
+    With polish, a row whose last two levels drift apart by more than
+    HOLDER_ALLOW raises NonConvergence, and near-real rows are replaced by
+    their certified real root (_polish_real); without it the continued
+    values come back as they are.
+    """
     m = None
     for eta in ETA_LADDER:
         m, _ = _solve_batch(shift, K, 1j * eta, warm=m)
         if eta == ETA_LADDER[-2]:
             m_prev = m.copy()
-    if holder_check:
+    if polish:
         drift = np.abs(m - m_prev).max(axis=1)
         if (drift > HOLDER_ALLOW).any():
             raise NonConvergence(
                 f"continuation unstable: level drift {drift.max():.3e} "
                 f"exceeds {HOLDER_ALLOW:.3e}")
-    if polish:
         near_real = m.imag.max(axis=1) <= HOLDER_ALLOW
         for i in np.where(near_real)[0]:
-            root = _polish_real(shift[i], K, S, wgt, m[i])
+            root = _polish_real(shift[i], K, wgt, m[i])
             if root is not None:
                 m[i] = root
     return m
@@ -362,24 +362,41 @@ def solve_dyson(stats: MixtureStats, x, z, warm=None) -> DysonSolution:
     return DysonSolution(z=z, x=x, m=m[0], residual=res, iterations=iters)
 
 
+def boundary_values(stats: MixtureStats, V, polish: bool = True) -> np.ndarray:
+    """Boundary values u(v) for the rows v of an (n, r) array V.
+
+    Each row solves the system with shift v_s/lambda_s, coupling
+    xi''_{s,t}/lambda_s and weights lambda_s.  polish=False skips the
+    Hoelder drift check and the real-root polish (see _boundary_batch),
+    for callers that need only the continued values.
+    """
+    V = np.asarray(V, dtype=float)
+    if V.ndim != 2 or V.shape[1] != stats.r:
+        raise ValidationError(f"V must have shape (n, {stats.r})")
+    if not np.all(np.isfinite(V)):
+        raise ValidationError("v must be finite")
+    return _boundary_batch(V / stats.lam, _coupling(stats), stats.lam, polish)
+
+
 def boundary_u(stats: MixtureStats, v) -> np.ndarray:
     """Boundary value u(v) = lim m(i eta; Lambda^{-1/2} v) as eta drops to 0."""
     v = np.asarray(v, dtype=float)
     if v.shape != (stats.r,):
         raise ValidationError(f"v must have shape ({stats.r},)")
-    if not np.all(np.isfinite(v)):
-        raise ValidationError("v must be finite")
-    shift = (v / stats.lam)[None, :]
-    return _boundary_batch(shift, _coupling(stats), stats.lam)[0]
+    return boundary_values(stats, v[None, :])[0]
 
 
 def _parse_grid_spec(grid_spec, C):
     if grid_spec is None:
-        return -C, C, 2001
+        grid_spec = 2001
     if isinstance(grid_spec, int):
-        return -C, C, grid_spec
-    lo, hi, n = grid_spec
-    return float(lo), float(hi), int(n)
+        grid_spec = (-C, C, grid_spec)
+    lo, hi, n = float(grid_spec[0]), float(grid_spec[1]), int(grid_spec[2])
+    if not lo < hi:
+        raise ValidationError("grid range must satisfy lo < hi")
+    if n < 2:
+        raise ValidationError("grid needs at least 2 points")
+    return lo, hi, n
 
 
 def _grid_radius(stats, shift_d):
@@ -429,8 +446,7 @@ def spectral_measure(stats: MixtureStats, x, grid_spec=None,
     agg = wagg @ dens_s
 
     def agg_density_at(g):
-        rows = g[:, None] + d[None, :]
-        mm = _boundary_batch(rows, K, wagg, polish=False, holder_check=False)
+        mm = _boundary_batch(g[:, None] + d[None, :], K, wagg, polish=False)
         return mm.imag @ wagg / np.pi
 
     support = _detect_support(grid, agg, agg_density_at)
@@ -536,13 +552,17 @@ def psi(stats: MixtureStats, x, mode: str = "closed_form") -> float:
     raise ValidationError(f"unknown psi mode {mode!r}")
 
 
-def psi_of_u(stats: MixtureStats, u) -> float:
+def psi_of_u(stats: MixtureStats, u):
     """(1/2) Re <u, xi'' u> - sum_s lambda_s log|u_s|, the closed form of Psi.
 
-    The pairing is bilinear (unconjugated).
+    The pairing is bilinear (unconjugated).  u of shape (r,) gives a float,
+    rows u of shape (n, r) an array of n values.
     """
-    quad = 0.5 * np.real(u @ stats.xi_dprime @ u)
-    return float(quad - stats.lam @ np.log(np.abs(u)))
+    u = np.asarray(u)
+    rows = u.reshape(-1, 1, stats.r)
+    quad = 0.5 * np.real(rows @ stats.xi_dprime @ rows.transpose(0, 2, 1))
+    values = quad[:, 0, 0] - np.log(np.abs(u)).reshape(-1, stats.r) @ stats.lam
+    return float(values[0]) if u.ndim == 1 else values
 
 
 def _log_integral(grid, density):

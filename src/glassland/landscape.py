@@ -4,9 +4,9 @@ Homotopy following from the pure external-field landscape, with a
 t-step that doubles after easy corrections and halves when a long step
 converges slowly, jumps or changes the predicted index, and each
 endpoint labelled by the paper's predicted index and radial derivative;
-damped tangent-space Newton refinement, classification against the
-closed-form predictions, spectrum comparison, and random-start surveys
-for approximate critical points.
+damped tangent-space Newton refinement, comparison of the Hessian
+spectrum with its predicted limit, and random-start surveys for
+approximate critical points.
 """
 
 import warnings
@@ -14,15 +14,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dyson import SpectralMeasure, spectral_measure
+from .dyson import SpectralMeasure
 from .errors import (LostTrack, MaxIters, NumericalError, OffManifold,
                      ValidationError, ZeroComponent)
 from .hamiltonian import (HamiltonianInstance, StatePoint, _as_sigma,
                           check_on_manifold, g1_overlap, local_data,
                           random_state, retract)
-from .mixture import (MixtureSpec, all_sign_patterns, classify_solvability,
-                      ideal_stats)
-from .mixture import stats as mixture_stats
+from .mixture import all_sign_patterns, classify_solvability, ideal_stats
 
 UNCLASSIFIED = "unclassified"
 NEWTON_TOL = 1e-10
@@ -75,13 +73,6 @@ class ComparisonReport:
     w2: float
     hausdorff: float
     gap_at_zero: float
-
-
-@dataclass(frozen=True)
-class TypicalityFlags:
-    energy: bool
-    overlap: bool
-    bulk: bool
 
 
 @dataclass(frozen=True)
@@ -424,39 +415,6 @@ def _assign_delta(predictions, radial, eps: float):
     if dists[best] <= eps:
         return tuple(int(v) for v in predictions[best].delta)
     return UNCLASSIFIED
-
-
-def classify_point(instance: HamiltonianInstance, predictions, result,
-                   eps: float = 0.15):
-    """Nearest-prediction label and three typicality flags.
-
-    The radial-derivative vector picks the sign pattern; energy and
-    degree-1 overlap are then tested against their conditional means
-    given that vector, and the spectrum against the predicted limit
-    measure, all with the species proportions N_s/N of the instance.
-    """
-    predictions = list(predictions)
-    if not predictions:
-        raise ValidationError("need at least one prediction")
-    label = _assign_delta(predictions, np.asarray(result.radial, float), eps)
-    part = instance.partition
-    spec = instance.mixture
-    spec_n = MixtureSpec(r=spec.r, lam=part.lam_N, coeffs=spec.coeffs,
-                         max_degree=spec.max_degree)
-    st = mixture_stats(spec_n)
-    lam = part.lam_N
-    x = np.asarray(result.radial, float)
-    pulled = np.linalg.solve(st.A, np.sqrt(lam) * x)
-    energy_target = float(st.xi_prime @ pulled)
-    overlap_target = spec.gamma1 * pulled / np.sqrt(lam)
-    energy_ok = bool(abs(result.energy - energy_target) <= eps)
-    overlap_ok = bool(
-        np.max(np.abs(result.g1_overlap - overlap_target)) <= eps)
-    measure = spectral_measure(st, x, sizes=part.sizes)
-    rep = spectrum_compare(instance, result, measure)
-    bulk_ok = bool(rep.w2 <= eps and rep.hausdorff <= eps)
-    return label, TypicalityFlags(energy=energy_ok, overlap=overlap_ok,
-                                  bulk=bulk_ok)
 
 
 def _quantiles_from_atoms(atoms, probs):

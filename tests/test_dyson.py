@@ -104,8 +104,8 @@ def test_hoelder_ratio_bounded():
     a = rng.uniform(-5, 5, size=(1000, 2))
     b = rng.uniform(-5, 5, size=(1000, 2))
     K = FB.xi_dprime / FB.lam[:, None]
-    ua = dy._boundary_batch(a / FB.lam, K, FB.lam, polish=False)
-    ub = dy._boundary_batch(b / FB.lam, K, FB.lam, polish=False)
+    ua = dy._boundary_batch(a / FB.lam, K, FB.lam)
+    ub = dy._boundary_batch(b / FB.lam, K, FB.lam)
     dist = np.linalg.norm(a - b, axis=1)
     keep = dist > 1e-9
     ratio = np.linalg.norm(ua - ub, axis=1)[keep] / dist[keep] ** (1 / 3)
@@ -131,6 +131,22 @@ def test_boundary_jacobian_is_inverse_stability_matrix():
         assert np.linalg.norm(J - Minv) / np.linalg.norm(Minv) < 1e-4
         checked += 1
     assert checked >= 20
+
+
+def test_boundary_values_rows_are_boundary_u():
+    # rows in and out of the real region, so both the polished and the
+    # continued values come back through one call
+    V = np.random.default_rng(7).uniform(-5, 5, size=(40, 2))
+    U = dy.boundary_values(FB, V)
+    assert np.abs(U - [dy.boundary_u(FB, v) for v in V]).max() <= 1e-10
+    real = np.abs(U.imag).max(axis=1) <= dy.REAL_TOL
+    assert 0 < real.sum() < len(V)
+    psi_rows = dy.psi_of_u(FB, U)
+    assert psi_rows.shape == (40,)
+    assert np.abs(psi_rows - [dy.psi_of_u(FB, u) for u in U]).max() <= 1e-13
+    for bad in (V[0], V[None], np.array([[0.0, np.inf]])):
+        with pytest.raises(ValidationError):
+            dy.boundary_values(FB, bad)
 
 
 def _full_batch_damped_sweeps(m, shift, K, z, tol, sweeps, live_counts):
@@ -220,7 +236,7 @@ def test_newton_first_matches_sweep_first_down_the_ladder(edge_batch,
         z = 1j * eta
         m, _ = dy._solve_batch(rows, K, z, warm=m)
         start = np.full(rows.shape, 1j) if ref is None else ref.copy()
-        ref, _ = sweep_first(start, rows, K, z, dy.SOLVER_TOL, dy.MAX_SWEEPS)
+        ref, _ = sweep_first(start, rows, K, z, dy.SOLVER_TOL)
         assert np.abs(m - ref).max() <= 1e-10
         assert np.all(m.imag > 0)
     # Newton alone solved every row at every level
@@ -230,16 +246,16 @@ def test_newton_first_matches_sweep_first_down_the_ladder(edge_batch,
 def test_sweeps_alone_reach_the_newton_root(edge_batch, monkeypatch):
     shift, K, z, m0 = edge_batch
     root, _ = dy._solve_batch(shift, K, z, warm=m0)
-    # just inside the band edge: Newton solves it, while sweeps alone need
-    # more than the 600 that a zero budget lets the first phases run
+    # just inside the band edge: Newton solves it, while sweeps alone stop
+    # far from the root after _sweep_first's 400 + 60 * 200 sweeps
     inside = shift[-1:] + 0.1
-    dy._solve_batch(inside, K, z, warm=m0[-1:], max_sweeps=0)
+    dy._solve_batch(inside, K, z, warm=m0[-1:])
     monkeypatch.setattr(dy, "_newton_rounds", _no_newton)
     m, work = dy._solve_batch(shift, K, z, warm=m0)
     assert np.abs(m - root).max() <= 1e-10
     assert work > 0
     with pytest.raises(NonConvergence):
-        dy._solve_batch(inside, K, z, warm=m0[-1:], max_sweeps=0)
+        dy._solve_batch(inside, K, z, warm=m0[-1:])
 
 
 def test_stalled_newton_rows_restart_sweep_first():
@@ -256,7 +272,7 @@ def test_stalled_newton_rows_restart_sweep_first():
     _, res, _ = dy._newton_rounds(start.copy(), shift, K, z, dy.SOLVER_TOL, 40)
     assert res[0] <= dy.SOLVER_TOL and np.all(res[1:] > 1e-3)
     m, _ = dy._solve_batch(shift, K, z)
-    ref, _ = dy._sweep_first(start, shift, K, z, dy.SOLVER_TOL, dy.MAX_SWEEPS)
+    ref, _ = dy._sweep_first(start, shift, K, z, dy.SOLVER_TOL)
     assert dy._resid(m, shift, K, z).max() <= dy.SOLVER_TOL
     assert np.all(m.imag > 0)
     assert np.abs(m - ref).max() <= 1e-10
@@ -353,6 +369,14 @@ def test_measure_narrow_grid_expands():
     assert np.all(meas.mass_s >= 1 - 1e-4)
     lo, hi = meas.support[0]
     assert abs(lo + 2) < 2e-2 and abs(hi - 2) < 2e-2
+
+
+def test_measure_rejects_malformed_grid():
+    # the rule scan applies: lo < hi and at least 2 points
+    for grid_spec in ((2, -2, 101), (1.0, 1.0, 11), (-6, 6, 1), (-6, 6, 0),
+                      0, 1):
+        with pytest.raises(ValidationError):
+            dy.spectral_measure(SC, np.zeros(1), grid_spec=grid_spec)
 
 
 def test_measure_finite_size_weights():
