@@ -142,13 +142,12 @@ def _damped_sweeps(m, shift, K, z, tol, sweeps):
     return m, res, used
 
 
-def _newton_rounds(m, shift, K, z, tol, rounds):
-    n, r = m.shape
-    eye = np.eye(r)
+def _newton_rounds(m, shift, K, z):
+    eye = np.eye(m.shape[1])
     res = _resid(m, shift, K, z)
     used = 0
-    for _ in range(rounds):
-        live = res > tol
+    for _ in range(40):
+        live = res > SOLVER_TOL
         if not live.any():
             break
         used += 1
@@ -207,38 +206,37 @@ def _solve_batch(shift, K, z, warm=None):
     else:
         m0 = np.full((n, r), 1j, dtype=complex)
     if z.imag == 0:
-        return _sweep_first(m0, shift, K, z, SOLVER_TOL)
-    m, res, work = _newton_rounds(m0.copy(), shift, K, z, SOLVER_TOL, 40)
+        return _sweep_first(m0, shift, K, z)
+    m, res, work = _newton_rounds(m0.copy(), shift, K, z)
     stalled = res > SOLVER_TOL
     if stalled.any():
-        m[stalled], more = _sweep_first(m0[stalled], shift[stalled], K, z,
-                                        SOLVER_TOL)
+        m[stalled], more = _sweep_first(m0[stalled], shift[stalled], K, z)
         work += more
     return m, work
 
 
-def _sweep_first(m, shift, K, z, tol):
+def _sweep_first(m, shift, K, z):
     """Damped sweeps to 1e-6, then guarded Newton rounds and sweeps in turn.
 
     The sweeps bring each row near the root before the first Newton
     round.  Both phases accept a step only where it does not raise
     the residual, so a row's residual never increases: a row that reaches
-    tol is final, and each phase works on the rows still above it.
+    SOLVER_TOL is final, and each phase works on the rows still above it.
     Raises NonConvergence when 60 rounds of phases, at most
-    400 + 60 * 200 sweeps, leave a row above tol.
+    400 + 60 * 200 sweeps, leave a row above SOLVER_TOL.
     """
-    m, res, sweeps = _damped_sweeps(m, shift, K, z, max(tol, 1e-6), 400)
+    m, res, sweeps = _damped_sweeps(m, shift, K, z, 1e-6, 400)
     rounds = 0
     for _ in range(60):
-        if res.max() <= tol:
+        if res.max() <= SOLVER_TOL:
             return m, sweeps + rounds
-        m, res, used = _newton_rounds(m, shift, K, z, tol, 40)
+        m, res, used = _newton_rounds(m, shift, K, z)
         rounds += used
-        if res.max() <= tol:
+        if res.max() <= SOLVER_TOL:
             return m, sweeps + rounds
-        m, res, used = _damped_sweeps(m, shift, K, z, tol, 200)
+        m, res, used = _damped_sweeps(m, shift, K, z, SOLVER_TOL, 200)
         sweeps += used
-    if res.max() > tol:
+    if res.max() > SOLVER_TOL:
         raise NonConvergence(
             f"dyson solver stalled at residual {res.max():.3e} (z={z})")
     return m, sweeps + rounds
@@ -632,10 +630,11 @@ def classify_boundary_point(stats: MixtureStats, x, chi, tol: float = 1e-6,
     """Edge or cusp classification of the spectral point 0 at parameter x.
 
     Probes the boundary value at v + gamma*chi and v - gamma*chi over four
-    scales.  Real on the plus side only means 0 sits at the right edge of
-    the support; real on the minus side only, left edge; nonreal on both
-    sides, a cusp where two bands pinch.  Mixed verdicts across scales
-    raise InconsistentProbes, as does disagreement with a second chi.
+    scales, all eight in one batch.  Real on the plus side only means 0
+    sits at the right edge of the support; real on the minus side only,
+    left edge; nonreal on both sides, a cusp where two bands pinch.
+    Mixed verdicts across scales raise InconsistentProbes, as does
+    disagreement with a second chi.
     """
     x = np.asarray(x, dtype=float)
     chi = np.asarray(chi, dtype=float)
@@ -652,11 +651,10 @@ def classify_boundary_point(stats: MixtureStats, x, chi, tol: float = 1e-6,
     if np.abs(m_eigs).min() > tol:
         return "nonsingular"
     gamma0 = 1e-2
-    scales = [gamma0 / 8, gamma0 / 4, gamma0 / 2, gamma0]
-    plus_real = [np.abs(boundary_u(stats, v + g * chi).imag).max() <= REAL_TOL
-                 for g in scales]
-    minus_real = [np.abs(boundary_u(stats, v - g * chi).imag).max() <= REAL_TOL
-                  for g in scales]
+    scales = np.array([gamma0 / 8, gamma0 / 4, gamma0 / 2, gamma0])
+    probes = boundary_values(stats, v + np.outer(np.r_[scales, -scales], chi))
+    real = [bool(x) for x in np.abs(probes.imag).max(axis=1) <= REAL_TOL]
+    plus_real, minus_real = real[:4], real[4:]
     if all(plus_real) and not any(minus_real):
         verdict = "right_edge"
     elif all(minus_real) and not any(plus_real):

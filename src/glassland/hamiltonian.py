@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import permutations
+from functools import cached_property
+from itertools import combinations_with_replacement, permutations, product
+from math import factorial
 
 import numpy as np
 
@@ -15,7 +17,9 @@ from .mixture import (MixtureSpec, mixture_from_dict, mixture_to_dict,
 MAX_N_DEGREE3 = 400
 MAX_N = 4000
 MANIFOLD_RTOL = 1e-8
-MAGIC = b"GLHAM01\n"
+MAGIC = b"GLHAM02\n"
+# entries per tile of the in-place coupling build (256 KB)
+TILE_ENTRIES = 32768
 
 
 @dataclass(frozen=True)
@@ -29,7 +33,7 @@ class Partition:
     def r(self) -> int:
         return self.sizes.shape[0]
 
-    @property
+    @cached_property
     def offsets(self) -> np.ndarray:
         return np.concatenate([[0], np.cumsum(self.sizes)])
 
@@ -42,7 +46,7 @@ class Partition:
         # aggregation weights (N_s - 1)/(N - r) for finite-N spectra
         return (self.sizes - 1) / (self.N - self.r)
 
-    @property
+    @cached_property
     def labels(self) -> np.ndarray:
         return np.repeat(np.arange(self.r), self.sizes)
 
@@ -50,9 +54,17 @@ class Partition:
         off = self.offsets
         return [slice(int(off[s]), int(off[s + 1])) for s in range(self.r)]
 
+    def block_sums(self, x: np.ndarray) -> np.ndarray:
+        """Per-species sums of the entries of x."""
+        return np.add.reduceat(x, self.offsets[:-1])
+
 
 @dataclass(frozen=True)
 class HamiltonianInstance:
+    """tensors[1] is the raw external-field draw G_1; tensors[k], k >= 2,
+    the symmetric coupling J_k (see sample).  A degree-3 instance thus
+    holds one N^3 float64 array, 512 MB at MAX_N_DEGREE3."""
+
     mixture: MixtureSpec
     N: int
     partition: Partition
@@ -104,8 +116,55 @@ def make_partition(mixture: MixtureSpec, N: int) -> Partition:
     return Partition(sizes=species_sizes(mixture.lam, N), N=int(N))
 
 
+def _couple(g, partition: Partition, table: np.ndarray):
+    """Turn the degree-k draw g, k = 2 or 3, into its coupling J in place.
+
+    J = N^{-(k-1)/2} gamma sym(g), sym the mean over the k! axis
+    permutations and gamma the table entry of each index's species.
+    gamma is symmetric, so it is applied first, per species slab; for
+    k = 3 that pass adds the swap tau of the last two axes, as S_3 =
+    {e, c, c^2} {e, tau}.  Then each orbit of tile tuples under the cyclic
+    shift c is summed into one tile and written back to all of them, so
+    beside g at most about TILE_ENTRIES entries, or one N x N row, are held.
+    """
+    N, k = g.shape[0], g.ndim
+    weight = table * (N ** ((1 - k) / 2) / factorial(k))
+    for axis in range(1, k):
+        weight = np.repeat(weight, partition.sizes, axis=axis)
+    rows = max(1, TILE_ENTRIES // N ** (k - 1))
+    for s, sl in enumerate(partition.slices()):
+        for a in range(sl.start, sl.stop, rows):
+            blk = g[a:min(a + rows, sl.stop)]
+            np.multiply(blk + np.swapaxes(blk, 1, 2) if k == 3 else blk,
+                        weight[s], out=blk)
+    n = -(-N // round(TILE_ENTRIES ** (1 / k)))
+    cuts = [slice(N * i // n, N * (i + 1) // n) for i in range(n)]
+    shift = [[(d + i) % k for d in range(k)] for i in range(k)]
+    for t in product(range(n), repeat=k):
+        rots = [t[i:] + t[:i] for i in range(k)]
+        if t > min(rots):  # each orbit once, at its least rotation
+            continue
+        tiles = [tuple(cuts[b] for b in rot) for rot in rots]
+        acc = g[tiles[0]] + g[tiles[1]].transpose(shift[-1])
+        for i in range(2, k):
+            acc += g[tiles[i]].transpose(shift[-i])
+        for i in range(k if len(set(rots)) > 1 else 1):
+            g[tiles[i]] = acc.transpose(shift[i])
+
+
 def sample(mixture: MixtureSpec, N: int, seed) -> HamiltonianInstance:
-    """Draw one disorder instance; deterministic given the seed."""
+    """Draw one disorder instance; deterministic given the seed.
+
+    One standard Gaussian G_k of shape (N,)*k is drawn per degree, in
+    increasing k.  For k >= 2 it is turned in place into the coupling
+    J_k (see _couple), so H(sigma) = sum_k N^{-(k-1)/2} gamma_k G_k(sigma,
+    ..., sigma) is gamma_1 G_1 . sigma + sum_{k>=2} J_k(sigma, ..., sigma).
+    """
+    return _sampler(mixture, N)(seed)
+
+
+def _sampler(mixture: MixtureSpec, N: int):
+    """sample's checks and set-up, done once; returns seed -> instance."""
     tables = _gamma_tables(mixture)
     degrees = sorted(k for k, tab in tables.items() if np.any(tab > 0))
     if degrees and degrees[-1] > 3:
@@ -115,15 +174,18 @@ def sample(mixture: MixtureSpec, N: int, seed) -> HamiltonianInstance:
     if N > cap:
         raise TooLarge(f"N={N} exceeds the dense cap {cap} for this mixture")
     partition = make_partition(mixture, N)
-    rng = np.random.default_rng(seed)
-    tensors = {}
-    for k in degrees:
-        g = rng.standard_normal((N,) * k)
-        g.flags.writeable = False
-        tensors[k] = g
-    return HamiltonianInstance(mixture=mixture, N=N, partition=partition,
-                               tensors=tensors, seed=seed,
-                               gamma_tables=tables)
+
+    def draw(seed) -> HamiltonianInstance:
+        rng = np.random.default_rng(seed)
+        tensors = {k: rng.standard_normal((N,) * k) for k in degrees}
+        for k, g in tensors.items():
+            if k > 1:
+                _couple(g, partition, tables[k])
+            g.flags.writeable = False
+        return HamiltonianInstance(mixture=mixture, N=N, partition=partition,
+                                   tensors=tensors, seed=seed,
+                                   gamma_tables=tables)
+    return draw
 
 
 def _as_sigma(sigma) -> np.ndarray:
@@ -136,12 +198,11 @@ def check_on_manifold(partition: Partition, sigma) -> None:
     sig = _as_sigma(sigma)
     if sig.shape != (partition.N,):
         raise OffManifold(f"state must have shape ({partition.N},)")
-    for s, sl in enumerate(partition.slices()):
-        ns = float(partition.sizes[s])
-        rel = abs(float(sig[sl] @ sig[sl]) - ns) / ns
-        if rel > MANIFOLD_RTOL:
-            raise OffManifold(
-                f"species {s} norm off sphere by relative {rel:.3e}")
+    rel = np.abs(partition.block_sums(sig * sig) - partition.sizes)
+    rel /= partition.sizes
+    for s in np.flatnonzero(rel > MANIFOLD_RTOL)[:1]:
+        raise OffManifold(
+            f"species {s} norm off sphere by relative {rel[s]:.3e}")
 
 
 def retract(partition: Partition, vec) -> StatePoint:
@@ -169,9 +230,8 @@ def random_state(partition: Partition, seed) -> StatePoint:
 
 def overlap(sigma, rho, partition: Partition) -> np.ndarray:
     """Per-species overlap R_s = <sigma_s, rho_s>/N_s."""
-    a, b = _as_sigma(sigma), _as_sigma(rho)
-    return np.array([float(a[sl] @ b[sl]) / partition.sizes[s]
-                     for s, sl in enumerate(partition.slices())])
+    return (partition.block_sums(_as_sigma(sigma) * _as_sigma(rho))
+            / partition.sizes)
 
 
 def tangent_basis(partition: Partition, sigma) -> list:
@@ -199,60 +259,30 @@ def _contract(instance: HamiltonianInstance, sig: np.ndarray,
               want_hessian: bool, degree_weights=None):
     """Value, Euclidean gradient, and optionally the Euclidean Hessian.
 
-    degree_weights rescales each degree's contribution; missing degrees
-    keep weight 1.  Used for homotopies between the degree-1 part and
-    the full Hamiltonian.
+    With M = J(., ., sigma) for degree 3 and M = J for degree 2, a degree-k
+    term contributes sigma^T M sigma, k M sigma and k(k-1) M, since J is
+    symmetric.  degree_weights rescales each degree's contribution; missing
+    degrees keep weight 1.  Used for homotopies between the degree-1 part
+    and the full Hamiltonian.
     """
-    part = instance.partition
     N = instance.N
-    labels = part.labels
-    sls = part.slices()
-    tabs = instance.gamma_tables
     wts = degree_weights or {}
     value = 0.0
     egrad = np.zeros(N)
     ehess = np.zeros((N, N)) if want_hessian else None
-
-    if 1 in instance.tensors and wts.get(1, 1.0) != 0.0:
-        c1 = wts.get(1, 1.0) * tabs[1][labels]
-        value += float((c1 * instance.tensors[1]) @ sig)
-        egrad += c1 * instance.tensors[1]
-
-    if 2 in instance.tensors and wts.get(2, 1.0) != 0.0:
-        scale = wts.get(2, 1.0) * N ** -0.5
-        weighted = tabs[2][labels[:, None], labels[None, :]] * instance.tensors[2]
-        right = weighted @ sig
-        value += scale * float(sig @ right)
-        egrad += scale * (right + weighted.T @ sig)
-        if want_hessian:
-            ehess += scale * (weighted + weighted.T)
-
-    if 3 in instance.tensors and wts.get(3, 1.0) != 0.0:
-        scale = wts.get(3, 1.0) / N
-        G3 = instance.tensors[3]
-        g3 = tabs[3]
-        # per-species single-slot contractions; slot order matters since
-        # the tensor is not symmetrized
-        T3 = [G3[:, :, sl] @ sig[sl] for sl in sls]
-        T1 = [(sig[sl] @ G3[sl].reshape(part.sizes[s], -1)).reshape(N, N)
-              for s, sl in enumerate(sls)]
-        for s3 in range(part.r):
-            for s2, sl2 in enumerate(sls):
-                y = T3[s3][:, sl2] @ sig[sl2]
-                egrad += scale * g3[labels, s2, s3] * y
-                for s1, sl1 in enumerate(sls):
-                    value += scale * g3[s1, s2, s3] * float(y[sl1] @ sig[sl1])
-        for s1, sl1 in enumerate(sls):
-            for s3 in range(part.r):
-                egrad += scale * g3[s1, labels, s3] * (sig[sl1] @ T3[s3][sl1, :])
-            for s2, sl2 in enumerate(sls):
-                egrad += scale * g3[s1, s2, labels] * (sig[sl2] @ T1[s1][sl2, :])
-        if want_hessian:
-            for s, sl in enumerate(sls):
-                mid = np.einsum("ujv,j->uv", G3[:, sl, :], sig[sl])
-                sym = T3[s] + T3[s].T + mid + mid.T + T1[s] + T1[s].T
-                ehess += scale * g3[labels[:, None], labels[None, :], s] * sym
-
+    for k, t in instance.tensors.items():
+        w = wts.get(k, 1.0)
+        if k == 1:
+            c1 = w * instance.gamma_tables[1][instance.partition.labels] * t
+            value += float(c1 @ sig)
+            egrad += c1
+        elif w != 0.0:
+            M = t if k == 2 else (t.reshape(N * N, N) @ sig).reshape(N, N)
+            Msig = M @ sig
+            value += w * float(sig @ Msig)
+            egrad += (w * k) * Msig
+            if want_hessian:
+                ehess += (w * k * (k - 1)) * M
     return value, egrad, ehess
 
 
@@ -265,31 +295,24 @@ def local_data(instance: HamiltonianInstance, sigma,
     sls = part.slices()
     value, egrad, ehess = _contract(instance, sig, want_hessian, degree_weights)
 
-    inner = np.array([float(sig[sl] @ egrad[sl]) for sl in sls])
+    inner = part.block_sums(sig * egrad)
     radial = inner / (np.sqrt(part.sizes) * np.sqrt(part.N))
     curvature = inner / part.sizes
-    rgrad = egrad.copy()
-    for s, sl in enumerate(sls):
-        rgrad[sl] -= curvature[s] * sig[sl]
+    rgrad = egrad - curvature[part.labels] * sig
 
     rhess = blocks = None
     if want_hessian:
         blocks = tangent_basis(part, sig)
-        roff = np.concatenate([[0], np.cumsum(part.sizes - 1)])
-        dim = part.N - part.r
-        rhess = np.empty((dim, dim))
-        for a in range(part.r):
-            ra = slice(int(roff[a]), int(roff[a + 1]))
-            for b in range(a, part.r):
-                rb = slice(int(roff[b]), int(roff[b + 1]))
-                blk = blocks[a].T @ ehess[sls[a], sls[b]] @ blocks[b]
-                rhess[ra, rb] = blk
-                if b != a:
-                    rhess[rb, ra] = blk.T
-            rhess[ra, ra] = 0.5 * (rhess[ra, ra] + rhess[ra, ra].T)
-            view = rhess[ra, ra]
-            idx = np.diag_indices(int(part.sizes[a] - 1))
-            view[idx] -= curvature[a]
+        tan = Partition(sizes=part.sizes - 1, N=part.N - part.r).slices()
+        rhess = np.empty((part.N - part.r,) * 2)
+        for a, b in combinations_with_replacement(range(part.r), 2):
+            blk = blocks[a].T @ ehess[sls[a], sls[b]] @ blocks[b]
+            if a == b:
+                blk = 0.5 * (blk + blk.T)
+            rhess[tan[a], tan[b]] = blk
+            rhess[tan[b], tan[a]] = blk.T
+        rhess[np.diag_indices_from(rhess)] -= np.repeat(curvature,
+                                                        part.sizes - 1)
 
     return LocalData(value=value, egrad=egrad, rgrad=rgrad, radial=radial,
                      curvature=curvature, rhess=rhess, basis=blocks)
@@ -355,8 +378,9 @@ def covariance_selftest(mixture: MixtureSpec, N: int, trials: int,
     overlaps = np.empty((trials, r))
     tangentials = np.empty((trials, len(tang_idx)))
     has_g1 = np.any(mixture.gamma1 > 0)
+    draw = _sampler(mixture, N)
     for t in range(trials):
-        inst = sample(mixture, N, seed=(seed, t))
+        inst = draw((seed, t))
         data = local_data(inst, pole)
         energies[t] = data.value
         radials[t] = data.radial
@@ -403,6 +427,9 @@ def covariance_selftest(mixture: MixtureSpec, N: int, trials: int,
 
 
 def save_instance(instance: HamiltonianInstance, path) -> None:
+    """MAGIC, header length (8 bytes, little-endian), JSON header, then
+    instance.tensors as float64 by degree: G_1, J_2, J_3.  load_instance
+    rejects other magics, such as GLHAM01's raw-draw files."""
     header = {
         "mixture": mixture_to_dict(instance.mixture),
         "N": instance.N,

@@ -155,9 +155,11 @@ def _try_step(instance, sig, ld, h, gn, degree_weights, halvings):
     return None
 
 
-def _newton(instance, sig, max_iters, tol, degree_weights, raise_on_fail):
+def _newton(instance, sig, max_iters, tol, degree_weights, raise_on_fail,
+            ld=None):
     """The Newton loop of newton_refine on an on-manifold sig.
 
+    ld, if given, is the LocalData with Hessian at sig and degree_weights.
     Returns (sigma, LocalData with Hessian, grad_norm history, iterations,
     singular), singular meaning the eigh ladder dropped a soft mode.
     """
@@ -166,8 +168,9 @@ def _newton(instance, sig, max_iters, tol, degree_weights, raise_on_fail):
     history = []
     singular = False
     iterations = 0
-    ld = local_data(instance, sig, want_hessian=True,
-                    degree_weights=degree_weights)
+    if ld is None:
+        ld = local_data(instance, sig, want_hessian=True,
+                        degree_weights=degree_weights)
     while True:
         gn = float(np.linalg.norm(ld.rgrad)) / sqrt_n
         if not np.isfinite(gn):
@@ -247,8 +250,13 @@ def newton_refine(instance: HamiltonianInstance, sigma0, max_iters: int = 50,
         check_on_manifold(part, sig)
     except OffManifold:
         sig = retract(part, sig).sigma
-    sig, ld, history, iterations, singular = _newton(
-        instance, sig, max_iters, tol, degree_weights, raise_on_fail)
+    return _result(instance, *_newton(instance, sig, max_iters, tol,
+                                      degree_weights, raise_on_fail))
+
+
+def _result(instance, sig, ld, history, iterations, singular):
+    """The CriticalPointResult of a finished _newton run."""
+    part = instance.partition
     spectrum = np.linalg.eigvalsh(ld.rhess)
     min_abs = float(np.min(np.abs(spectrum)))
     return CriticalPointResult(
@@ -354,11 +362,12 @@ def follow_critical_points(instance: HamiltonianInstance, delta,
                 tangent = _tangent(instance, sigma, ld, k / steps)
             except np.linalg.LinAlgError:
                 tangent = None
-        # the next step needs only the tangent, so this point's Hessian is
-        # freed before the next corrector builds its own
-        ld = step = None
-    res = newton_refine(instance, sigma, max_iters=40, degree_weights=wts,
-                        raise_on_fail=False)
+            # the next step needs only the tangent, so this point's Hessian
+            # is freed before the next corrector builds its own
+            ld = step = None
+    # the last corrector ran at the full weights: its LocalData starts polish
+    res = _result(instance, *_newton(instance, sigma, 40, NEWTON_TOL, wts,
+                                     False, ld))
     if not is_type_delta(res):
         res = _soft_hop(instance, res.sigma_star.sigma, is_type_delta)
         if res is None:

@@ -213,7 +213,7 @@ def test_damped_sweeps_on_live_rows_match_full_batch(edge_batch, tol):
     assert np.array_equal(m[settled], m0[settled])
 
 
-def _no_newton(m, shift, K, z, tol, rounds):
+def _no_newton(m, shift, K, z):
     return m, dy._resid(m, shift, K, z), 0
 
 
@@ -236,7 +236,7 @@ def test_newton_first_matches_sweep_first_down_the_ladder(edge_batch,
         z = 1j * eta
         m, _ = dy._solve_batch(rows, K, z, warm=m)
         start = np.full(rows.shape, 1j) if ref is None else ref.copy()
-        ref, _ = sweep_first(start, rows, K, z, dy.SOLVER_TOL)
+        ref, _ = sweep_first(start, rows, K, z)
         assert np.abs(m - ref).max() <= 1e-10
         assert np.all(m.imag > 0)
     # Newton alone solved every row at every level
@@ -269,10 +269,10 @@ def test_stalled_newton_rows_restart_sweep_first():
     shift = np.array([[-80.0], [-70.0], [-60.0]]) * np.ones(4)
     z = 1e-2j
     start = np.full(shift.shape, 1j)
-    _, res, _ = dy._newton_rounds(start.copy(), shift, K, z, dy.SOLVER_TOL, 40)
+    _, res, _ = dy._newton_rounds(start.copy(), shift, K, z)
     assert res[0] <= dy.SOLVER_TOL and np.all(res[1:] > 1e-3)
     m, _ = dy._solve_batch(shift, K, z)
-    ref, _ = dy._sweep_first(start, shift, K, z, dy.SOLVER_TOL)
+    ref, _ = dy._sweep_first(start, shift, K, z)
     assert dy._resid(m, shift, K, z).max() <= dy.SOLVER_TOL
     assert np.all(m.imag > 0)
     assert np.abs(m - ref).max() <= 1e-10

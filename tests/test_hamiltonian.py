@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,6 +67,87 @@ def test_zero_mixture_is_flat():
     assert np.all(d.egrad == 0.0)
     assert np.all(d.rhess == 0.0)
     assert np.all(ham.g1_overlap(inst0, sig) == 0.0)
+
+
+# three species of unequal sizes, a distinct gamma for every species tuple
+TRIPLE = mx.MixtureSpec(
+    r=3, lam=np.array([0.2, 0.32, 0.48]),
+    coeffs=(tuple((1, (a,), 0.5 + 0.3 * a) for a in range(3))
+            + tuple((2, (a, b), 0.4 + 0.2 * a + 0.1 * b)
+                    for a in range(3) for b in range(a, 3))
+            + tuple((3, (a, b, c), 0.1 + 0.15 * a + 0.05 * b + 0.02 * c)
+                    for a in range(3) for b in range(a, 3)
+                    for c in range(b, 3))),
+    max_degree=3)
+
+
+def _contract_all_but(t, sig, free):
+    # t(sig, ..., sig) by einsum, with the slots in free left open in order
+    operands = [t, list(range(t.ndim))]
+    for i in range(t.ndim):
+        if i not in free:
+            operands += [sig, [i]]
+    return np.einsum(*operands, list(free))
+
+
+def _raw_oracle(mixture, N, seed, sig, weights):
+    # H, its gradient and its Hessian from the raw draws, redrawn in
+    # sample's order, with every slot of each term differentiated apart
+    tabs = ham._gamma_tables(mixture)
+    degrees = sorted(k for k, tab in tabs.items() if np.any(tab > 0))
+    rng = np.random.default_rng(seed)
+    raw = {k: rng.standard_normal((N,) * k) for k in degrees}
+    labels = ham.make_partition(mixture, N).labels
+    value, grad, hess = 0.0, np.zeros(N), np.zeros((N, N))
+    for k, g in raw.items():
+        scale = (weights or {}).get(k, 1.0) * N ** (-(k - 1) / 2)
+        term = scale * tabs[k][np.ix_(*[labels] * k)] * g
+        value += _contract_all_but(term, sig, ())
+        for i in range(k):
+            grad += _contract_all_but(term, sig, (i,))
+            for j in range(k):
+                if j != i:
+                    hess += _contract_all_but(term, sig, (i, j))
+    return value, grad, hess
+
+
+@pytest.mark.parametrize("tile", [None, 64], ids=["one-tile", "tiled"])
+@pytest.mark.parametrize("weights", [None, {1: 0.7, 2: 0.3, 3: 1.9},
+                                     {2: 0.0, 3: 0.45}],
+                         ids=["plain", "weighted", "no-degree-2"])
+@pytest.mark.parametrize("mixture,N", [(CUBIC, 24), (TRIPLE, 25)],
+                         ids=["cubic-pair", "three-species-cubic"])
+def test_hamiltonian_matches_raw_draws(monkeypatch, mixture, N, weights,
+                                       tile):
+    # the symmetrised couplings give the same function of sigma as the raw
+    # Gaussian tensors; unequal blocks would expose a slab-weighting slip,
+    # and small tiles send the build through orbits of distinct tiles
+    if tile is not None:
+        monkeypatch.setattr(ham, "TILE_ENTRIES", tile)
+    inst = ham.sample(mixture, N, seed=8)
+    for trial in range(3):
+        sig = ham.random_state(inst.partition, (8, trial)).sigma
+        want = _raw_oracle(mixture, N, 8, sig, weights)
+        value, grad, hess = ham._contract(inst, sig, True, weights)
+        d = ham.local_data(inst, sig, degree_weights=weights)
+        for got, ref in ((value, want[0]), (d.value, want[0]),
+                         (grad, want[1]), (d.egrad, want[1]),
+                         (hess, want[2])):
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(got - ref)) <= 1e-11 * scale
+
+
+def test_sample_holds_one_cubic_array():
+    # J is built in place of the degree-3 draw: a second N^3 array would
+    # double the peak
+    N = 120
+    tracemalloc.start()
+    try:
+        ham.sample(CUBIC, N, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * 8 * N ** 3
 
 
 def test_degree_and_size_caps():
@@ -359,6 +441,17 @@ def test_instance_round_trip(tmp_path, inst):
 def test_instance_rejects_bad_file(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"not an instance")
+    with pytest.raises(ValidationError):
+        ham.load_instance(path)
+
+
+def test_instance_rejects_raw_draw_format(tmp_path, inst):
+    # GLHAM01 files hold the raw draws, not the couplings
+    path = tmp_path / "instance.bin"
+    ham.save_instance(inst, path)
+    blob = path.read_bytes()
+    assert blob.startswith(b"GLHAM02\n")
+    path.write_bytes(b"GLHAM01\n" + blob[8:])
     with pytest.raises(ValidationError):
         ham.load_instance(path)
 

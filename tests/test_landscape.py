@@ -126,6 +126,32 @@ def test_adaptive_step_halves_the_work(monkeypatch):
     assert counts[0] <= counts[1] / 2
 
 
+def test_follow_evaluates_endpoint_once(monkeypatch):
+    # the walk's last corrector ran at the full weights, so the t = 1
+    # polish starts from its LocalData instead of evaluating it again
+    inst = ham.sample(SYM, N, seed=1)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return ham.local_data(*args, **kwargs)
+
+    monkeypatch.setattr(ls, "local_data", counted)
+    newton = ls._newton
+    counts, points = [], []
+    for handed in (True, False):
+        if not handed:
+            monkeypatch.setattr(ls, "_newton", lambda *args: newton(*args[:6]))
+        for delta in all_sign_patterns(inst.mixture.r):
+            calls.clear()
+            points.append(ls.follow_critical_points(inst, delta))
+            counts.append(len(calls))
+    half = len(counts) // 2
+    assert [c + 1 for c in counts[:half]] == counts[half:]
+    for once, twice in zip(points[:half], points[half:]):
+        assert np.array_equal(once.sigma_star.sigma, twice.sigma_star.sigma)
+
+
 def test_followed_points_are_distinct(followed):
     inst, results = followed
     radius = ls.DEDUP_RADIUS * np.sqrt(inst.N)
