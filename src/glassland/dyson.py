@@ -92,6 +92,13 @@ def _resid(m, shift, K, z):
     return np.abs(1.0 + (z + shift + m @ K.T) * m).max(axis=-1)
 
 
+def _system(m, shift, K, z):
+    # the system's value F and Jacobian J at the rows m
+    denom = z + shift + m @ K.T
+    J = denom[:, :, None] * np.eye(m.shape[1]) + m[:, :, None] * K
+    return 1.0 + denom * m, J
+
+
 def _carried(live):
     # numpy multiplies a lone row through gemv, which rounds differently
     # from the gemm it uses for two or more rows; one settled row rides
@@ -143,7 +150,6 @@ def _damped_sweeps(m, shift, K, z, tol, sweeps):
 
 
 def _newton_rounds(m, shift, K, z):
-    eye = np.eye(m.shape[1])
     res = _resid(m, shift, K, z)
     used = 0
     for _ in range(40):
@@ -154,9 +160,7 @@ def _newton_rounds(m, shift, K, z):
         ml = m[live]
         sl = shift[live]
         rl = res[live]
-        denom = z + sl + ml @ K.T
-        F = 1.0 + denom * ml
-        J = denom[:, :, None] * eye[None, :, :] + ml[:, :, None] * K[None, :, :]
+        F, J = _system(ml, sl, K, z)
         try:
             delta = np.linalg.solve(J, -F[..., None])[..., 0]
         except np.linalg.LinAlgError:
@@ -242,85 +246,120 @@ def _sweep_first(m, shift, K, z):
     return m, sweeps + rounds
 
 
-def _polish_real(shift_row, K, wgt, m_row):
-    """Newton on the real z=0 system from Re(m_row).
+def _solve_rows(J, rhs):
+    """Newton steps d with J d = rhs for a stack of systems, and a solved mask.
 
-    Returns the real root only when it converges, stays within the Hoelder
-    allowance of the continued value, and its stability matrix
-    diag(w/|u|^2) - S is positive semidefinite; those three conditions
-    together certify that the true boundary value is real.
+    The stacked solve raises if any member is singular; then each row is
+    solved alone, so only the singular rows come back unsolved.
     """
-    w = m_row.real.copy()
-    if np.abs(w).min() < 1e-12:
-        return None
+    try:
+        return np.linalg.solve(J, rhs[..., None])[..., 0], np.ones(len(J), bool)
+    except np.linalg.LinAlgError:
+        d = np.zeros_like(rhs)
+        solved = np.ones(len(J), bool)
+        for i in range(len(J)):
+            try:
+                d[i] = np.linalg.solve(J[i], rhs[i])
+            except np.linalg.LinAlgError:
+                solved[i] = False
+        return d, solved
+
+
+def _polish_real(shift, K, wgt, m):
+    """Newton on the real z=0 system from Re m, for a batch of rows.
+
+    Returns the polished rows and the mask of rows accepted.  A row is
+    accepted only when its real root u converges (residual <= 1e-12),
+    stays within HOLDER_ALLOW of the continued value, and its stability
+    matrix diag(wgt/u^2) - diag(wgt) K has no eigenvalue below -1e-5;
+    those three gates together certify that the true boundary value is
+    real.  A row with a component below 1e-12 in modulus is rejected
+    without Newton.
+
+    Each row runs its own iterations: up to 200 guarded Newton steps to
+    5e-14, each taking the first of up to 30 halvings that lowers the
+    residual, leaving at the target or when the line search fails; then
+    up to 12 multiplicity steps, leaving on a zero residual, a singular J
+    or no strict descent.  A singular J in the first phase takes the
+    least-squares step instead.
+    """
+    w = m.real.copy()
+    start = np.flatnonzero(np.abs(w).min(axis=1) >= 1e-12)
     # aim well below the 1e-12 contract so double roots at band edges,
     # where Newton only converges linearly, still land close enough for
     # the stability gate downstream
     target = 5e-14
+    live = start
     for _ in range(200):
-        denom = shift_row + K @ w
-        F = 1.0 + denom * w
-        base = np.abs(F).max()
-        if base <= target:
+        F, J = _system(w[live], shift[live], K, 0.0)
+        base = np.abs(F).max(axis=1)
+        go = ~(base <= target)
+        live, F, J, base = live[go], F[go], J[go], base[go]
+        if not live.size:
             break
-        J = np.diag(denom) + w[:, None] * K
-        try:
-            d = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            d = np.linalg.lstsq(J, -F, rcond=None)[0]
+        d, solved = _solve_rows(J, -F)
+        for i in np.flatnonzero(~solved):
+            d[i] = np.linalg.lstsq(J[i], -F[i], rcond=None)[0]
+        wl, sl = w[live], shift[live]
+        pend = np.arange(len(live))
         t = 1.0
         for _bt in range(30):
-            cand = w + t * d
-            if np.abs(1.0 + (shift_row + K @ cand) * cand).max() < base:
-                w = cand
+            cand = wl[pend] + t * d[pend]
+            down = _resid(cand, sl[pend], K, 0.0) < base[pend]
+            w[live[pend[down]]] = cand[down]
+            pend = pend[~down]
+            if not pend.size:
                 break
             t *= 0.5
-        else:
-            break
+        # rows whose line search failed leave the phase
+        live = np.delete(live, pend)
     # multiplicity acceleration: at band edges (double roots) and cusps
     # (triple roots) plain Newton stalls at target**(1/mult), far too
     # coarse for eigenvalue gates downstream; stepping mult*delta lands
     # essentially on the root, and overshoots at simple roots are
     # rejected by the strict-descent test
+    live = start
     for _ in range(12):
-        denom = shift_row + K @ w
-        F = 1.0 + denom * w
-        base = np.abs(F).max()
-        if base == 0.0:
+        F, J = _system(w[live], shift[live], K, 0.0)
+        base = np.abs(F).max(axis=1)
+        go = base != 0.0
+        live, F, J, base = live[go], F[go], J[go], base[go]
+        if not live.size:
             break
-        J = np.diag(denom) + w[:, None] * K
-        try:
-            d = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            break
-        best = None
+        d, solved = _solve_rows(J, -F)
+        live, d, base = live[solved], d[solved], base[solved]
+        wl, sl = w[live], shift[live]
+        best, step = base.copy(), wl.copy()
         for mult in (3.0, 2.0, 1.0):
-            cand = w + mult * d
-            rc = np.abs(1.0 + (shift_row + K @ cand) * cand).max()
-            if rc < base and (best is None or rc < best[0]):
-                best = (rc, cand)
-        if best is None:
-            break
-        w = best[1]
-    if np.abs(1.0 + (shift_row + K @ w) * w).max() > 1e-12:
-        return None
-    if np.abs(w - m_row).max() > HOLDER_ALLOW:
-        return None
-    Mb = np.diag(wgt / w ** 2) - wgt[:, None] * K
+            cand = wl + mult * d
+            rc = _resid(cand, sl, K, 0.0)
+            better = rc < best
+            best[better] = rc[better]
+            step[better] = cand[better]
+        moved = best < base
+        live = live[moved]
+        w[live] = step[moved]
+    ok = np.zeros(len(w), bool)
+    ok[start] = _resid(w[start], shift[start], K, 0.0) <= 1e-12
+    ok &= np.abs(w - m).max(axis=1) <= HOLDER_ALLOW
+    gated = np.flatnonzero(ok)
+    wg = w[gated]
+    Mb = (wgt / wg ** 2)[:, :, None] * np.eye(w.shape[1]) - wgt[:, None] * K
     # genuine edge roots carry O(sqrt(residual)) eigenvalue error; spurious
     # branches sit at order-one negative eigenvalues
-    if np.linalg.eigvalsh(Mb)[0] < -1e-5:
-        return None
-    return w
+    ok[gated] = np.linalg.eigvalsh(Mb)[:, 0] >= -1e-5
+    return w, ok
 
 
 def _boundary_batch(shift, K, wgt, polish=True):
     """eta-continuation down the ladder for a batch of shifts.
 
     With polish, a row whose last two levels drift apart by more than
-    HOLDER_ALLOW raises NonConvergence, and near-real rows are replaced by
-    their certified real root (_polish_real); without it the continued
-    values come back as they are.
+    HOLDER_ALLOW raises NonConvergence, and the near-real rows go through
+    one _polish_real call, each with its own Newton iterations; a row that
+    passes its three gates (residual, Hoelder drift, stability) is replaced
+    by its certified real root, and the others keep their continued value.
+    Without polish the continued values come back as they are.
     """
     m = None
     for eta in ETA_LADDER:
@@ -333,11 +372,9 @@ def _boundary_batch(shift, K, wgt, polish=True):
             raise NonConvergence(
                 f"continuation unstable: level drift {drift.max():.3e} "
                 f"exceeds {HOLDER_ALLOW:.3e}")
-        near_real = m.imag.max(axis=1) <= HOLDER_ALLOW
-        for i in np.where(near_real)[0]:
-            root = _polish_real(shift[i], K, wgt, m[i])
-            if root is not None:
-                m[i] = root
+        near = np.flatnonzero(m.imag.max(axis=1) <= HOLDER_ALLOW)
+        roots, ok = _polish_real(shift[near], K, wgt, m[near])
+        m[near[ok]] = roots[ok]
     return m
 
 
@@ -625,23 +662,36 @@ def feasibility(stats: MixtureStats, u, tol: float = 1e-8) -> FeasibilityReport:
                              min_eig_M_real=min_eig_m_real)
 
 
+def _probe_verdict(plus_real, minus_real):
+    if all(plus_real) and not any(minus_real):
+        return "right_edge"
+    if all(minus_real) and not any(plus_real):
+        return "left_edge"
+    if not any(plus_real) and not any(minus_real):
+        return "cusp"
+    raise InconsistentProbes(
+        f"probe realness plus={plus_real} minus={minus_real}")
+
+
 def classify_boundary_point(stats: MixtureStats, x, chi, tol: float = 1e-6,
                             chi2=None) -> str:
     """Edge or cusp classification of the spectral point 0 at parameter x.
 
     Probes the boundary value at v + gamma*chi and v - gamma*chi over four
-    scales, all eight in one batch.  Real on the plus side only means 0
-    sits at the right edge of the support; real on the minus side only,
-    left edge; nonreal on both sides, a cusp where two bands pinch.
+    scales, for chi and chi2 all in one batch.  Real on the plus side only
+    means 0 sits at the right edge of the support; real on the minus side
+    only, left edge; nonreal on both sides, a cusp where two bands pinch.
     Mixed verdicts across scales raise InconsistentProbes, as does
     disagreement with a second chi.
     """
     x = np.asarray(x, dtype=float)
-    chi = np.asarray(chi, dtype=float)
-    if chi.shape != (stats.r,) or np.any(chi <= 0):
-        raise ValidationError("chi must be a positive r-vector")
-    if abs(chi.sum() - 1.0) > 1e-9:
-        raise ValidationError("chi must be normalized to unit 1-norm")
+    chis = [np.asarray(c, dtype=float) for c in
+            ((chi,) if chi2 is None else (chi, chi2))]
+    for c in chis:
+        if c.shape != (stats.r,) or np.any(c <= 0):
+            raise ValidationError("chi must be a positive r-vector")
+        if abs(c.sum() - 1.0) > 1e-9:
+            raise ValidationError("chi must be normalized to unit 1-norm")
     v = np.sqrt(stats.lam) * x
     u0 = boundary_u(stats, v)
     if np.abs(u0.imag).max() > REAL_TOL:
@@ -652,24 +702,16 @@ def classify_boundary_point(stats: MixtureStats, x, chi, tol: float = 1e-6,
         return "nonsingular"
     gamma0 = 1e-2
     scales = np.array([gamma0 / 8, gamma0 / 4, gamma0 / 2, gamma0])
-    probes = boundary_values(stats, v + np.outer(np.r_[scales, -scales], chi))
+    steps = np.r_[scales, -scales]
+    probes = boundary_values(
+        stats, v + np.concatenate([np.outer(steps, c) for c in chis]))
     real = [bool(x) for x in np.abs(probes.imag).max(axis=1) <= REAL_TOL]
-    plus_real, minus_real = real[:4], real[4:]
-    if all(plus_real) and not any(minus_real):
-        verdict = "right_edge"
-    elif all(minus_real) and not any(plus_real):
-        verdict = "left_edge"
-    elif not any(plus_real) and not any(minus_real):
-        verdict = "cusp"
-    else:
+    verdicts = [_probe_verdict(real[k:k + 4], real[k + 4:k + 8])
+                for k in range(0, len(real), 8)]
+    if len(set(verdicts)) > 1:
         raise InconsistentProbes(
-            f"probe realness plus={plus_real} minus={minus_real}")
-    if chi2 is not None:
-        other = classify_boundary_point(stats, x, chi2, tol=tol)
-        if other != verdict:
-            raise InconsistentProbes(
-                f"chi-dependent classification: {verdict} vs {other}")
-    return verdict
+            f"chi-dependent classification: {verdicts[0]} vs {verdicts[1]}")
+    return verdicts[0]
 
 
 def sample_block_matrix(stats: MixtureStats, x, N: int, seed) -> np.ndarray:

@@ -295,6 +295,33 @@ def test_sup_is_census_maximum_exactly():
             assert abs(value) < 1e-12
 
 
+def _cubic_mixture(c):
+    # r = 2, lambda = (0.3, 0.7), external field c*(1, 1), every degree-2
+    # and degree-3 coefficient 1; diag(xi') - xi'' is singular at c = sqrt(3)
+    coeffs = [(1, (0,), c), (1, (1,), c)]
+    coeffs += [(2, idx, 1.0) for idx in ((0, 0), (0, 1), (1, 1))]
+    coeffs += [(3, idx, 1.0)
+               for idx in ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1))]
+    return mx.MixtureSpec(r=2, lam=np.array([0.3, 0.7]),
+                          coeffs=tuple(coeffs), max_degree=3)
+
+
+def test_sup_is_positive_exactly_when_sub_solvable():
+    # the annealed phase boundary: exponentially many critical points
+    # (sup F > 0) exactly on the strictly sub-solvable side
+    sides = set()
+    for c in np.r_[0.0, np.linspace(0.8, 3.0, 23)]:
+        spec = _cubic_mixture(c)
+        min_eig = mx.classify_solvability(spec).min_eig
+        assert abs(min_eig) > 1e-3
+        value, _ = cx.sup_F(mx.stats(spec))
+        assert (value > 1e-9) == (min_eig < 0)
+        if min_eig > 0:
+            assert abs(value) <= 1e-12
+        sides.add(bool(min_eig < 0))
+    assert sides == {True, False}
+
+
 def test_sup_typed_errors():
     # the one-species maximiser has |x| = 4/sqrt(3) > 1
     with pytest.raises(ValidationError):

@@ -3,9 +3,9 @@ import pytest
 
 from glassland import dyson as dy
 from glassland import mixture as mx
-from glassland.errors import (DegenerateU, NonConvergence, ValidationError,
-                              ZeroComponent)
-from glassland.presets import get_preset
+from glassland.errors import (DegenerateU, InconsistentProbes, MassDeficit,
+                              NonConvergence, ValidationError, ZeroComponent)
+from glassland.presets import PRESETS, get_preset
 
 SC = mx.stats(get_preset("one-species-quadratic"))
 P3 = mx.stats(get_preset("pure3"))
@@ -147,6 +147,126 @@ def test_boundary_values_rows_are_boundary_u():
     for bad in (V[0], V[None], np.array([[0.0, np.inf]])):
         with pytest.raises(ValidationError):
             dy.boundary_values(FB, bad)
+
+
+def _polish_real_row(shift_row, K, wgt, m_row):
+    # reference: the real-root polish of one row, returning the root or None
+    w = m_row.real.copy()
+    if np.abs(w).min() < 1e-12:
+        return None
+    target = 5e-14
+    for _ in range(200):
+        denom = shift_row + K @ w
+        F = 1.0 + denom * w
+        base = np.abs(F).max()
+        if base <= target:
+            break
+        J = np.diag(denom) + w[:, None] * K
+        try:
+            d = np.linalg.solve(J, -F)
+        except np.linalg.LinAlgError:
+            d = np.linalg.lstsq(J, -F, rcond=None)[0]
+        t = 1.0
+        for _bt in range(30):
+            cand = w + t * d
+            if np.abs(1.0 + (shift_row + K @ cand) * cand).max() < base:
+                w = cand
+                break
+            t *= 0.5
+        else:
+            break
+    for _ in range(12):
+        denom = shift_row + K @ w
+        F = 1.0 + denom * w
+        base = np.abs(F).max()
+        if base == 0.0:
+            break
+        J = np.diag(denom) + w[:, None] * K
+        try:
+            d = np.linalg.solve(J, -F)
+        except np.linalg.LinAlgError:
+            break
+        best = None
+        for mult in (3.0, 2.0, 1.0):
+            cand = w + mult * d
+            rc = np.abs(1.0 + (shift_row + K @ cand) * cand).max()
+            if rc < base and (best is None or rc < best[0]):
+                best = (rc, cand)
+        if best is None:
+            break
+        w = best[1]
+    if np.abs(1.0 + (shift_row + K @ w) * w).max() > 1e-12:
+        return None
+    if np.abs(w - m_row).max() > dy.HOLDER_ALLOW:
+        return None
+    Mb = np.diag(wgt / w ** 2) - wgt[:, None] * K
+    if np.linalg.eigvalsh(Mb)[0] < -1e-5:
+        return None
+    return w
+
+
+def _assert_polish_matches_rows(shift, K, wgt, m):
+    roots, ok = dy._polish_real(shift, K, wgt, m)
+    want = [_polish_real_row(s, K, wgt, row) for s, row in zip(shift, m)]
+    assert ok.tolist() == [w is not None for w in want]
+    for root, w in zip(roots[ok], [w for w in want if w is not None]):
+        assert np.abs(root - w).max() <= 1e-13
+    return roots, ok
+
+
+def test_polish_gates_match_per_row_oracle():
+    # 1 + (s + w) w = 0 has real roots (-s +- sqrt(s^2 - 4))/2 for |s| >= 2,
+    # the one nearer zero stable (1/w^2 - 1 > 0), the other not
+    K, wgt = np.ones((1, 1)), np.ones(1)
+    shift, m = np.array([
+        [3.0, -0.38 + 1e-9j],   # simple stable root
+        [2.0, -0.99 + 1e-3j],   # band edge: the double root w = -1
+        [1e6, 0.0 + 1e-9j],     # min |w| < 1e-12, though the root -1e-6
+                                # would pass every gate
+        [0.0, 0.3 + 1e-9j],     # no real root: residual gate
+        [3.0, 0.3 + 1e-9j],     # the stable root, too far: Hoelder gate
+        [3.0, -2.6 + 1e-9j],    # the unstable root nearby: eigenvalue gate
+        [3.0, -1.5 + 1e-9j],    # J = s + 2w = 0: the singular fallback
+    ]).T
+    shift, m = shift.real[:, None], m[:, None]
+    roots, ok = _assert_polish_matches_rows(shift, K, wgt, m)
+    assert ok.tolist() == [True, True] + [False] * 5
+    res = dy._resid(roots, shift, K, 0.0)
+    drift = np.abs(roots - m).max(axis=1)
+    # which gate turned down each of the last four rows
+    assert res[3] > 1e-12 and res[6] > 1e-12
+    assert res[4] <= 1e-12 and drift[4] > dy.HOLDER_ALLOW
+    assert res[5] <= 1e-12 and drift[5] <= dy.HOLDER_ALLOW
+    assert abs(roots[1, 0] + 1.0) < 1e-7
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_polish_matches_per_row_oracle_on_spectral_grid(name):
+    st = mx.stats(get_preset(name))
+    x = np.random.default_rng(len(name)).uniform(-2.0, 2.0, size=st.r)
+    d = x / np.sqrt(st.lam)
+    C = dy._grid_radius(st, d)
+    shift = np.linspace(-C, C, 2001)[:, None] + d[None, :]
+    K = dy._coupling(st)
+    m = dy._boundary_batch(shift, K, st.lam, polish=False)
+    near = m.imag.max(axis=1) <= dy.HOLDER_ALLOW
+    assert near.sum() > 1
+    _, ok = _assert_polish_matches_rows(shift[near], K, st.lam, m[near])
+    assert ok.any()
+
+
+def test_polished_batch_makes_one_polish_call(monkeypatch):
+    polish = dy._polish_real
+    rows = []
+
+    def counted(shift, K, wgt, m):
+        rows.append(len(shift))
+        return polish(shift, K, wgt, m)
+
+    monkeypatch.setattr(dy, "_polish_real", counted)
+    U = dy.boundary_values(FB, np.random.default_rng(7).uniform(-5, 5, (40, 2)))
+    real = np.abs(U.imag).max(axis=1) <= dy.REAL_TOL
+    assert len(rows) == 1 and rows[0] >= real.sum() > 1
 
 
 def _full_batch_damped_sweeps(m, shift, K, z, tol, sweeps, live_counts):
@@ -371,6 +491,13 @@ def test_measure_narrow_grid_expands():
     assert abs(lo + 2) < 2e-2 and abs(hi - 2) < 2e-2
 
 
+def test_measure_mass_deficit():
+    # after four doublings this grid spans only 0.032 and captures about
+    # 0.006 of each species' mass
+    with pytest.raises(MassDeficit):
+        dy.spectral_measure(FB, np.zeros(2), grid_spec=(-1e-3, 1e-3, 2))
+
+
 def test_measure_rejects_malformed_grid():
     # the rule scan applies: lo < hi and at least 2 points
     for grid_spec in ((2, -2, 101), (1.0, 1.0, 11), (-6, 6, 1), (-6, 6, 0),
@@ -442,6 +569,33 @@ def test_classify_edges_one_species():
     assert dy.classify_boundary_point(SC, np.array([3.0]), chi) == "nonsingular"
     assert dy.classify_boundary_point(SC, np.array([-3.0]), chi) == "nonsingular"
     assert dy.classify_boundary_point(SC, np.array([2.0]), chi, chi2=chi) == "right_edge"
+
+
+def test_classify_probes_both_chi_in_one_batch(monkeypatch):
+    batch, values = dy._boundary_batch, dy.boundary_values
+    calls = []
+
+    def counted(shift, *args, **kw):
+        calls.append(len(shift))
+        return batch(shift, *args, **kw)
+
+    monkeypatch.setattr(dy, "_boundary_batch", counted)
+    chi = np.array([1.0])
+    assert dy.classify_boundary_point(SC, np.array([2.0]), chi,
+                                      chi2=chi) == "right_edge"
+    # the centre value, then all sixteen probes
+    assert calls == [1, 16]
+
+    def left_edge_for_chi2(stats, V, polish=True):
+        U = values(stats, V, polish)
+        if len(V) == 16:
+            U[8:12] += 1j
+            U[12:16] = U[12:16].real
+        return U
+
+    monkeypatch.setattr(dy, "boundary_values", left_edge_for_chi2)
+    with pytest.raises(InconsistentProbes, match="chi-dependent"):
+        dy.classify_boundary_point(SC, np.array([2.0]), chi, chi2=chi)
 
 
 def test_classify_chi_validation():
