@@ -5,10 +5,12 @@ The central object is the coupled fixed-point system
     1 + (z + x_s/sqrt(lambda_s) + sum_t xi''_{s,t} m_t / lambda_s) m_s = 0
 
 on the closed upper half-plane.  For Im z > 0 it has a unique root with
-Im m >= 0, so each solve runs guarded Newton rounds first; only rows
-where Newton stalls, and a real z (reached from a warm start), take the
-slower path of damped half-plane sweeps before Newton.  Boundary values u(v)
-at z -> 0 are obtained by geometric eta-continuation with warm starts,
+Im m >= 0, so each solve runs guarded Newton rounds first.  A round
+carries only the rows still above SOLVER_TOL and solves their steps by
+the adjugate for r <= 3, by LAPACK for larger r.  Only rows where Newton
+stalls, and a real z (reached from a warm start), take the slower path of
+damped half-plane sweeps before Newton.  Boundary values u(v) at z -> 0
+are obtained by geometric eta-continuation with warm starts,
 limiting spectral densities come from the imaginary parts, and boundary
 points are classified by feasibility conditions on the stability
 matrices and by multi-scale probes (edge vs cusp).
@@ -95,7 +97,8 @@ def _resid(m, shift, K, z):
 def _system(m, shift, K, z):
     # the system's value F and Jacobian J at the rows m
     denom = z + shift + m @ K.T
-    J = denom[:, :, None] * np.eye(m.shape[1]) + m[:, :, None] * K
+    J = m[:, :, None] * K
+    np.einsum("nii->ni", J)[...] += denom
     return 1.0 + denom * m, J
 
 
@@ -150,43 +153,46 @@ def _damped_sweeps(m, shift, K, z, tol, sweeps):
 
 
 def _newton_rounds(m, shift, K, z):
+    """Guarded Newton rounds, at most 40, on the rows above SOLVER_TOL.
+
+    Each round solves J d = -F by _solve_rows, the least-squares step
+    where J is singular, and takes the first of up to 10 halvings of d
+    that lowers the residual, clamped to Im m >= 0 when Im z > 0.  A row's
+    residual never increases, so only the rows still above SOLVER_TOL are
+    carried; each is written back to m and res when it leaves.  The
+    rounds stop when no carried row improves.  Returns m, res and the
+    rounds used.
+    """
     res = _resid(m, shift, K, z)
+    idx = np.flatnonzero(res > SOLVER_TOL)
+    ml, sl, rl = m[idx], shift[idx], res[idx]
     used = 0
-    for _ in range(40):
-        live = res > SOLVER_TOL
-        if not live.any():
-            break
+    while idx.size and used < 40:
         used += 1
-        ml = m[live]
-        sl = shift[live]
-        rl = res[live]
         F, J = _system(ml, sl, K, z)
-        try:
-            delta = np.linalg.solve(J, -F[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            delta = np.stack([np.linalg.lstsq(J[i], -F[i], rcond=None)[0]
-                              for i in range(len(J))])
-        mnew = ml.copy()
-        rnew = rl.copy()
-        stepv = delta
-        pending = np.ones(len(ml), dtype=bool)
+        d = _solve_rows(J, -F, lstsq=True)[0]
+        pend = np.arange(len(idx))
         for _bt in range(10):
-            if not pending.any():
-                break
-            idx = np.where(pending)[0]
-            cand = ml[idx] + stepv[idx]
+            cand = ml[pend] + d[pend]
             if z.imag > 0:
                 np.maximum(cand.imag, 0.0, out=cand.imag)
-            rc = _resid(cand, sl[idx], K, z)
-            ok = rc < rl[idx]
-            mnew[idx[ok]] = cand[ok]
-            rnew[idx[ok]] = rc[ok]
-            pending[idx[ok]] = False
-            stepv[idx[~ok]] = stepv[idx[~ok]] * 0.5
-        m[live] = mnew
-        res[live] = rnew
-        if not (rnew < rl).any():
+            rc = _resid(cand, sl[pend], K, z)
+            ok = rc < rl[pend]
+            ml[pend[ok]] = cand[ok]
+            rl[pend[ok]] = rc[ok]
+            pend = pend[~ok]
+            if not pend.size:
+                break
+            d[pend] *= 0.5
+        if pend.size == idx.size:
             break
+        done = rl <= SOLVER_TOL
+        if done.any():
+            m[idx[done]] = ml[done]
+            res[idx[done]] = rl[done]
+            idx, ml, sl, rl = idx[~done], ml[~done], sl[~done], rl[~done]
+    m[idx] = ml
+    res[idx] = rl
     return m, res, used
 
 
@@ -200,7 +206,9 @@ def _solve_batch(shift, K, z, warm=None):
     residual-lowering step exists; the rows it leaves above SOLVER_TOL
     restart from their start value in _sweep_first.  On the real axis the
     uniqueness argument is gone and _sweep_first solves every row.
-    Returns m and the work done, sweeps plus Newton rounds.
+    Newton carries only the live rows; see _newton_rounds and _solve_rows
+    for how each step is solved.  Returns m and the work done, sweeps plus
+    Newton rounds.
     """
     n, r = shift.shape
     if warm is not None:
@@ -246,23 +254,47 @@ def _sweep_first(m, shift, K, z):
     return m, sweeps + rounds
 
 
-def _solve_rows(J, rhs):
+def _solve_rows(J, rhs, lstsq=False):
     """Newton steps d with J d = rhs for a stack of systems, and a solved mask.
 
-    The stacked solve raises if any member is singular; then each row is
-    solved alone, so only the singular rows come back unsolved.
+    For r <= 3 each row is solved by the adjugate (Cramer's rule),
+    elementwise over the stack; a row whose determinant is zero or not
+    finite is unsolved.  Larger r goes through LAPACK, row by row when
+    the stacked solve finds a singular member, so only the singular rows
+    come back unsolved.  With lstsq, unsolved rows take the least-squares
+    step instead of a zero one.
     """
-    try:
-        return np.linalg.solve(J, rhs[..., None])[..., 0], np.ones(len(J), bool)
-    except np.linalg.LinAlgError:
-        d = np.zeros_like(rhs)
-        solved = np.ones(len(J), bool)
-        for i in range(len(J)):
-            try:
-                d[i] = np.linalg.solve(J[i], rhs[i])
-            except np.linalg.LinAlgError:
-                solved[i] = False
-        return d, solved
+    n, r = rhs.shape
+    d, solved = np.zeros_like(rhs), np.ones(n, bool)
+    if r <= 3:
+        A, B = [list(row) for row in J.transpose(1, 2, 0)], list(rhs.T)
+        if r == 1:
+            C = [[1.0]]
+        elif r == 2:
+            C = [[A[1][1], -A[1][0]], [-A[0][1], A[0][0]]]
+        else:
+            # cofactor C[i][j] from the cyclic successors i+1, i+2 of i and j
+            C = [[A[(i + 1) % 3][(j + 1) % 3] * A[(i + 2) % 3][(j + 2) % 3]
+                  - A[(i + 1) % 3][(j + 2) % 3] * A[(i + 2) % 3][(j + 1) % 3]
+                  for j in range(3)] for i in range(3)]
+        det = sum(A[0][j] * C[0][j] for j in range(r))
+        solved = np.isfinite(det) & (det != 0)
+        num = np.stack([sum(C[i][j] * B[i] for i in range(r))
+                        for j in range(r)], axis=1)
+        np.divide(num, det[:, None], out=d, where=solved[:, None])
+    else:
+        try:
+            d = np.linalg.solve(J, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            for i in range(n):
+                try:
+                    d[i] = np.linalg.solve(J[i], rhs[i])
+                except np.linalg.LinAlgError:
+                    solved[i] = False
+    if lstsq:
+        for i in np.flatnonzero(~solved):
+            d[i] = np.linalg.lstsq(J[i], rhs[i], rcond=None)[0]
+    return d, solved
 
 
 def _polish_real(shift, K, wgt, m):
@@ -297,9 +329,7 @@ def _polish_real(shift, K, wgt, m):
         live, F, J, base = live[go], F[go], J[go], base[go]
         if not live.size:
             break
-        d, solved = _solve_rows(J, -F)
-        for i in np.flatnonzero(~solved):
-            d[i] = np.linalg.lstsq(J[i], -F[i], rcond=None)[0]
+        d = _solve_rows(J, -F, lstsq=True)[0]
         wl, sl = w[live], shift[live]
         pend = np.arange(len(live))
         t = 1.0

@@ -322,6 +322,18 @@ def test_sup_is_positive_exactly_when_sub_solvable():
     assert sides == {True, False}
 
 
+def test_sup_vanishes_linearly_at_the_solvable_boundary():
+    # approaching c* = sqrt(3) from the sub-solvable side, sup F falls to 0
+    # in proportion to the smallest eigenvalue of diag(xi') - xi''
+    ratios = []
+    for gap in np.geomspace(1e-4, 1e-2, 5):
+        spec = _cubic_mixture(np.sqrt(3.0) - gap)
+        min_eig = mx.classify_solvability(spec).min_eig
+        assert min_eig < 0
+        ratios.append(cx.sup_F(mx.stats(spec))[0] / abs(min_eig))
+    assert max(ratios) - min(ratios) < 0.01 * min(ratios)
+
+
 def test_sup_typed_errors():
     # the one-species maximiser has |x| = 4/sqrt(3) > 1
     with pytest.raises(ValidationError):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -396,6 +398,71 @@ def test_stalled_newton_rows_restart_sweep_first():
     assert dy._resid(m, shift, K, z).max() <= dy.SOLVER_TOL
     assert np.all(m.imag > 0)
     assert np.abs(m - ref).max() <= 1e-10
+
+
+def _random_stack(rng, n, r, dtype):
+    J = rng.standard_normal((n, r, r)) + 2.0 * np.eye(r)
+    rhs = rng.standard_normal((n, r))
+    if dtype is complex:
+        J = J + 1j * rng.standard_normal((n, r, r))
+        rhs = rhs + 1j * rng.standard_normal((n, r))
+    return J, rhs
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_solve_rows_matches_lapack(r, dtype):
+    # r <= 3 solves by the adjugate, r = 4 through LAPACK
+    J, rhs = _random_stack(np.random.default_rng(r), 200, r, dtype)
+    d, solved = dy._solve_rows(J, rhs)
+    want = np.linalg.solve(J, rhs[..., None])[..., 0]
+    assert d.dtype == want.dtype and solved.all()
+    scale = np.linalg.cond(J)[:, None] * np.abs(want).max(axis=1, keepdims=True)
+    assert np.all(np.abs(d - want) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_solve_rows_flags_only_the_singular_row(r):
+    J, rhs = _random_stack(np.random.default_rng(10 + r), 6, r, complex)
+    J[2, -1] = 0.0                         # a zero row: det exactly 0
+    d, solved = dy._solve_rows(J, rhs)
+    assert solved.tolist() == [True, True, False, True, True, True]
+    assert np.all(d[2] == 0.0)
+    keep = np.flatnonzero(solved)
+    assert np.allclose(d[keep], np.linalg.solve(J[keep], rhs[keep, :, None])[..., 0])
+    # with lstsq the singular row takes the least-squares step
+    d_ls, _ = dy._solve_rows(J, rhs, lstsq=True)
+    assert np.allclose(d_ls[2], np.linalg.lstsq(J[2], rhs[2], rcond=None)[0])
+    assert np.array_equal(d_ls[keep], d[keep])
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_empty_batches_pass_through(r):
+    d, solved = dy._solve_rows(np.zeros((0, r, r)), np.zeros((0, r)))
+    assert d.shape == (0, r) and solved.shape == (0,)
+    K = np.eye(r)
+    roots, ok = dy._polish_real(np.zeros((0, r)), K, np.ones(r) / r,
+                                np.zeros((0, r), complex))
+    assert roots.shape == (0, r) and ok.shape == (0,)
+
+
+def test_boundary_values_are_label_invariant():
+    # relabelling the species permutes lambda, xi'' and v, and so u
+    spec = get_preset("three-species")
+    V = np.random.default_rng(11).uniform(-4.0, 4.0, size=(50, 3))
+    U = dy.boundary_values(T3, V)
+    real = np.abs(U.imag).max(axis=1) <= dy.REAL_TOL
+    assert 0 < real.sum() < len(V)
+    for perm in itertools.permutations(range(3)):
+        perm = list(perm)
+        relabelled = mx.MixtureSpec(
+            r=3, lam=spec.lam[perm],
+            coeffs=tuple((deg, tuple(sorted(perm.index(s) for s in idx)), g)
+                         for deg, idx, g in spec.coeffs),
+            max_degree=spec.max_degree)
+        st = mx.stats(relabelled)
+        assert np.allclose(st.xi_dprime, T3.xi_dprime[np.ix_(perm, perm)])
+        assert np.abs(dy.boundary_values(st, V[:, perm]) - U[:, perm]).max() <= 1e-12
 
 
 def _two_bands(g):
