@@ -125,12 +125,28 @@ def _census_b(stats: MixtureStats, imag_mask, target=1e-12, max_iter=200):
 
     Unknown b = Im u.  Species outside imag_mask carry a pinned modulus,
     so their rows read xi'_s b_s - (xi'' b)_s; imag species contribute
-    lambda_s / b_s - (xi'' b)_s.  Returns None when Newton fails.
+    lambda_s / b_s - (xi'' b)_s.  Returns None when Newton fails, and
+    without Newton when the pattern provably has no admissible root
+    (b_s > 0 on imag species, b_s >= 0 on the others).
+
+    The proof: the pinned species S have rows M b_S = xi''_SI b_I, with
+    M = diag(xi'_S) - xi''_SS.  xi'' is entrywise nonnegative for every
+    mixture, so M is a Z-matrix, and when every species in S couples to an
+    imag one the right side is positive.  A Z-matrix that maps some
+    b_S >= 0 to a positive vector is a nonsingular M-matrix, for symmetric
+    M positive definite; so an eigenvalue <= 0 of M leaves no root, and
+    Newton would only creep along a fold of g until its iterations ran out.
     """
     lam, xp, xpp = stats.lam, stats.xi_prime, stats.xi_dprime
     b = np.zeros(stats.r)
     if not imag_mask.any():
         return b
+    sign = ~imag_mask
+    coupled = (xpp[np.ix_(sign, imag_mask)] > 0).any(axis=1)
+    if sign.any() and coupled.all() and np.all(xpp >= 0):
+        M = np.diag(xp[sign]) - xpp[np.ix_(sign, sign)]
+        if np.linalg.eigvalsh(M)[0] <= 0:
+            return None
     diag_pp = np.diag(xpp)
     seed = np.where(diag_pp > 0, diag_pp, xp)
     b[imag_mask] = np.sqrt(lam[imag_mask] / seed[imag_mask])

@@ -7,7 +7,12 @@ The central object is the coupled fixed-point system
 on the closed upper half-plane.  For Im z > 0 it has a unique root with
 Im m >= 0, so each solve runs guarded Newton rounds first.  A round
 carries only the rows still above SOLVER_TOL and solves their steps by
-the adjugate for r <= 3, by LAPACK for larger r.  Only rows where Newton
+the adjugate for r <= 3, by LAPACK for larger r.  The solver keeps a
+batch species-major, as (r, n) arrays with one contiguous length-n row
+per species: the residual reduces over the short species axis, and the
+r <= 3 step is elementwise on rows, where an (n, r) layout spent most of
+its time in numpy overhead.  Batches enter and leave as (n, r) rows
+through _boundary_batch.  Only rows where Newton
 stalls, and a real z (reached from a warm start), take the slower path of
 damped half-plane sweeps before Newton.  Boundary values u(v) at z -> 0
 are obtained by geometric eta-continuation with warm starts,
@@ -91,21 +96,22 @@ def _coupling(stats: MixtureStats) -> np.ndarray:
 
 
 def _resid(m, shift, K, z):
-    return np.abs(1.0 + (z + shift + m @ K.T) * m).max(axis=-1)
+    return np.abs(1.0 + (z + shift + K @ m) * m).max(axis=0)
 
 
 def _system(m, shift, K, z):
-    # the system's value F and Jacobian J at the rows m
-    denom = z + shift + m @ K.T
-    J = m[:, :, None] * K
-    np.einsum("nii->ni", J)[...] += denom
+    # F and J at the columns of m, J[i, j] = m_i K_ij + delta_ij denom_i;
+    # K is cast first, as numpy's mixed complex-real product is 3x slower
+    denom = z + shift + K @ m
+    J = m[:, None] * K.astype(m.dtype)[:, :, None]
+    np.einsum("iin->in", J)[...] += denom
     return 1.0 + denom * m, J
 
 
 def _carried(live):
-    # numpy multiplies a lone row through gemv, which rounds differently
-    # from the gemm it uses for two or more rows; one settled row rides
-    # along so a last straggler gets the bits it would get in the full batch
+    # numpy multiplies a lone column through gemv, which rounds differently
+    # from the gemm it uses for two or more; one settled row rides along so
+    # a last straggler gets the bits it would get in the full batch
     keep = live.copy()
     if len(keep) > 1 and keep.sum() == 1:
         keep[np.argmin(keep)] = True
@@ -123,7 +129,7 @@ def _damped_sweeps(m, shift, K, z, tol, sweeps):
     """
     res = _resid(m, shift, K, z)
     idx = np.flatnonzero(_carried(res > tol))
-    ml, sl, rl = m[idx], shift[idx], res[idx]
+    ml, sl, rl = m.take(idx, 1), shift.take(idx, 1), res[idx]
     alpha = np.full(len(idx), 0.5)
     used = 0
     for _ in range(sweeps):
@@ -132,22 +138,21 @@ def _damped_sweeps(m, shift, K, z, tol, sweeps):
             break
         keep = _carried(live)
         if not keep.all():
-            m[idx[~keep]] = ml[~keep]
-            res[idx[~keep]] = rl[~keep]
-            idx, ml, sl, rl = idx[keep], ml[keep], sl[keep], rl[keep]
-            alpha, live = alpha[keep], live[keep]
+            out = idx[~keep]
+            m[:, out], res[out] = ml.compress(~keep, 1), rl[~keep]
+            idx, rl, alpha, live = idx[keep], rl[keep], alpha[keep], live[keep]
+            ml, sl = ml.compress(keep, 1), sl.compress(keep, 1)
         used += 1
-        step = -1.0 / (z + sl + ml @ K.T)
-        cand = (1.0 - alpha[:, None]) * ml + alpha[:, None] * step
+        step = -1.0 / (z + sl + K @ ml)
+        cand = (1.0 - alpha) * ml + alpha * step
         np.maximum(cand.imag, 0.0, out=cand.imag)
         rc = _resid(cand, sl, K, z)
         better = live & (rc <= rl)
         worse = live & ~better
-        ml[better] = cand[better]
-        rl[better] = rc[better]
+        ml, rl = np.where(better, cand, ml), np.where(better, rc, rl)
         alpha[better] = np.minimum(0.5, alpha[better] * 1.2)
         alpha[worse] = np.maximum(1e-3, alpha[worse] * 0.5)
-    m[idx] = ml
+    m[:, idx] = ml
     res[idx] = rl
     return m, res, used
 
@@ -165,33 +170,37 @@ def _newton_rounds(m, shift, K, z):
     """
     res = _resid(m, shift, K, z)
     idx = np.flatnonzero(res > SOLVER_TOL)
-    ml, sl, rl = m[idx], shift[idx], res[idx]
+    ml, sl, rl = m.take(idx, 1), shift.take(idx, 1), res[idx]
     used = 0
     while idx.size and used < 40:
         used += 1
         F, J = _system(ml, sl, K, z)
         d = _solve_rows(J, -F, lstsq=True)[0]
-        pend = np.arange(len(idx))
+        # the full step on the carried arrays, halvings on the rows it failed
+        cand, sp, rp, pend = ml + d, sl, rl, None
         for _bt in range(10):
-            cand = ml[pend] + d[pend]
             if z.imag > 0:
                 np.maximum(cand.imag, 0.0, out=cand.imag)
-            rc = _resid(cand, sl[pend], K, z)
-            ok = rc < rl[pend]
-            ml[pend[ok]] = cand[ok]
-            rl[pend[ok]] = rc[ok]
-            pend = pend[~ok]
+            rc = _resid(cand, sp, K, z)
+            ok = rc < rp
+            if pend is None:
+                ml, rl = np.where(ok, cand, ml), np.where(ok, rc, rl)
+                pend = np.flatnonzero(~ok)
+            else:
+                ml[:, pend[ok]], rl[pend[ok]] = cand.compress(ok, 1), rc[ok]
+                pend = pend[~ok]
             if not pend.size:
                 break
-            d[pend] *= 0.5
+            d = 0.5 * d.compress(~ok, 1)
+            cand, sp, rp = ml.take(pend, 1) + d, sl.take(pend, 1), rl[pend]
         if pend.size == idx.size:
             break
         done = rl <= SOLVER_TOL
         if done.any():
-            m[idx[done]] = ml[done]
-            res[idx[done]] = rl[done]
-            idx, ml, sl, rl = idx[~done], ml[~done], sl[~done], rl[~done]
-    m[idx] = ml
+            m[:, idx[done]], res[idx[done]] = ml.compress(done, 1), rl[done]
+            idx, rl = idx[~done], rl[~done]
+            ml, sl = ml.compress(~done, 1), sl.compress(~done, 1)
+    m[:, idx] = ml
     res[idx] = rl
     return m, res, used
 
@@ -199,7 +208,8 @@ def _newton_rounds(m, shift, K, z):
 def _solve_batch(shift, K, z, warm=None):
     """Solve the system to SOLVER_TOL for a batch of shifts at one z.
 
-    For Im z > 0 the system has exactly one root with Im m >= 0
+    shift, warm and the returned m are (r, n), one column per row of the
+    batch.  For Im z > 0 the system has exactly one root with Im m >= 0
     (Ajanki-Erdos-Krueger), so guarded Newton clamped to the closed upper
     half-plane cannot settle on a wrong root and runs first.  It can stall
     on the boundary Im m_s = 0, far from the root, where no
@@ -210,19 +220,19 @@ def _solve_batch(shift, K, z, warm=None):
     for how each step is solved.  Returns m and the work done, sweeps plus
     Newton rounds.
     """
-    n, r = shift.shape
     if warm is not None:
-        m0 = np.array(warm, dtype=complex).reshape(n, r).copy()
+        m0 = np.array(warm, dtype=complex).reshape(shift.shape)
         if z.imag > 0:
             np.maximum(m0.imag, 0.0, out=m0.imag)
     else:
-        m0 = np.full((n, r), 1j, dtype=complex)
+        m0 = np.full(shift.shape, 1j, dtype=complex)
     if z.imag == 0:
         return _sweep_first(m0, shift, K, z)
     m, res, work = _newton_rounds(m0.copy(), shift, K, z)
     stalled = res > SOLVER_TOL
     if stalled.any():
-        m[stalled], more = _sweep_first(m0[stalled], shift[stalled], K, z)
+        m[:, stalled], more = _sweep_first(
+            m0.compress(stalled, 1), shift.compress(stalled, 1), K, z)
         work += more
     return m, work
 
@@ -257,56 +267,56 @@ def _sweep_first(m, shift, K, z):
 def _solve_rows(J, rhs, lstsq=False):
     """Newton steps d with J d = rhs for a stack of systems, and a solved mask.
 
-    For r <= 3 each row is solved by the adjugate (Cramer's rule),
-    elementwise over the stack; a row whose determinant is zero or not
-    finite is unsolved.  Larger r goes through LAPACK, row by row when
-    the stacked solve finds a singular member, so only the singular rows
-    come back unsolved.  With lstsq, unsolved rows take the least-squares
-    step instead of a zero one.
+    J is (r, r, n) and rhs (r, n), so J[i, j] and rhs[i] are length-n rows.
+    For r <= 3 each system is solved by the adjugate (Cramer's rule),
+    elementwise on those rows; a system whose determinant is zero or not
+    finite is unsolved.  Larger r goes through LAPACK, one system at a time
+    when the stacked solve finds a singular one, so only those come back
+    unsolved.  With lstsq, they take the least-squares step instead.
     """
-    n, r = rhs.shape
+    r, n = rhs.shape
     d, solved = np.zeros_like(rhs), np.ones(n, bool)
     if r <= 3:
-        A, B = [list(row) for row in J.transpose(1, 2, 0)], list(rhs.T)
         if r == 1:
             C = [[1.0]]
         elif r == 2:
-            C = [[A[1][1], -A[1][0]], [-A[0][1], A[0][0]]]
+            C = [[J[1, 1], -J[1, 0]], [-J[0, 1], J[0, 0]]]
         else:
             # cofactor C[i][j] from the cyclic successors i+1, i+2 of i and j
-            C = [[A[(i + 1) % 3][(j + 1) % 3] * A[(i + 2) % 3][(j + 2) % 3]
-                  - A[(i + 1) % 3][(j + 2) % 3] * A[(i + 2) % 3][(j + 1) % 3]
+            C = [[J[(i + 1) % 3, (j + 1) % 3] * J[(i + 2) % 3, (j + 2) % 3]
+                  - J[(i + 1) % 3, (j + 2) % 3] * J[(i + 2) % 3, (j + 1) % 3]
                   for j in range(3)] for i in range(3)]
-        det = sum(A[0][j] * C[0][j] for j in range(r))
+        det = sum(J[0, j] * C[0][j] for j in range(r))
         solved = np.isfinite(det) & (det != 0)
-        num = np.stack([sum(C[i][j] * B[i] for i in range(r))
-                        for j in range(r)], axis=1)
-        np.divide(num, det[:, None], out=d, where=solved[:, None])
+        num = np.stack([sum(C[i][j] * rhs[i] for i in range(r))
+                        for j in range(r)])
+        np.divide(num, det, out=d, where=solved)
     else:
+        stack = J.transpose(2, 0, 1)
         try:
-            d = np.linalg.solve(J, rhs[..., None])[..., 0]
+            d[...] = np.linalg.solve(stack, rhs.T[..., None])[..., 0].T
         except np.linalg.LinAlgError:
             for i in range(n):
                 try:
-                    d[i] = np.linalg.solve(J[i], rhs[i])
+                    d[:, i] = np.linalg.solve(stack[i], rhs[:, i])
                 except np.linalg.LinAlgError:
                     solved[i] = False
     if lstsq:
         for i in np.flatnonzero(~solved):
-            d[i] = np.linalg.lstsq(J[i], rhs[i], rcond=None)[0]
+            d[:, i] = np.linalg.lstsq(J[..., i], rhs[:, i], rcond=None)[0]
     return d, solved
 
 
 def _polish_real(shift, K, wgt, m):
     """Newton on the real z=0 system from Re m, for a batch of rows.
 
-    Returns the polished rows and the mask of rows accepted.  A row is
-    accepted only when its real root u converges (residual <= 1e-12),
-    stays within HOLDER_ALLOW of the continued value, and its stability
-    matrix diag(wgt/u^2) - diag(wgt) K has no eigenvalue below -1e-5;
-    those three gates together certify that the true boundary value is
-    real.  A row with a component below 1e-12 in modulus is rejected
-    without Newton.
+    shift, m and the polished roots are (r, n).  Returns the roots and the
+    mask of rows accepted.  A row is accepted only when its real root u
+    converges (residual <= 1e-12), stays within HOLDER_ALLOW of the
+    continued value, and its stability matrix diag(wgt/u^2) - diag(wgt) K
+    has no eigenvalue below -1e-5; those three gates together certify
+    that the true boundary value is real.  A row with a component below
+    1e-12 in modulus is rejected without Newton.
 
     Each row runs its own iterations: up to 200 guarded Newton steps to
     5e-14, each taking the first of up to 30 halvings that lowers the
@@ -316,27 +326,26 @@ def _polish_real(shift, K, wgt, m):
     least-squares step instead.
     """
     w = m.real.copy()
-    start = np.flatnonzero(np.abs(w).min(axis=1) >= 1e-12)
-    # aim well below the 1e-12 contract so double roots at band edges,
-    # where Newton only converges linearly, still land close enough for
-    # the stability gate downstream
+    start = np.flatnonzero(np.abs(w).min(axis=0) >= 1e-12)
+    # aim well below the 1e-12 contract so double roots at band edges, where
+    # Newton converges only linearly, land close enough for the stability gate
     target = 5e-14
     live = start
     for _ in range(200):
-        F, J = _system(w[live], shift[live], K, 0.0)
-        base = np.abs(F).max(axis=1)
+        F, J = _system(w[:, live], shift[:, live], K, 0.0)
+        base = np.abs(F).max(axis=0)
         go = ~(base <= target)
-        live, F, J, base = live[go], F[go], J[go], base[go]
+        live, F, J, base = live[go], F[:, go], J[..., go], base[go]
         if not live.size:
             break
         d = _solve_rows(J, -F, lstsq=True)[0]
-        wl, sl = w[live], shift[live]
+        wl, sl = w[:, live], shift[:, live]
         pend = np.arange(len(live))
         t = 1.0
         for _bt in range(30):
-            cand = wl[pend] + t * d[pend]
-            down = _resid(cand, sl[pend], K, 0.0) < base[pend]
-            w[live[pend[down]]] = cand[down]
+            cand = wl[:, pend] + t * d[:, pend]
+            down = _resid(cand, sl[:, pend], K, 0.0) < base[pend]
+            w[:, live[pend[down]]] = cand[:, down]
             pend = pend[~down]
             if not pend.size:
                 break
@@ -350,31 +359,31 @@ def _polish_real(shift, K, wgt, m):
     # rejected by the strict-descent test
     live = start
     for _ in range(12):
-        F, J = _system(w[live], shift[live], K, 0.0)
-        base = np.abs(F).max(axis=1)
+        F, J = _system(w[:, live], shift[:, live], K, 0.0)
+        base = np.abs(F).max(axis=0)
         go = base != 0.0
-        live, F, J, base = live[go], F[go], J[go], base[go]
+        live, F, J, base = live[go], F[:, go], J[..., go], base[go]
         if not live.size:
             break
         d, solved = _solve_rows(J, -F)
-        live, d, base = live[solved], d[solved], base[solved]
-        wl, sl = w[live], shift[live]
+        live, d, base = live[solved], d[:, solved], base[solved]
+        wl, sl = w[:, live], shift[:, live]
         best, step = base.copy(), wl.copy()
         for mult in (3.0, 2.0, 1.0):
             cand = wl + mult * d
             rc = _resid(cand, sl, K, 0.0)
             better = rc < best
             best[better] = rc[better]
-            step[better] = cand[better]
+            step[:, better] = cand[:, better]
         moved = best < base
         live = live[moved]
-        w[live] = step[moved]
-    ok = np.zeros(len(w), bool)
-    ok[start] = _resid(w[start], shift[start], K, 0.0) <= 1e-12
-    ok &= np.abs(w - m).max(axis=1) <= HOLDER_ALLOW
+        w[:, live] = step[:, moved]
+    ok = np.zeros(w.shape[1], bool)
+    ok[start] = _resid(w[:, start], shift[:, start], K, 0.0) <= 1e-12
+    ok &= np.abs(w - m).max(axis=0) <= HOLDER_ALLOW
     gated = np.flatnonzero(ok)
-    wg = w[gated]
-    Mb = (wgt / wg ** 2)[:, :, None] * np.eye(w.shape[1]) - wgt[:, None] * K
+    wg = w[:, gated].T
+    Mb = (wgt / wg ** 2)[:, :, None] * np.eye(len(w)) - wgt[:, None] * K
     # genuine edge roots carry O(sqrt(residual)) eigenvalue error; spurious
     # branches sit at order-one negative eigenvalues
     ok[gated] = np.linalg.eigvalsh(Mb)[:, 0] >= -1e-5
@@ -384,6 +393,11 @@ def _polish_real(shift, K, wgt, m):
 def _boundary_batch(shift, K, wgt, polish=True):
     """eta-continuation down the ladder for a batch of shifts.
 
+    shift comes in and m goes out as (n, r), one row per point; the kernel
+    works on their (r, n) transposes.  The (n, r) seam stays because the
+    callers build and read points as rows, and the benchmark's tracer
+    counts a call's rows as shift.shape[0].
+
     With polish, a row whose last two levels drift apart by more than
     HOLDER_ALLOW raises NonConvergence, and the near-real rows go through
     one _polish_real call, each with its own Newton iterations; a row that
@@ -391,21 +405,22 @@ def _boundary_batch(shift, K, wgt, polish=True):
     by its certified real root, and the others keep their continued value.
     Without polish the continued values come back as they are.
     """
+    shift = np.ascontiguousarray(shift.T)
     m = None
     for eta in ETA_LADDER:
         m, _ = _solve_batch(shift, K, 1j * eta, warm=m)
         if eta == ETA_LADDER[-2]:
             m_prev = m.copy()
     if polish:
-        drift = np.abs(m - m_prev).max(axis=1)
+        drift = np.abs(m - m_prev).max(axis=0)
         if (drift > HOLDER_ALLOW).any():
             raise NonConvergence(
                 f"continuation unstable: level drift {drift.max():.3e} "
                 f"exceeds {HOLDER_ALLOW:.3e}")
-        near = np.flatnonzero(m.imag.max(axis=1) <= HOLDER_ALLOW)
-        roots, ok = _polish_real(shift[near], K, wgt, m[near])
-        m[near[ok]] = roots[ok]
-    return m
+        near = np.flatnonzero(m.imag.max(axis=0) <= HOLDER_ALLOW)
+        roots, ok = _polish_real(shift[:, near], K, wgt, m[:, near])
+        m[:, near[ok]] = roots[:, ok]
+    return np.ascontiguousarray(m.T)
 
 
 def solve_dyson(stats: MixtureStats, x, z, warm=None) -> DysonSolution:
@@ -419,12 +434,11 @@ def solve_dyson(stats: MixtureStats, x, z, warm=None) -> DysonSolution:
     if z.imag < ETA_FLOOR and warm is None:
         raise ValidationError(
             f"Im z < {ETA_FLOOR} requires a warm start from a nearby point")
-    shift = (x / np.sqrt(stats.lam))[None, :]
+    shift = (x / np.sqrt(stats.lam))[:, None]
     K = _coupling(stats)
-    w = None if warm is None else np.asarray(warm, dtype=complex)[None, :]
-    m, iters = _solve_batch(shift, K, z, warm=w)
+    m, iters = _solve_batch(shift, K, z, warm=warm)
     res = float(_resid(m, shift, K, z)[0])
-    return DysonSolution(z=z, x=x, m=m[0], residual=res, iterations=iters)
+    return DysonSolution(z=z, x=x, m=m[:, 0], residual=res, iterations=iters)
 
 
 def boundary_values(stats: MixtureStats, V, polish: bool = True) -> np.ndarray:
@@ -532,26 +546,13 @@ def _detect_support(grid, agg, density_at):
     SUPPORT_BISECTIONS / DYADIC_DEPTH calls in all instead of
     SUPPORT_BISECTIONS per endpoint.
     """
-    mask = agg > TAU_SUPP
-    runs = []
-    i = 0
     n = len(grid)
-    while i < n:
-        if mask[i]:
-            j = i
-            while j + 1 < n and mask[j + 1]:
-                j += 1
-            runs.append([i, j])
-            i = j + 1
-        else:
-            i += 1
-    merged = []
-    for run in runs:
-        if merged and run[0] - merged[-1][1] - 1 <= 1:
-            merged[-1][1] = run[1]
-        else:
-            merged.append(run)
-
+    mask = agg > TAU_SUPP
+    # runs one grid point apart are one interval
+    mask[1:-1] |= mask[:-2] & mask[2:]
+    # each run as the [first, last] pair of its indices
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    merged = (edges.reshape(-1, 2) - [0, 1]).tolist()
     support = [[grid[i0], grid[i1]] for i0, i1 in merged]
     ends, g_out, g_in = [], [], []
     for k, (i0, i1) in enumerate(merged):
@@ -631,19 +632,15 @@ def psi_of_u(stats: MixtureStats, u):
 
 
 def _log_integral(grid, density):
-    # antiderivatives of log|t| and t log|t|, both continuous through 0
-    def A0(t):
-        return np.where(t == 0.0, 0.0, t * (np.log(np.abs(np.where(t == 0, 1.0, t))) - 1.0))
-
-    def A1(t):
-        return np.where(t == 0.0, 0.0,
-                        0.5 * t * t * np.log(np.abs(np.where(t == 0, 1.0, t))) - 0.25 * t * t)
-
+    # antiderivatives of log|t| and t log|t| at the grid, continuous through 0
+    log_abs = np.log(np.abs(np.where(grid == 0.0, 1.0, grid)))
+    A0 = np.diff(grid * (log_abs - 1.0))
+    A1 = np.diff(0.5 * grid * grid * log_abs - 0.25 * grid * grid)
     g0, g1 = grid[:-1], grid[1:]
     r0, r1 = density[:-1], density[1:]
     c1 = (r1 - r0) / (g1 - g0)
     c0 = r0 - c1 * g0
-    total = c0 * (A0(g1) - A0(g0)) + c1 * (A1(g1) - A1(g0))
+    total = c0 * A0 + c1 * A1
     return float(total.sum())
 
 

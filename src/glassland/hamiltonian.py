@@ -269,7 +269,9 @@ def _contract(instance: HamiltonianInstance, sig: np.ndarray,
     wts = degree_weights or {}
     value = 0.0
     egrad = np.zeros(N)
-    ehess = np.zeros((N, N)) if want_hessian else None
+    # the Hessian starts from its first term; filling an N x N zeros array
+    # and adding a temporary to it dominated this function's time
+    ehess = None
     for k, t in instance.tensors.items():
         w = wts.get(k, 1.0)
         if k == 1:
@@ -282,7 +284,10 @@ def _contract(instance: HamiltonianInstance, sig: np.ndarray,
             value += w * float(sig @ Msig)
             egrad += (w * k) * Msig
             if want_hessian:
-                ehess += (w * k * (k - 1)) * M
+                term = (w * k * (k - 1)) * M
+                ehess = term if ehess is None else ehess + term
+    if want_hessian and ehess is None:
+        ehess = np.zeros((N, N))
     return value, egrad, ehess
 
 

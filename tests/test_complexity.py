@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 from scipy import ndimage
 from scipy.optimize import minimize
 
@@ -310,7 +314,7 @@ def test_sup_is_positive_exactly_when_sub_solvable():
     # the annealed phase boundary: exponentially many critical points
     # (sup F > 0) exactly on the strictly sub-solvable side
     sides = set()
-    for c in np.r_[0.0, np.linspace(0.8, 3.0, 23)]:
+    for c in np.r_[0.0, 0.3, 0.5, 0.7, np.linspace(0.8, 3.0, 23)]:
         spec = _cubic_mixture(c)
         min_eig = mx.classify_solvability(spec).min_eig
         assert abs(min_eig) > 1e-3
@@ -320,6 +324,60 @@ def test_sup_is_positive_exactly_when_sub_solvable():
             assert abs(value) <= 1e-12
         sides.add(bool(min_eig < 0))
     assert sides == {True, False}
+
+
+def test_census_skips_patterns_without_admissible_root(monkeypatch):
+    # pattern (imag, pinned) in the cubic pair: the pinned row reads
+    # (xi'_1 - xi''_11) b_1 = xi''_10 b_0 with xi''_10 > 0, so b_0 > 0 and
+    # b_1 >= 0 need xi'_1 > xi''_11.  Below that (c < 0.77) Newton ran all
+    # 200 iterations before giving up; now it does not start.
+    solve = np.linalg.solve
+    solves = []
+
+    def counted(*args):
+        solves.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    rootless = []
+    for c in np.linspace(0.0, 1.0, 11):
+        stats = mx.stats(_cubic_mixture(c))
+        solves.clear()
+        b = cx._census_b(stats, np.array([True, False]))
+        rootless.append(bool(stats.xi_prime[1] <= stats.xi_dprime[1, 1]))
+        assert (b is None) == rootless[-1] == (not solves)
+        if b is not None:
+            assert b[0] > 0 and b[1] >= 0
+    assert rootless == [True] * 8 + [False] * 3
+
+
+@hst.composite
+def _random_mixtures(draw):
+    r = draw(hst.integers(1, 3))
+    degree = draw(hst.integers(2, 3))
+    weights = np.array(draw(hst.lists(hst.floats(0.2, 1.0), min_size=r,
+                                      max_size=r)))
+    # no external field in some species, but every coupling present: a
+    # vanishing xi''-row leaves the Dyson equation without its continuum
+    coeffs = [(1, (s,), draw(hst.floats(0.0, 2.0))) for s in range(r)]
+    coeffs += [(p, idx, draw(hst.floats(0.1, 1.5)))
+               for p in range(2, degree + 1)
+               for idx in itertools.combinations_with_replacement(range(r), p)]
+    return mx.MixtureSpec(r=r, lam=weights / weights.sum(),
+                          coeffs=tuple(coeffs), max_degree=degree)
+
+
+# derandomized, so that every run draws the same 40 mixtures
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_random_mixtures())
+def test_sup_sign_matches_solvability_on_random_mixtures(spec):
+    # the paper's dichotomy: exponentially many critical points exactly
+    # when diag(xi') - xi'' has a negative eigenvalue
+    stats = mx.stats(spec)
+    min_eig = mx.classify_solvability(spec).min_eig
+    assume(abs(min_eig) > 1e-3 and np.all(stats.xi_prime > 0))
+    value, _ = cx.sup_F(stats)
+    assert (value > 1e-9) == (min_eig < 0)
 
 
 def test_sup_vanishes_linearly_at_the_solvable_boundary():

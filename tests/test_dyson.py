@@ -208,10 +208,11 @@ def _polish_real_row(shift_row, K, wgt, m_row):
 
 
 def _assert_polish_matches_rows(shift, K, wgt, m):
+    # shift and m are (r, n), one column per row, as the kernel takes them
     roots, ok = dy._polish_real(shift, K, wgt, m)
-    want = [_polish_real_row(s, K, wgt, row) for s, row in zip(shift, m)]
+    want = [_polish_real_row(s, K, wgt, row) for s, row in zip(shift.T, m.T)]
     assert ok.tolist() == [w is not None for w in want]
-    for root, w in zip(roots[ok], [w for w in want if w is not None]):
+    for root, w in zip(roots.T[ok], [w for w in want if w is not None]):
         assert np.abs(root - w).max() <= 1e-13
     return roots, ok
 
@@ -230,16 +231,16 @@ def test_polish_gates_match_per_row_oracle():
         [3.0, -2.6 + 1e-9j],    # the unstable root nearby: eigenvalue gate
         [3.0, -1.5 + 1e-9j],    # J = s + 2w = 0: the singular fallback
     ]).T
-    shift, m = shift.real[:, None], m[:, None]
+    shift, m = shift.real[None, :], m[None, :]
     roots, ok = _assert_polish_matches_rows(shift, K, wgt, m)
     assert ok.tolist() == [True, True] + [False] * 5
     res = dy._resid(roots, shift, K, 0.0)
-    drift = np.abs(roots - m).max(axis=1)
+    drift = np.abs(roots - m).max(axis=0)
     # which gate turned down each of the last four rows
     assert res[3] > 1e-12 and res[6] > 1e-12
     assert res[4] <= 1e-12 and drift[4] > dy.HOLDER_ALLOW
     assert res[5] <= 1e-12 and drift[5] <= dy.HOLDER_ALLOW
-    assert abs(roots[1, 0] + 1.0) < 1e-7
+    assert abs(roots[0, 1] + 1.0) < 1e-7
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -253,7 +254,7 @@ def test_polish_matches_per_row_oracle_on_spectral_grid(name):
     m = dy._boundary_batch(shift, K, st.lam, polish=False)
     near = m.imag.max(axis=1) <= dy.HOLDER_ALLOW
     assert near.sum() > 1
-    _, ok = _assert_polish_matches_rows(shift[near], K, st.lam, m[near])
+    _, ok = _assert_polish_matches_rows(shift[near].T, K, st.lam, m[near].T)
     assert ok.any()
 
 
@@ -262,7 +263,7 @@ def test_polished_batch_makes_one_polish_call(monkeypatch):
     rows = []
 
     def counted(shift, K, wgt, m):
-        rows.append(len(shift))
+        rows.append(shift.shape[1])
         return polish(shift, K, wgt, m)
 
     monkeypatch.setattr(dy, "_polish_real", counted)
@@ -274,7 +275,7 @@ def test_polished_batch_makes_one_polish_call(monkeypatch):
 def _full_batch_damped_sweeps(m, shift, K, z, tol, sweeps, live_counts):
     # reference: every sweep steps the whole batch and masks with live
     res = dy._resid(m, shift, K, z)
-    alpha = np.full(m.shape[0], 0.5)
+    alpha = np.full(m.shape[1], 0.5)
     used = 0
     for _ in range(sweeps):
         live = res > tol
@@ -282,13 +283,13 @@ def _full_batch_damped_sweeps(m, shift, K, z, tol, sweeps, live_counts):
             break
         live_counts.append(int(live.sum()))
         used += 1
-        step = -1.0 / (z + shift + m @ K.T)
-        cand = (1.0 - alpha[:, None]) * m + alpha[:, None] * step
+        step = -1.0 / (z + shift + K @ m)
+        cand = (1.0 - alpha) * m + alpha * step
         np.maximum(cand.imag, 0.0, out=cand.imag)
         rc = dy._resid(cand, shift, K, z)
         better = live & (rc <= res)
         worse = live & ~better
-        m[better] = cand[better]
+        m[:, better] = cand[:, better]
         res[better] = rc[better]
         alpha[better] = np.minimum(0.5, alpha[better] * 1.2)
         alpha[worse] = np.maximum(1e-3, alpha[worse] * 0.5)
@@ -298,20 +299,21 @@ def _full_batch_damped_sweeps(m, shift, K, z, tol, sweeps, live_counts):
 @pytest.fixture(scope="module")
 def edge_batch():
     """Rows outside the support, in the bulk and just below a band edge,
-    continued to the fourth eta level, every seventh row already solved."""
+    continued to the fourth eta level, every seventh row already solved.
+    shift and m0 are (r, n), one column per row, as the kernel takes them."""
     x = np.array([0.1, -0.2, 0.3])
     meas = dy.spectral_measure(T3, x)
     grid = meas.grid
     edge = np.searchsorted(grid, meas.support[0][0])
     mid = len(grid) // 2
     rows = np.r_[edge - 200:edge - 190, mid - 10:mid + 10, edge - 1]
-    shift = grid[rows, None] + (x / np.sqrt(T3.lam))[None, :]
+    shift = (x / np.sqrt(T3.lam))[:, None] + grid[None, rows]
     K = dy._coupling(T3)
     m0 = None
     for eta in dy.ETA_LADDER[:3]:
         m0, _ = dy._solve_batch(shift, K, 1j * eta, warm=m0)
     z = 1j * dy.ETA_LADDER[3]
-    m0[::7] = dy._solve_batch(shift[::7], K, z, warm=m0[::7])[0]
+    m0[:, ::7] = dy._solve_batch(shift[:, ::7], K, z, warm=m0[:, ::7])[0]
     return shift, K, z, m0
 
 
@@ -320,7 +322,7 @@ def edge_batch():
 def test_damped_sweeps_on_live_rows_match_full_batch(edge_batch, tol):
     shift, K, z, m0 = edge_batch
     settled = dy._resid(m0, shift, K, z) <= tol
-    assert 0 < settled.sum() < len(m0)
+    assert 0 < settled.sum() < m0.shape[1]
 
     live_counts = []
     m_ref, res_ref, used_ref = _full_batch_damped_sweeps(
@@ -328,11 +330,11 @@ def test_damped_sweeps_on_live_rows_match_full_batch(edge_batch, tol):
     m, res, used = dy._damped_sweeps(m0.copy(), shift, K, z, tol, 400)
     # the batch thins out to a lone straggler, the case numpy multiplies
     # through gemv rather than gemm
-    assert live_counts[0] < len(m0) and 1 in live_counts
+    assert live_counts[0] < m0.shape[1] and 1 in live_counts
     assert np.array_equal(m, m_ref)
     assert np.array_equal(res, res_ref)
     assert used == used_ref
-    assert np.array_equal(m[settled], m0[settled])
+    assert np.array_equal(m[:, settled], m0[:, settled])
 
 
 def _no_newton(m, shift, K, z):
@@ -344,12 +346,12 @@ def test_newton_first_matches_sweep_first_down_the_ladder(edge_batch,
     shift, K, _, _ = edge_batch
     # and rows outside the support [-2.49, 2.23]: far below, just above,
     # and far above it
-    rows = np.r_[shift, shift[:1] + np.array([[-20.0], [6.0], [9.0], [60.0]])]
+    rows = np.c_[shift, shift[:, :1] + np.array([-20.0, 6.0, 9.0, 60.0])]
     sweep_first = dy._sweep_first
     fallbacks = []
 
     def counted(*args):
-        fallbacks.append(len(args[0]))
+        fallbacks.append(args[0].shape[1])
         return sweep_first(*args)
 
     monkeypatch.setattr(dy, "_sweep_first", counted)
@@ -370,14 +372,14 @@ def test_sweeps_alone_reach_the_newton_root(edge_batch, monkeypatch):
     root, _ = dy._solve_batch(shift, K, z, warm=m0)
     # just inside the band edge: Newton solves it, while sweeps alone stop
     # far from the root after _sweep_first's 400 + 60 * 200 sweeps
-    inside = shift[-1:] + 0.1
-    dy._solve_batch(inside, K, z, warm=m0[-1:])
+    inside = shift[:, -1:] + 0.1
+    dy._solve_batch(inside, K, z, warm=m0[:, -1:])
     monkeypatch.setattr(dy, "_newton_rounds", _no_newton)
     m, work = dy._solve_batch(shift, K, z, warm=m0)
     assert np.abs(m - root).max() <= 1e-10
     assert work > 0
     with pytest.raises(NonConvergence):
-        dy._solve_batch(inside, K, z, warm=m0[-1:])
+        dy._solve_batch(inside, K, z, warm=m0[:, -1:])
 
 
 def test_stalled_newton_rows_restart_sweep_first():
@@ -388,7 +390,7 @@ def test_stalled_newton_rows_restart_sweep_first():
     xi2 = np.array([[0.6, 1.1, 1.1, 1.3], [1.1, 2.0, 1.4, 0.8],
                     [1.1, 1.4, 1.2, 1.7], [1.3, 0.8, 1.7, 2.0]])
     K = xi2 / lam[:, None]
-    shift = np.array([[-80.0], [-70.0], [-60.0]]) * np.ones(4)
+    shift = np.ones((4, 1)) * np.array([-80.0, -70.0, -60.0])
     z = 1e-2j
     start = np.full(shift.shape, 1j)
     _, res, _ = dy._newton_rounds(start.copy(), shift, K, z)
@@ -409,12 +411,18 @@ def _random_stack(rng, n, r, dtype):
     return J, rhs
 
 
+def _solve_rows(J, rhs, lstsq=False):
+    # the kernel takes J as (r, r, n) and rhs as (r, n); rows come back (n, r)
+    d, solved = dy._solve_rows(J.transpose(1, 2, 0), rhs.T, lstsq)
+    return d.T, solved
+
+
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_solve_rows_matches_lapack(r, dtype):
     # r <= 3 solves by the adjugate, r = 4 through LAPACK
     J, rhs = _random_stack(np.random.default_rng(r), 200, r, dtype)
-    d, solved = dy._solve_rows(J, rhs)
+    d, solved = _solve_rows(J, rhs)
     want = np.linalg.solve(J, rhs[..., None])[..., 0]
     assert d.dtype == want.dtype and solved.all()
     scale = np.linalg.cond(J)[:, None] * np.abs(want).max(axis=1, keepdims=True)
@@ -425,25 +433,25 @@ def test_solve_rows_matches_lapack(r, dtype):
 def test_solve_rows_flags_only_the_singular_row(r):
     J, rhs = _random_stack(np.random.default_rng(10 + r), 6, r, complex)
     J[2, -1] = 0.0                         # a zero row: det exactly 0
-    d, solved = dy._solve_rows(J, rhs)
+    d, solved = _solve_rows(J, rhs)
     assert solved.tolist() == [True, True, False, True, True, True]
     assert np.all(d[2] == 0.0)
     keep = np.flatnonzero(solved)
     assert np.allclose(d[keep], np.linalg.solve(J[keep], rhs[keep, :, None])[..., 0])
     # with lstsq the singular row takes the least-squares step
-    d_ls, _ = dy._solve_rows(J, rhs, lstsq=True)
+    d_ls, _ = _solve_rows(J, rhs, lstsq=True)
     assert np.allclose(d_ls[2], np.linalg.lstsq(J[2], rhs[2], rcond=None)[0])
     assert np.array_equal(d_ls[keep], d[keep])
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_empty_batches_pass_through(r):
-    d, solved = dy._solve_rows(np.zeros((0, r, r)), np.zeros((0, r)))
-    assert d.shape == (0, r) and solved.shape == (0,)
+    d, solved = dy._solve_rows(np.zeros((r, r, 0)), np.zeros((r, 0)))
+    assert d.shape == (r, 0) and solved.shape == (0,)
     K = np.eye(r)
-    roots, ok = dy._polish_real(np.zeros((0, r)), K, np.ones(r) / r,
-                                np.zeros((0, r), complex))
-    assert roots.shape == (0, r) and ok.shape == (0,)
+    roots, ok = dy._polish_real(np.zeros((r, 0)), K, np.ones(r) / r,
+                                np.zeros((r, 0), complex))
+    assert roots.shape == (r, 0) and ok.shape == (0,)
 
 
 def test_boundary_values_are_label_invariant():

@@ -8,7 +8,8 @@ from glassland import hamiltonian as ham
 from glassland import landscape as ls
 from glassland.dyson import spectral_measure
 from glassland.errors import LostTrack, MaxIters, ValidationError
-from glassland.mixture import all_sign_patterns, ideal_stats, stats
+from glassland.mixture import (MixtureSpec, all_sign_patterns,
+                               classify_solvability, ideal_stats, stats)
 from glassland.presets import get_preset
 
 SYM = get_preset("symmetric-pair")
@@ -188,6 +189,41 @@ def test_follow_validation():
     no_field = ham.sample(get_preset("pure3"), 20, seed=0)
     with pytest.raises(ValidationError):
         ls.follow_critical_points(no_field, (1,))
+
+
+def _homotopy_mixture(spec, t):
+    # H_1 + t H_{>=2}, the Hamiltonian at weight t on the homotopy path, has
+    # covariance xi_1 + t^2 xi_{>=2}: every coefficient of degree >= 2 times t
+    return MixtureSpec(r=spec.r, lam=spec.lam, max_degree=spec.max_degree,
+                       coeffs=tuple((deg, idx, g if deg == 1 else t * g)
+                                    for deg, idx, g in spec.coeffs))
+
+
+@pytest.mark.parametrize("preset", ["skew-pair", "cubic-pair",
+                                    "symmetric-pair", "three-species"])
+def test_homotopy_path_stays_strictly_super_solvable(preset):
+    # xi_1 has no second derivative, so with s = t^2
+    #   diag(xi_t') - xi_t'' = (1 - s) diag(xi_1') + s (diag(xi') - xi''),
+    # a convex combination of two positive definite matrices when every
+    # gamma_{1,s} > 0 and xi is strictly super-solvable.  Its smallest
+    # eigenvalue is concave in s, so it stays above the chord: every mixture
+    # on the path is strictly super-solvable, which is what keeps the
+    # critical points of follow_critical_points apart from t = 0 to t = 1
+    spec = get_preset(preset)
+    assert np.all(spec.gamma1 > 0)
+    full = classify_solvability(spec)
+    assert full.label == "strictly_super_solvable"
+    end = np.diag(stats(spec).xi_prime) - stats(spec).xi_dprime
+    start = np.diag(stats(_homotopy_mixture(spec, 0.0)).xi_prime)
+    for t in np.linspace(0.0, 1.0, 21):
+        path = stats(_homotopy_mixture(spec, t))
+        s = t * t
+        assert np.allclose(np.diag(path.xi_prime) - path.xi_dprime,
+                           (1 - s) * start + s * end, rtol=0, atol=1e-12)
+        report = classify_solvability(_homotopy_mixture(spec, t))
+        assert report.label == "strictly_super_solvable"
+        chord = (1 - s) * start.diagonal().min() + s * full.min_eig
+        assert report.min_eig >= chord - 1e-12
 
 
 def test_small_species_follows_to_predicted_index():
