@@ -15,8 +15,10 @@ its time in numpy overhead.  Batches enter and leave as (n, r) rows
 through _boundary_batch.  Only rows where Newton
 stalls, and a real z (reached from a warm start), take the slower path of
 damped half-plane sweeps before Newton.  Boundary values u(v) at z -> 0
-are obtained by geometric eta-continuation with warm starts,
-limiting spectral densities come from the imaginary parts, and boundary
+come from two eta levels: a cold solve (m = i) at ETA_LEVELS[0], where
+uniqueness makes a warm start unnecessary, and a warm solve at
+ETA_LEVELS[1], whose drift from the first is the Hoelder check.
+Limiting spectral densities come from the imaginary parts, and boundary
 points are classified by feasibility conditions on the stability
 matrices and by multi-scale probes (edge vs cusp).
 """
@@ -32,11 +34,15 @@ from .errors import (DegenerateU, InconsistentProbes, MassDeficit,
 from .mixture import MixtureStats, species_sizes
 
 ETA_FLOOR = 1e-9
-ETA_LADDER = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
-# 1/3-Hoelder allowance at the final continuation level
-HOLDER_ALLOW = 10.0 * ETA_LADDER[-1] ** (1.0 / 3.0)
+# the cold level and the final level of every boundary solve
+ETA_LEVELS = (1e-6, 1e-7)
+# m is 1/3-Hoelder in z, so the two levels may drift apart, and the
+# final level sit away from the eta -> 0 limit, by this much
+HOLDER_ALLOW = 10.0 * ETA_LEVELS[-1] ** (1.0 / 3.0)
 REAL_TOL = 1e-5
 TAU_SUPP = 1e-4
+# per-species mass of a spectral measure's grid quadrature
+MASS_TOL = 1e-4
 # support endpoints: bisection steps, and steps settled per batched call
 SUPPORT_BISECTIONS = 20
 DYADIC_DEPTH = 4
@@ -391,14 +397,20 @@ def _polish_real(shift, K, wgt, m):
 
 
 def _boundary_batch(shift, K, wgt, polish=True):
-    """eta-continuation down the ladder for a batch of shifts.
+    """Boundary values for a batch of shifts from the two ETA_LEVELS.
+
+    Every row is solved cold (m = i) at ETA_LEVELS[0]: for Im z > 0 the
+    root with Im m >= 0 is unique, so _solve_batch reaches it from any
+    start in the upper half-plane, and levels above it would buy only
+    warm starts, which cost more than they save.  The row is then solved
+    at ETA_LEVELS[1] from that root.
 
     shift comes in and m goes out as (n, r), one row per point; the kernel
     works on their (r, n) transposes.  The (n, r) seam stays because the
     callers build and read points as rows, and the benchmark's tracer
     counts a call's rows as shift.shape[0].
 
-    With polish, a row whose last two levels drift apart by more than
+    With polish, a row whose two levels drift apart by more than
     HOLDER_ALLOW raises NonConvergence, and the near-real rows go through
     one _polish_real call, each with its own Newton iterations; a row that
     passes its three gates (residual, Hoelder drift, stability) is replaced
@@ -406,11 +418,8 @@ def _boundary_batch(shift, K, wgt, polish=True):
     Without polish the continued values come back as they are.
     """
     shift = np.ascontiguousarray(shift.T)
-    m = None
-    for eta in ETA_LADDER:
-        m, _ = _solve_batch(shift, K, 1j * eta, warm=m)
-        if eta == ETA_LADDER[-2]:
-            m_prev = m.copy()
+    m_prev, _ = _solve_batch(shift, K, 1j * ETA_LEVELS[0])
+    m, _ = _solve_batch(shift, K, 1j * ETA_LEVELS[1], warm=m_prev)
     if polish:
         drift = np.abs(m - m_prev).max(axis=0)
         if (drift > HOLDER_ALLOW).any():
@@ -491,6 +500,12 @@ def spectral_measure(stats: MixtureStats, x, grid_spec=None,
     With ``sizes`` (per-species block sizes N_s) the finite-size system is
     solved instead: coupling xi''_{s,t}(N_t - 1)/(N lambda_s lambda_t) and
     aggregation weights (N_s - 1)/(N - r).
+
+    A grid passes when every species' mass is within MASS_TOL of 1.  When
+    one does not, the retry widens a grid whose ends carry density, which
+    cut the support off, at the same spacing, and otherwise halves the
+    spacing: a mass off 1 on either side inside the grid means it is too
+    coarse for the density.  MassDeficit is raised after four retries.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (stats.r,):
@@ -515,13 +530,16 @@ def spectral_measure(stats: MixtureStats, x, grid_spec=None,
         m = _boundary_batch(shift, K, wagg)
         dens_s = m.imag.T / np.pi
         mass_s = np.trapezoid(dens_s, grid, axis=1)
-        if np.all(mass_s >= 1.0 - 1e-4):
+        if np.all(np.abs(mass_s - 1.0) <= MASS_TOL):
             break
-        pad = (hi - lo) / 2.0
-        lo, hi = lo - pad, hi + pad
+        if dens_s[:, [0, -1]].max() > TAU_SUPP:
+            pad = (hi - lo) / 2.0
+            lo, hi = lo - pad, hi + pad
+        n = 2 * n - 1
     else:
         raise MassDeficit(
-            f"per-species masses {mass_s} below 1-1e-4 after grid expansion")
+            f"per-species masses {mass_s} not within {MASS_TOL} of 1 after "
+            f"grid refinement")
     agg = wagg @ dens_s
 
     def agg_density_at(g):

@@ -432,8 +432,8 @@ def v_star(spec: MixtureSpec, phi_prime) -> np.ndarray:
         raise ValidationError("phi_prime must satisfy <lambda, phi> = 1")
     st = stats(spec)
     slope = (st.xi_dprime @ phi) / lam
-    rad = phi / slope
-    if np.any(slope <= 0) or np.any(rad <= 0):
+    # phi > 0, so the radicand phi / slope has the sign of the slope
+    if np.any(slope <= 0):
         raise NegativeRadicand("nonpositive radicand in f_s")
-    f = np.sqrt(rad)
+    f = np.sqrt(phi / slope)
     return lam / f + st.xi_dprime @ f

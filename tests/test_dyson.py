@@ -272,6 +272,91 @@ def test_polished_batch_makes_one_polish_call(monkeypatch):
     assert len(rows) == 1 and rows[0] >= real.sum() > 1
 
 
+# a dense continuation, each level warm-started from the one above: the
+# reference that the cold start at the first of the solver's levels must match
+DENSE_LADDER = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
+
+
+def _dense_ladder_values(shift, K, wgt):
+    # _boundary_batch with polish, down DENSE_LADDER; (n, r) rows in and out
+    sh = np.ascontiguousarray(shift.T)
+    m = None
+    for eta in DENSE_LADDER:
+        prev, (m, _) = m, dy._solve_batch(sh, K, 1j * eta, warm=m)
+    assert np.abs(m - prev).max() <= dy.HOLDER_ALLOW
+    near = np.flatnonzero(m.imag.max(axis=0) <= dy.HOLDER_ALLOW)
+    roots, ok = dy._polish_real(sh[:, near], K, wgt, m[:, near])
+    m[:, near[ok]] = roots[:, ok]
+    return m.T
+
+
+def _radial_rows(stats, x, grid):
+    # the radial points v = lambda * shift of a spectral grid at x
+    return stats.lam * (grid[:, None] + x / np.sqrt(stats.lam))
+
+
+def _all_pairs(lam, gamma):
+    # every degree-2 coupling, the species' own ones gamma, the others 0.5
+    r = len(lam)
+    return mx.stats(mx.MixtureSpec(
+        r=r, lam=np.asarray(lam), max_degree=2,
+        coeffs=tuple((2, (s, t), gamma if s == t else 0.5)
+                     for s, t in itertools.combinations_with_replacement(
+                         range(r), 2))))
+
+
+def _hard_rows(case):
+    if case in ("three-species", "skew-pair"):
+        # spectral_measure's grid with the support endpoints it found: rows
+        # in the bulk, in gaps, outside the support and at band edges
+        st, x = {"three-species": (T3, np.array([0.1, -0.2, 0.3])),
+                 "skew-pair": (FC, np.array([0.4, -0.7]))}[case]
+        meas = dy.spectral_measure(st, x)
+        return st, _radial_rows(st, x, np.r_[meas.grid, np.ravel(meas.support)])
+    if case == "r=6":
+        st = _all_pairs(np.arange(1.0, 7.0) / 21.0, 1.0)
+    else:
+        # lambda_0 = 1e-3 makes the coupling xi''/lambda stiff
+        st = _all_pairs([1e-3, 0.4, 0.599], 1.2)
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-1.0, 1.0, st.r)
+    C = dy._grid_radius(st, x / np.sqrt(st.lam))
+    wide = rng.uniform(-8.0, 8.0, (300, st.r)) * st.lam
+    return st, np.r_[_radial_rows(st, x, np.linspace(-C, C, 1001)), wide]
+
+
+@pytest.mark.parametrize("case", ["three-species", "skew-pair", "r=6",
+                                  "lambda=1e-3"])
+def test_two_levels_match_dense_ladder(case, monkeypatch):
+    # the root with Im m >= 0 is unique for Im z > 0, so the cold start at
+    # the first level reaches the root the dense continuation reaches
+    st, V = _hard_rows(case)
+    polish, sweep_first = dy._polish_real, dy._sweep_first
+    accepted, fallbacks = [], []
+
+    def polish_counted(shift, K, wgt, m):
+        roots, ok = polish(shift, K, wgt, m)
+        accepted.append((shift, ok))
+        return roots, ok
+
+    def sweep_first_counted(m, *args):
+        fallbacks.append(m.shape[1])
+        return sweep_first(m, *args)
+
+    monkeypatch.setattr(dy, "_polish_real", polish_counted)
+    monkeypatch.setattr(dy, "_sweep_first", sweep_first_counted)
+    ref = _dense_ladder_values(V / st.lam, dy._coupling(st), st.lam)
+    ref_fallbacks, fallbacks[:] = sum(fallbacks), []
+    got = dy.boundary_values(st, V)
+    assert np.abs(got - ref).max() <= 1e-12
+    # the same rows were polished, and the same ones accepted
+    (s_ref, ok_ref), (s_got, ok_got) = accepted
+    assert np.array_equal(s_ref, s_got) and np.array_equal(ok_ref, ok_got)
+    assert ok_got.any()
+    # no more rows restarted in _sweep_first than down the dense ladder
+    assert sum(fallbacks) <= ref_fallbacks
+
+
 def _full_batch_damped_sweeps(m, shift, K, z, tol, sweeps, live_counts):
     # reference: every sweep steps the whole batch and masks with live
     res = dy._resid(m, shift, K, z)
@@ -299,8 +384,10 @@ def _full_batch_damped_sweeps(m, shift, K, z, tol, sweeps, live_counts):
 @pytest.fixture(scope="module")
 def edge_batch():
     """Rows outside the support, in the bulk and just below a band edge,
-    continued to the fourth eta level, every seventh row already solved.
-    shift and m0 are (r, n), one column per row, as the kernel takes them."""
+    continued through eta = 1e-2, 1e-3, 1e-4 to z = 1e-5j, every seventh row
+    already solved there.  The levels are pinned here, apart from the
+    solver's, so that many rows are still live at z.  shift and m0 are
+    (r, n), one column per row, as the kernel takes them."""
     x = np.array([0.1, -0.2, 0.3])
     meas = dy.spectral_measure(T3, x)
     grid = meas.grid
@@ -310,9 +397,9 @@ def edge_batch():
     shift = (x / np.sqrt(T3.lam))[:, None] + grid[None, rows]
     K = dy._coupling(T3)
     m0 = None
-    for eta in dy.ETA_LADDER[:3]:
+    for eta in (1e-2, 1e-3, 1e-4):
         m0, _ = dy._solve_batch(shift, K, 1j * eta, warm=m0)
-    z = 1j * dy.ETA_LADDER[3]
+    z = 1e-5j
     m0[:, ::7] = dy._solve_batch(shift[:, ::7], K, z, warm=m0[:, ::7])[0]
     return shift, K, z, m0
 
@@ -356,7 +443,7 @@ def test_newton_first_matches_sweep_first_down_the_ladder(edge_batch,
 
     monkeypatch.setattr(dy, "_sweep_first", counted)
     m = ref = None
-    for eta in dy.ETA_LADDER:
+    for eta in dy.ETA_LEVELS:
         z = 1j * eta
         m, _ = dy._solve_batch(rows, K, z, warm=m)
         start = np.full(rows.shape, 1j) if ref is None else ref.copy()
@@ -548,6 +635,39 @@ def test_measure_pure3_top_edge_at_zero():
     assert abs(top) < 1e-3
 
 
+# A square-root edge's density c*sqrt(t) crosses TAU_SUPP at t of order
+# (TAU_SUPP / c)^2 inside the support, where the detected endpoint sits
+# (measured 7e-8 to 1.9e-6).
+EDGE_TOL = 1e-5
+# At a band edge u is a double root; plain Newton to _polish_real's 5e-14
+# would leave u off by about sqrt(5e-14) = 2e-7, and the eigenvalue moves
+# linearly with u.  The multiplicity steps do better (measured <= 1.3e-8).
+EDGE_EIG_TOL = 1e-6
+
+
+@pytest.mark.parametrize("name, phi_seed", [
+    ("cubic-pair", None), ("skew-pair", None), ("three-species", None),
+    ("pure3", None), ("cubic-pair", 3), ("skew-pair", 3),
+    ("three-species", 3)])
+def test_v_star_touches_the_band_edge(name, phi_seed):
+    # spectral_measure and solve_dyson shift by x/sqrt(lambda),
+    # boundary_values by v/lambda, so the edge point v_* sits at
+    # x = v_*/sqrt(lambda); both solves start cold at a band edge there
+    spec = get_preset(name)
+    st = mx.stats(spec)
+    phi = np.ones(st.r)
+    if phi_seed is not None:
+        phi = np.random.default_rng(phi_seed).uniform(0.5, 1.5, st.r)
+        phi /= st.lam @ phi
+    v = mx.v_star(spec, phi)
+    meas = dy.spectral_measure(st, v / np.sqrt(st.lam))
+    assert np.abs(meas.support).min() <= EDGE_TOL
+    u = dy.boundary_u(st, v)
+    assert np.all(u.imag == 0.0)
+    M = np.diag(st.lam / u.real ** 2) - st.xi_dprime
+    assert abs(np.linalg.eigvalsh(M)[0]) <= EDGE_EIG_TOL
+
+
 def test_measure_species_supports_coincide():
     meas = dy.spectral_measure(FB, np.array([0.9, -0.3]))
     step = meas.grid[1] - meas.grid[0]
@@ -588,6 +708,18 @@ def test_measure_finite_size_weights():
     inf = dy.spectral_measure(TC, np.zeros(2))
     # at large equal sizes the finite-size measure is close to the limit
     assert abs(meas.support[0][0] - inf.support[0][0]) < 0.1
+
+
+def test_measure_mass_retry_refines_the_grid():
+    # the finite-size measure of a three-species critical point: on the
+    # default grid two masses come out above 1 and one below, and a wider
+    # grid at the same number of points would only push them further off
+    x = mx.ideal_stats(get_preset("three-species"), (1, -1, -1)).radial
+    meas = dy.spectral_measure(T3, x, sizes=(12, 18, 30))
+    assert np.all(np.abs(meas.mass_s - 1) <= 1e-4)
+    C = dy._grid_radius(T3, x / np.sqrt(T3.lam))
+    assert meas.grid[0] == -C and meas.grid[-1] == C
+    assert len(meas.grid) > 2001
 
 
 def test_psi_oracles():

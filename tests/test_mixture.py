@@ -7,7 +7,8 @@ import pytest
 
 from glassland import mixture as mx
 from glassland import presets
-from glassland.errors import BadMixture, DegreeTooHigh, ValidationError
+from glassland.errors import (BadMixture, DegreeTooHigh, NegativeRadicand,
+                              ValidationError)
 
 
 def test_eval_xi_quadratic_at_one():
@@ -212,6 +213,17 @@ def test_v_star_validation():
         mx.v_star(spec, [1.0, 3.0])
     with pytest.raises(ValidationError):
         mx.v_star(spec, [-1.0, 3.0])
+
+
+def test_v_star_zero_coupling_row_raises():
+    # species 0 has only an external field, so its xi'' row and the slope
+    # <xi''_0, phi> / lambda_0 are zero: f_0 = sqrt(phi_0 / slope_0) has no
+    # finite value, which must raise before any division warns
+    spec = mx.MixtureSpec(r=2, lam=np.array([0.5, 0.5]), max_degree=2,
+                          coeffs=((1, (0,), 1.0), (1, (1,), 1.0),
+                                  (2, (1, 1), 1.0)))
+    with pytest.raises(NegativeRadicand):
+        mx.v_star(spec, [1.0, 1.0])
 
 
 def test_nondegenerate():
