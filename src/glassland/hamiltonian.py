@@ -80,8 +80,9 @@ class StatePoint:
 
 @dataclass(frozen=True)
 class LocalData:
-    """rhess is in the coordinates of basis, the tangent_basis blocks;
-    both are None unless the Hessian was asked for."""
+    """rhess is in the tangent_basis coordinates, kept as the Householder
+    reflector pair (V, X) of _reflectors in reflectors, never as dense
+    blocks; both are None unless the Hessian was asked for."""
 
     value: float
     egrad: np.ndarray
@@ -89,7 +90,7 @@ class LocalData:
     radial: np.ndarray
     curvature: np.ndarray
     rhess: np.ndarray
-    basis: list = None
+    reflectors: tuple = None
 
 
 @dataclass(frozen=True)
@@ -234,25 +235,32 @@ def overlap(sigma, rho, partition: Partition) -> np.ndarray:
             / partition.sizes)
 
 
+def _reflectors(partition: Partition, sig: np.ndarray) -> tuple:
+    """The Householder reflector P = I - X V^T behind tangent_basis.
+
+    With u = sig_s/|sig_s| and sign(0) = +1, columns s of the (N, r)
+    matrices V and X are v_s = u + sign(u_0) e_0 on I_s and x_s =
+    v_s/|v_s[0]| = v_s/(1 + |u_0|).  P maps e_0 to -sign(u_0) u.
+    """
+    V = np.zeros((partition.N, partition.r))
+    for s, sl in enumerate(partition.slices()):
+        V[sl, s] = sig[sl] / np.linalg.norm(sig[sl])
+        V[sl.start, s] += 1.0 if V[sl.start, s] >= 0 else -1.0
+    return V, V / np.abs(V[partition.offsets[:-1]]).sum(axis=0)
+
+
 def tangent_basis(partition: Partition, sigma) -> list:
     """Orthonormal tangent bases, one (N_s, N_s - 1) block per species.
 
-    With u = sigma_s/|sigma_s| and v = u + sign(u_0) e_0, sign(0) = +1,
-    block s is columns 1..N_s-1 of the Householder reflector
-    I - v v^T/(1 + |u_0|).  Column 0 is -sign(u_0) u, so the rest span the
-    tangent space; the sign keeps u_0 + sign(u_0) from cancelling.  At
-    +-north_pole the block is exactly the standard coordinates 1..N_s-1.
+    Block s is columns 1..N_s-1 of the reflector P_s of _reflectors().
+    Column 0 is -sign(u_0) u, so the rest span the tangent space; the sign
+    keeps u_0 + sign(u_0) from cancelling.  At +-north_pole the block is
+    exactly the standard coordinates 1..N_s-1.
     """
-    sig = _as_sigma(sigma)
-    blocks = []
-    for sl in partition.slices():
-        v = sig[sl] / np.linalg.norm(sig[sl])
-        head = abs(v[0])
-        v[0] += 1.0 if v[0] >= 0 else -1.0
-        basis = np.outer(v, v[1:] / -(1.0 + head))
-        basis[1:] += np.eye(v.shape[0] - 1)
-        blocks.append(basis)
-    return blocks
+    V, X = _reflectors(partition, _as_sigma(sigma))
+    return [np.eye(sl.stop - sl.start)[:, 1:]
+            - np.outer(X[sl, s], V[sl.start + 1:sl.stop, s])
+            for s, sl in enumerate(partition.slices())]
 
 
 def _contract(instance: HamiltonianInstance, sig: np.ndarray,
@@ -305,22 +313,30 @@ def local_data(instance: HamiltonianInstance, sigma,
     curvature = inner / part.sizes
     rgrad = egrad - curvature[part.labels] * sig
 
-    rhess = blocks = None
+    rhess = refl = None
     if want_hessian:
-        blocks = tangent_basis(part, sig)
-        tan = Partition(sizes=part.sizes - 1, N=part.N - part.r).slices()
+        # rhess is P E P less each block's first row and column, and
+        # P E P = E - U Z^T with W = E V and Y = W - X (V^T W)/2
+        V, X = refl = _reflectors(part, sig)
+        W = ehess @ V
+        Y = W - 0.5 * X @ (V.T @ W)
+        U, Z = np.hstack((X, Y)), np.hstack((Y, X))
+        tails = [slice(sl.start + 1, sl.stop) for sl in sls]
+        tan = [slice(sl.start - s, sl.stop - s - 1) for s, sl in enumerate(sls)]
         rhess = np.empty((part.N - part.r,) * 2)
         for a, b in combinations_with_replacement(range(part.r), 2):
-            blk = blocks[a].T @ ehess[sls[a], sls[b]] @ blocks[b]
+            ta, tb = tails[a], tails[b]
+            blk = rhess[tan[a], tan[b]]
+            np.subtract(ehess[ta, tb], U[ta] @ Z[tb].T, out=blk)
             if a == b:
-                blk = 0.5 * (blk + blk.T)
-            rhess[tan[a], tan[b]] = blk
-            rhess[tan[b], tan[a]] = blk.T
-        rhess[np.diag_indices_from(rhess)] -= np.repeat(curvature,
-                                                        part.sizes - 1)
+                blk[...] = 0.5 * (blk + blk.T)
+            else:
+                rhess[tan[b], tan[a]] = blk.T
+        rhess.flat[::rhess.shape[0] + 1] -= np.repeat(curvature,
+                                                      part.sizes - 1)
 
     return LocalData(value=value, egrad=egrad, rgrad=rgrad, radial=radial,
-                     curvature=curvature, rhess=rhess, basis=blocks)
+                     curvature=curvature, rhess=rhess, reflectors=refl)
 
 
 def energy(instance: HamiltonianInstance, sigma, degree_weights=None) -> float:

@@ -115,19 +115,15 @@ def scale(vec, delta, q, partition):
     return out
 
 
-def _reduced(blocks, partition, vec):
-    return np.concatenate([blocks[s].T @ vec[sl]
-                           for s, sl in enumerate(partition.slices())])
+def _reduced(refl, partition, vec):
+    V, X = refl
+    return np.delete(vec - X @ (V.T @ vec), partition.offsets[:-1])
 
 
-def _ambient(blocks, partition, red):
-    out = np.zeros(partition.N)
-    off = 0
-    for s, sl in enumerate(partition.slices()):
-        w = int(partition.sizes[s]) - 1
-        out[sl] = blocks[s] @ red[off:off + w]
-        off += w
-    return out
+def _ambient(refl, partition, red):
+    V, X = refl
+    out = np.insert(red, partition.offsets[:-1] - np.arange(partition.r), 0.0)
+    return out - X @ (V.T @ out)
 
 
 def _try_step(instance, sig, ld, h, gn, degree_weights, halvings):
@@ -138,7 +134,7 @@ def _try_step(instance, sig, ld, h, gn, degree_weights, halvings):
     carries its Hessian.  Returns the accepted (sigma, LocalData) or None.
     """
     part = instance.partition
-    step = _ambient(ld.basis, part, h)
+    step = _ambient(ld.reflectors, part, h)
     cap = 0.5 * np.sqrt(part.N)
     snorm = float(np.linalg.norm(step))
     if snorm > cap:
@@ -183,7 +179,7 @@ def _newton(instance, sig, max_iters, tol, degree_weights, raise_on_fail,
                 raise MaxIters(
                     f"no convergence in {max_iters} newton iterations")
             break
-        g_red = _reduced(ld.basis, part, ld.rgrad)
+        g_red = _reduced(ld.reflectors, part, ld.rgrad)
         accepted = None
         try:
             h = -np.linalg.solve(ld.rhess, g_red)
@@ -232,17 +228,21 @@ def newton_refine(instance: HamiltonianInstance, sigma0, max_iters: int = 50,
     The convergence test runs before any step, so a point already at
     tolerance comes back unchanged with 0 iterations.  Each iteration
     first tries the plain step, an LU solve with the reduced Hessian, at
-    full length.  Only if the solve fails or that trial does not cut the
-    gradient norm by 10% does it fall back to an eigh ladder: the
-    pseudo-inverse step without the modes of |eigenvalue| < 1e-6, then
-    four increasing damping levels, each backtracked up to 20 times.
-    Steps are capped at 0.5 sqrt(N).  The accepted full-length trial
-    carries its Hessian into the next iteration; an accepted backtracked
-    one is evaluated again with it.  ill_conditioned is set when the
-    final spectrum has an |eigenvalue| < 1e-6 or the ladder dropped a
-    mode on the way.  Raises MaxIters when the budget runs out or the
-    search stalls, unless raise_on_fail is off, in which case the best
-    iterate is returned with its unconverged grad_norm.
+    full length; local_data builds that Hessian in O(N^2) in the tangent
+    coordinates of its Householder reflectors (LocalData), which map a
+    step to ambient space in O(N).  Only if the solve fails or that trial
+    does not cut the gradient norm by 10% does it fall back to an eigh
+    ladder: the pseudo-inverse step without the modes of |eigenvalue| <
+    1e-6, then four increasing damping levels, each backtracked up to 20
+    times.  Steps are capped at 0.5 sqrt(N).  The accepted full-length
+    trial carries its Hessian into the next iteration; an accepted
+    backtracked one is evaluated again with it.  The final spectrum and
+    index come from eigvalsh (the homotopy's long steps test only for
+    their predicted index, by Cholesky: _has_index).  ill_conditioned is
+    set when that spectrum has an |eigenvalue| < 1e-6 or the ladder
+    dropped a mode on the way.  Raises MaxIters when the budget runs out
+    or the search stalls, unless raise_on_fail is off, in which case the
+    best iterate is returned with its unconverged grad_norm.
     """
     part = instance.partition
     sig = _as_sigma(sigma0)
@@ -287,8 +287,8 @@ def _tangent(instance, sig, ld, t):
     """
     part = instance.partition
     g1 = instance.gamma_tables[1][part.labels] * instance.tensors[1]
-    g_red = _reduced(ld.basis, part, (ld.egrad - g1) / t)
-    return _ambient(ld.basis, part, np.linalg.solve(ld.rhess, -g_red))
+    g_red = _reduced(ld.reflectors, part, (ld.egrad - g1) / t)
+    return _ambient(ld.reflectors, part, np.linalg.solve(ld.rhess, -g_red))
 
 
 def follow_critical_points(instance: HamiltonianInstance, delta,
@@ -326,12 +326,12 @@ def follow_critical_points(instance: HamiltonianInstance, delta,
         warnings.warn("mixture is not strictly super-solvable; the homotopy "
                       "path is not guaranteed to stay on one branch")
     degrees = sorted(instance.tensors)
-    expected = int(np.sum((part.sizes - 1)[arr < 0]))
+    up = np.repeat(arr < 0, part.sizes - 1)
     predictions = [ideal_stats(instance.mixture, d)
                    for d in all_sign_patterns(part.r)]
 
     def is_type_delta(res):
-        return (res.grad_norm <= NEWTON_TOL and res.index == expected
+        return (res.grad_norm <= NEWTON_TOL and res.index == up.sum()
                 and _assign_delta(predictions, res.radial, np.inf) == ints)
 
     sigma = scale(instance.tensors[1], arr, np.ones(part.r), part)
@@ -349,7 +349,7 @@ def follow_critical_points(instance: HamiltonianInstance, delta,
             sigma, ld, history, iters, _ = _newton(instance, pred, 40,
                                                    STEP_TOL, wts, False)
         else:
-            step = _long_step(instance, pred, wts, expected)
+            step = _long_step(instance, pred, wts, up)
             if step is None:
                 m //= 2
                 continue
@@ -376,13 +376,13 @@ def follow_critical_points(instance: HamiltonianInstance, delta,
     return replace(res, delta=ints)
 
 
-def _long_step(instance, pred, wts, expected):
+def _long_step(instance, pred, wts, up):
     """Correct a homotopy step longer than one grid unit, if it is safe.
 
     Returns (sigma, LocalData, grad_norm history, iterations) when Newton
     reaches STEP_TOL within LONG_STEP_ITERS, lands within LONG_STEP_JUMP
     sqrt(N) of the prediction pred and the Hessian there has the index
-    expected; otherwise None, and the caller shortens the step.
+    up.sum(); otherwise None, and the caller shortens the step.
     """
     try:
         sig, ld, history, iters, _ = _newton(instance, pred, LONG_STEP_ITERS,
@@ -390,10 +390,39 @@ def _long_step(instance, pred, wts, expected):
     except MaxIters:
         return None
     jump = np.linalg.norm(sig - pred) / np.sqrt(instance.partition.N)
-    index = np.count_nonzero(np.linalg.eigvalsh(ld.rhess) > ZERO_EIG)
-    if jump > LONG_STEP_JUMP or index != expected:
+    if jump > LONG_STEP_JUMP or not _has_index(ld.rhess, up):
         return None
     return sig, ld, history, iters
+
+
+def _has_index(rhess, up):
+    """Whether exactly up.sum() eigenvalues of rhess exceed ZERO_EIG.
+
+    up marks the delta_s = -1 coordinates, which should carry them.  By
+    Haynsworth, In(A) = In(A_pp) + In(A/A_pp) for A = rhess - ZERO_EIG I
+    and a definite pivot block: Cholesky tests the delta_s = +1 block for
+    negative and its Schur complement for positive definiteness, else the
+    delta_s = -1 block for positive and its complement for negative
+    definiteness; eigvalsh decides when neither block is definite.
+    """
+    n = int(np.count_nonzero(~up))
+    order = np.argsort(up, kind="stable")
+    A = rhess[np.ix_(order, order)]
+    A.flat[::A.shape[0] + 1] -= ZERO_EIG
+    for sign, p, q in ((-1.0, slice(None, n), slice(n, None)),
+                       (1.0, slice(n, None), slice(None, n))):
+        try:
+            L = np.linalg.cholesky(sign * A[p, p])
+        except np.linalg.LinAlgError:
+            continue
+        # solve would factor L even for an empty right-hand side
+        K = np.linalg.solve(L, A[p, q]) if A[p, q].size else A[p, q]
+        try:
+            np.linalg.cholesky(K.T @ K - sign * A[q, q])
+        except np.linalg.LinAlgError:
+            return False
+        return True
+    return np.count_nonzero(np.linalg.eigvalsh(rhess) > ZERO_EIG) == up.sum()
 
 
 def _soft_hop(instance, sigma, accept):
@@ -407,7 +436,7 @@ def _soft_hop(instance, sigma, accept):
     ld = local_data(instance, sigma, want_hessian=True)
     eigs, vecs = np.linalg.eigh(ld.rhess)
     soft = vecs[:, int(np.argmin(np.abs(eigs)))]
-    direction = _ambient(ld.basis, part, soft)
+    direction = _ambient(ld.reflectors, part, soft)
     for amp in (0.3, 1.0, 3.0, 6.0):
         for sign in (1.0, -1.0):
             start = retract(part, sigma + sign * amp * direction)
@@ -500,12 +529,12 @@ def _descend_grad_norm(instance: HamiltonianInstance, sig, iters: int):
     eta = 0.02 * sqrt_n
     floor = 1e-9 * sqrt_n
     for _ in range(iters):
-        g_red = _reduced(ld.basis, part, ld.rgrad)
+        g_red = _reduced(ld.reflectors, part, ld.rgrad)
         direction = ld.rhess @ g_red
         dn = float(np.linalg.norm(direction))
         if dn < 1e-14 or val < 1e-28:
             break
-        step = _ambient(ld.basis, part, direction) * (-1.0 / dn)
+        step = _ambient(ld.reflectors, part, direction) * (-1.0 / dn)
         moved = False
         while eta > floor:
             cand = retract(part, sig + eta * step).sigma

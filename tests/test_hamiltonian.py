@@ -329,6 +329,42 @@ def test_rhess_is_basis_free(preset):
     assert np.abs(low - np.linalg.eigvalsh(d.rhess)).max() <= 1e-10
 
 
+def _branch_state(part, branch):
+    # sigma_s[0] > 0, = 0 or < 0 in every species, or +-north_pole
+    if branch == "north":
+        return ham.north_pole(part).sigma
+    if branch == "south":
+        return -ham.north_pole(part).sigma
+    raw = ham.random_state(part, 29).sigma.copy()
+    head = {"positive": 0.5, "zero": 0.0, "negative": -0.5}[branch]
+    for sl in part.slices():
+        raw[sl.start] = np.sign(head) * (abs(raw[sl.start]) + abs(head))
+    return ham.retract(part, raw).sigma
+
+
+@pytest.mark.parametrize("branch", ["positive", "zero", "negative", "north",
+                                    "south"])
+@pytest.mark.parametrize("preset", ["cubic-pair", "skew-pair",
+                                    "three-species"])
+def test_rhess_matches_explicit_basis(preset, branch):
+    # the rank-2r reflector update against B^T E B with the dense
+    # tangent_basis blocks, minus the curvature on the diagonal
+    it = ham.sample(get_preset(preset), 40, seed=5)
+    part = it.partition
+    sig = _branch_state(part, branch)
+    d = ham.local_data(it, sig, want_hessian=True)
+    ehess = ham._contract(it, sig, True)[2]
+    basis = np.zeros((part.N, part.N - part.r))
+    roff = np.concatenate([[0], np.cumsum(part.sizes - 1)])
+    for s, (sl, blk) in enumerate(zip(part.slices(),
+                                      ham.tangent_basis(part, sig))):
+        basis[sl, roff[s]:roff[s + 1]] = blk
+    explicit = basis.T @ ehess @ basis
+    explicit -= np.diag(np.repeat(d.curvature, part.sizes - 1))
+    assert np.array_equal(d.rhess, d.rhess.T)
+    assert np.abs(d.rhess - explicit).max() <= 1e-12 * np.abs(ehess).max()
+
+
 def test_overlap_trivials(inst):
     part = inst.partition
     sig = ham.random_state(part, 31).sigma

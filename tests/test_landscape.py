@@ -318,3 +318,102 @@ def test_newton_budget_exhausted_raises_max_iters():
     res = ls.newton_refine(inst, start, max_iters=0, raise_on_fail=False)
     assert res.iterations == 0
     assert res.grad_norm > ls.NEWTON_TOL
+
+
+def test_reflector_maps_are_the_tangent_projection():
+    # B^T B = I and B B^T = the per-species tangent projection, applied in
+    # O(N) through the reflectors instead of the dense basis
+    inst = ham.sample(get_preset("three-species"), 47, seed=3)
+    part = inst.partition
+    sig = ham.random_state(part, 8).sigma
+    refl = ham.local_data(inst, sig, want_hessian=True).reflectors
+    rng = np.random.default_rng(1)
+    h = rng.standard_normal(part.N - part.r)
+    assert np.abs(ls._reduced(refl, part, ls._ambient(refl, part, h))
+                  - h).max() <= 1e-13
+    g = rng.standard_normal(part.N)
+    proj = g.copy()
+    for s, sl in enumerate(part.slices()):
+        u = sig[sl] / np.sqrt(part.sizes[s])
+        proj[sl] -= (u @ g[sl]) * u
+    assert np.abs(ls._ambient(refl, part, ls._reduced(refl, part, g))
+                  - proj).max() <= 1e-13
+
+
+def _inertia_case(route, rng):
+    # species sizes (5, 8, 7) with delta = (1, -1, 1): the 8 "up" coordinates
+    # of species 1 should carry the positive eigenvalues.  The spectrum is
+    # put on nearly coordinate eigenvectors (a small random rotation), and
+    # 45-degree planes that pair an up and a down coordinate make a pivot
+    # block indefinite
+    up = np.repeat([False, True, False], [5, 8, 7])
+    eig = np.where(up, 1.0, -1.0) * (1.0 + rng.random(up.shape[0]))
+    down_idx, up_idx = np.flatnonzero(~up), np.flatnonzero(up)
+    planes = []
+    if route in ("minus-pivot", "fallback"):
+        # the delta=+1 block gets a positive diagonal entry 0.75
+        planes.append((down_idx[0], up_idx[0], -0.5, 2.0))
+    if route == "fallback":
+        # and the delta=-1 block a negative one, -0.75
+        planes.append((down_idx[-1], up_idx[-1], -2.0, 0.5))
+    if route == "wrong-index":
+        eig[up_idx[3]] = -0.3
+    if route in ("zero-above", "zero-below"):
+        eig[up_idx[2]] = ls.ZERO_EIG * (1.001 if route == "zero-above"
+                                        else 0.999)
+    n = up.shape[0]
+    vecs = np.linalg.qr(np.eye(n) + 0.05 * rng.standard_normal((n, n)))[0]
+    vecs *= np.sign(np.diag(vecs))
+    for i, j, lo, hi in planes:
+        eig[i], eig[j] = lo, hi
+        rot = np.eye(n)
+        rot[[i, i, j, j], [i, j, i, j]] = np.sqrt(0.5) * np.array(
+            [1.0, -1.0, 1.0, 1.0])
+        vecs = vecs @ rot
+    A = (vecs * eig) @ vecs.T
+    return 0.5 * (A + A.T), up
+
+
+@pytest.mark.parametrize("route,factorizations", [
+    ("plus-pivot", [True, True]), ("wrong-index", [True, False]),
+    ("minus-pivot", [False, True, True]), ("fallback", [False, False]),
+    ("zero-above", [True, True]), ("zero-below", [True, False])])
+def test_inertia_check_matches_eigvalsh(monkeypatch, route, factorizations):
+    A, up = _inertia_case(route, np.random.default_rng(7))
+    expect = (np.count_nonzero(np.linalg.eigvalsh(A) > ls.ZERO_EIG)
+              == np.count_nonzero(up))
+    calls, cholesky, eigvalsh = [], np.linalg.cholesky, np.linalg.eigvalsh
+
+    def counted(a):
+        try:
+            out = cholesky(a)
+        except np.linalg.LinAlgError:
+            calls.append(False)
+            raise
+        calls.append(True)
+        return out
+
+    monkeypatch.setattr(ls.np.linalg, "cholesky", counted)
+    monkeypatch.setattr(ls.np.linalg, "eigvalsh",
+                        lambda a: calls.append("eigvalsh") or eigvalsh(a))
+    assert ls._has_index(A, up) == expect
+    fell_back = ["eigvalsh"] if route == "fallback" else []
+    assert calls == factorizations + fell_back
+    assert expect == (route not in ("wrong-index", "zero-below"))
+
+
+def test_survey_finds_only_followed_points():
+    # trivialization in miniature: random-start Newton finds no critical
+    # point besides the 2^r followed ones (it found one, 1.8e-11 from its
+    # followed point)
+    inst = ham.sample(SYM, N, seed=0)
+    patterns = all_sign_patterns(SYM.r)
+    followed = [ls.follow_critical_points(inst, d) for d in patterns]
+    report = ls.survey_approx_crits(
+        inst, [ideal_stats(SYM, d) for d in patterns], n_starts=8, eps=0.0,
+        followed=followed)
+    radius = ls.DEDUP_RADIUS * np.sqrt(inst.N)
+    assert report.n_exact >= 1
+    for point in report.points:
+        assert min(np.linalg.norm(point.sigma_star.sigma - f.sigma_star.sigma)
+                   for f in followed) <= radius
