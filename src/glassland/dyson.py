@@ -163,28 +163,29 @@ def _damped_sweeps(m, shift, K, z, tol, sweeps):
     return m, res, used
 
 
-def _newton_rounds(m, shift, K, z):
-    """Guarded Newton rounds, at most 40, on the rows above SOLVER_TOL.
+def _newton_rounds(m, shift, K, z, tol=SOLVER_TOL, rounds=40, halvings=10):
+    """Guarded Newton rounds, at most rounds, on the rows above tol.
 
     Each round solves J d = -F by _solve_rows, the least-squares step
-    where J is singular, and takes the first of up to 10 halvings of d
-    that lowers the residual, clamped to Im m >= 0 when Im z > 0.  A row's
-    residual never increases, so only the rows still above SOLVER_TOL are
-    carried; each is written back to m and res when it leaves.  The
-    rounds stop when no carried row improves.  Returns m, res and the
-    rounds used.
+    where J is singular, and takes the first of up to halvings halvings
+    of d that lowers the residual, clamped to Im m >= 0 when Im z > 0.  A
+    row's residual never increases, so only the rows still above tol are
+    carried; each is written back to m and res when it leaves.  A row
+    whose line search fails stays carried and fails again, since its
+    step is the same.  The rounds stop when no carried row improves.
+    Returns m, res and the rounds used.
     """
     res = _resid(m, shift, K, z)
-    idx = np.flatnonzero(res > SOLVER_TOL)
+    idx = np.flatnonzero(res > tol)
     ml, sl, rl = m.take(idx, 1), shift.take(idx, 1), res[idx]
     used = 0
-    while idx.size and used < 40:
+    while idx.size and used < rounds:
         used += 1
         F, J = _system(ml, sl, K, z)
         d = _solve_rows(J, -F, lstsq=True)[0]
         # the full step on the carried arrays, halvings on the rows it failed
         cand, sp, rp, pend = ml + d, sl, rl, None
-        for _bt in range(10):
+        for _bt in range(halvings):
             if z.imag > 0:
                 np.maximum(cand.imag, 0.0, out=cand.imag)
             rc = _resid(cand, sp, K, z)
@@ -201,7 +202,7 @@ def _newton_rounds(m, shift, K, z):
             cand, sp, rp = ml.take(pend, 1) + d, sl.take(pend, 1), rl[pend]
         if pend.size == idx.size:
             break
-        done = rl <= SOLVER_TOL
+        done = rl <= tol
         if done.any():
             m[:, idx[done]], res[idx[done]] = ml.compress(done, 1), rl[done]
             idx, rl = idx[~done], rl[~done]
@@ -324,42 +325,19 @@ def _polish_real(shift, K, wgt, m):
     that the true boundary value is real.  A row with a component below
     1e-12 in modulus is rejected without Newton.
 
-    Each row runs its own iterations: up to 200 guarded Newton steps to
-    5e-14, each taking the first of up to 30 halvings that lowers the
-    residual, leaving at the target or when the line search fails; then
-    up to 12 multiplicity steps, leaving on a zero residual, a singular J
-    or no strict descent.  A singular J in the first phase takes the
-    least-squares step instead.
+    Each row runs its own iterations: _newton_rounds at z = 0, up to 200
+    rounds to 5e-14 with up to 30 halvings each, the least-squares step
+    where J is singular; then up to 12 multiplicity steps, leaving on a
+    zero residual, a singular J or no strict descent.
     """
     w = m.real.copy()
     start = np.flatnonzero(np.abs(w).min(axis=0) >= 1e-12)
     # aim well below the 1e-12 contract so double roots at band edges, where
     # Newton converges only linearly, land close enough for the stability gate
-    target = 5e-14
-    live = start
-    for _ in range(200):
-        F, J = _system(w[:, live], shift[:, live], K, 0.0)
-        base = np.abs(F).max(axis=0)
-        go = ~(base <= target)
-        live, F, J, base = live[go], F[:, go], J[..., go], base[go]
-        if not live.size:
-            break
-        d = _solve_rows(J, -F, lstsq=True)[0]
-        wl, sl = w[:, live], shift[:, live]
-        pend = np.arange(len(live))
-        t = 1.0
-        for _bt in range(30):
-            cand = wl[:, pend] + t * d[:, pend]
-            down = _resid(cand, sl[:, pend], K, 0.0) < base[pend]
-            w[:, live[pend[down]]] = cand[:, down]
-            pend = pend[~down]
-            if not pend.size:
-                break
-            t *= 0.5
-        # rows whose line search failed leave the phase
-        live = np.delete(live, pend)
+    w[:, start] = _newton_rounds(w[:, start], shift[:, start], K, 0.0, 5e-14,
+                                 200, 30)[0]
     # multiplicity acceleration: at band edges (double roots) and cusps
-    # (triple roots) plain Newton stalls at target**(1/mult), far too
+    # (triple roots) plain Newton stalls at 5e-14**(1/mult), far too
     # coarse for eigenvalue gates downstream; stepping mult*delta lands
     # essentially on the root, and overshoots at simple roots are
     # rejected by the strict-descent test

@@ -4,9 +4,8 @@ Homotopy following from the pure external-field landscape, with a
 t-step that doubles after easy corrections and halves when a long step
 converges slowly, jumps or changes the predicted index, and each
 endpoint labelled by the paper's predicted index and radial derivative;
-damped tangent-space Newton refinement, comparison of the Hessian
-spectrum with its predicted limit, and random-start surveys for
-approximate critical points.
+damped tangent-space Newton refinement, and comparison of the Hessian
+spectrum with its predicted limit.
 """
 
 import warnings
@@ -18,8 +17,7 @@ from .dyson import SpectralMeasure
 from .errors import (LostTrack, MaxIters, NumericalError, OffManifold,
                      ValidationError, ZeroComponent)
 from .hamiltonian import (HamiltonianInstance, StatePoint, _as_sigma,
-                          check_on_manifold, g1_overlap, local_data,
-                          random_state, retract)
+                          check_on_manifold, g1_overlap, local_data, retract)
 from .mixture import all_sign_patterns, classify_solvability, ideal_stats
 
 UNCLASSIFIED = "unclassified"
@@ -73,17 +71,6 @@ class ComparisonReport:
     w2: float
     hausdorff: float
     gap_at_zero: float
-
-
-@dataclass(frozen=True)
-class SurveyReport:
-    """Counts per sign pattern plus the distinct exact points found."""
-
-    counts: dict
-    n_exact: int
-    unclassified: int
-    max_dist_to_followed: object
-    points: tuple
 
 
 def _as_delta(delta, r: int):
@@ -517,99 +504,3 @@ def spectrum_compare(instance, result, measure) -> ComparisonReport:
     w2 = float(np.sqrt(np.mean((q_emp - q_ref) ** 2)))
     return ComparisonReport(w2=w2, hausdorff=haus,
                             gap_at_zero=float(np.min(np.abs(eigs))))
-
-
-def _descend_grad_norm(instance: HamiltonianInstance, sig, iters: int):
-    # minimizes ||rgrad||^2; the direction rhess @ g_red is its reduced
-    # gradient up to curvature terms, which a line search absorbs
-    part = instance.partition
-    sqrt_n = np.sqrt(part.N)
-    ld = local_data(instance, sig, want_hessian=True)
-    val = float(ld.rgrad @ ld.rgrad)
-    eta = 0.02 * sqrt_n
-    floor = 1e-9 * sqrt_n
-    for _ in range(iters):
-        g_red = _reduced(ld.reflectors, part, ld.rgrad)
-        direction = ld.rhess @ g_red
-        dn = float(np.linalg.norm(direction))
-        if dn < 1e-14 or val < 1e-28:
-            break
-        step = _ambient(ld.reflectors, part, direction) * (-1.0 / dn)
-        moved = False
-        while eta > floor:
-            cand = retract(part, sig + eta * step).sigma
-            trial = local_data(instance, cand)
-            v2 = float(trial.rgrad @ trial.rgrad)
-            if np.isfinite(v2) and v2 < val:
-                sig, val, moved = cand, v2, True
-                eta = min(eta * 1.3, 0.2 * sqrt_n)
-                break
-            eta *= 0.5
-        if not moved:
-            break
-        ld = local_data(instance, sig, want_hessian=True)
-    return sig
-
-
-def survey_approx_crits(instance: HamiltonianInstance, predictions,
-                        n_starts: int, eps: float, seed=0, followed=None,
-                        descent_iters: int = 60) -> SurveyReport:
-    """Hunt for approximate critical points from random starts.
-
-    Each start descends the squared gradient norm and then attempts a
-    Newton refinement; a point counts when its scaled gradient norm ends
-    below max(eps, 1e-10), so eps=0 keeps only Newton-converged points.
-    Counted points are classified by radial derivative at tolerance eps,
-    exact ones deduplicated at radius 1e-4 sqrt(N).  Start i uses the
-    seed pair (seed, i), so starts are independent and reorderable.
-    """
-    part = instance.partition
-    predictions = list(predictions)
-    if not predictions:
-        raise ValidationError("need at least one prediction")
-    if n_starts < 1:
-        raise ValidationError("n_starts must be >= 1")
-    if eps < 0:
-        raise ValidationError("eps must be >= 0")
-    sqrt_n = np.sqrt(part.N)
-    thresh = max(eps, NEWTON_TOL)
-    counts = {tuple(int(v) for v in p.delta): 0 for p in predictions}
-    unclassified = 0
-    exact_sigmas = []
-    exact_points = []
-    max_dist = 0.0 if followed else None
-    for i in range(n_starts):
-        sig = random_state(part, np.random.default_rng((seed, i))).sigma
-        sig = _descend_grad_norm(instance, sig, descent_iters)
-        converged = False
-        try:
-            res = newton_refine(instance, sig, max_iters=40)
-            converged = True
-            sig = res.sigma_star.sigma
-            gn, radial = res.grad_norm, res.radial
-        except (MaxIters, NumericalError):
-            ld = local_data(instance, sig)
-            gn = float(np.linalg.norm(ld.rgrad)) / sqrt_n
-            radial = ld.radial
-        if gn > thresh:
-            continue
-        label = _assign_delta(predictions, radial, eps)
-        if label == UNCLASSIFIED:
-            unclassified += 1
-        else:
-            counts[label] += 1
-        if converged:
-            if all(float(np.linalg.norm(sig - known)) > DEDUP_RADIUS * sqrt_n
-                   for known in exact_sigmas):
-                exact_sigmas.append(sig)
-                exact_points.append(replace(res, delta=label))
-        if followed:
-            pool = [f for f in followed if f.delta == label] or list(followed)
-            dist = min(float(np.linalg.norm(sig - f.sigma_star.sigma))
-                       for f in pool)
-            max_dist = max(max_dist, dist)
-    return SurveyReport(counts=counts, n_exact=len(exact_points),
-                        unclassified=unclassified,
-                        max_dist_to_followed=max_dist,
-                        points=tuple(exact_points))
-

@@ -5,9 +5,8 @@ A mixture is the polynomial
     xi(x) = sum_k sum_{s1..sk} gamma^2_{s1..sk} (lambda_{s1} x_{s1}) ... (lambda_{sk} x_{sk}),
 
 stored as one coefficient per nondecreasing species multi-index.  This module
-evaluates xi and its derivatives, classifies solvability, produces the
-closed-form critical-point predictions for strictly super-solvable models,
-and computes the band-recursion quantities.
+evaluates xi and its derivatives, classifies solvability, and produces the
+closed-form critical-point predictions for strictly super-solvable models.
 """
 
 from __future__ import annotations
@@ -26,9 +25,9 @@ LAMBDA_SUM_TOL = 1e-12
 
 __all__ = [
     "MixtureSpec", "MixtureStats", "SolvabilityReport", "CriticalPrediction",
-    "BandMixture", "load_mixture", "mixture_from_dict", "mixture_to_dict",
-    "eval_xi", "stats", "classify_solvability", "ideal_stats",
-    "recursion_radii", "band_mixture", "v_star", "all_sign_patterns",
+    "load_mixture", "mixture_from_dict", "mixture_to_dict", "eval_xi",
+    "stats", "classify_solvability", "ideal_stats", "v_star",
+    "all_sign_patterns",
 ]
 
 
@@ -342,79 +341,6 @@ def species_sizes(lam, N: int) -> np.ndarray:
     if np.any(sizes < 2):
         raise ValidationError(f"N={N} leaves a species with fewer than 2 coordinates")
     return sizes
-
-
-def recursion_radii(spec: MixtureSpec, k_max: int):
-    """Band-center radii R^0 = 0, R^{k+1} = grad xi(R^k) / grad xi(1)."""
-    if k_max < 0:
-        raise ValidationError("k_max must be >= 0")
-    _, gone, _ = eval_xi(spec, np.ones(spec.r), order=1)
-    if np.any(gone <= 0):
-        raise ValidationError("recursion requires xi'_s > 0 for every species")
-    radii = [np.zeros(spec.r)]
-    for _ in range(k_max):
-        _, g, _ = eval_xi(spec, radii[-1], order=1)
-        radii.append(g / gone)
-    return radii
-
-
-@dataclass(frozen=True)
-class BandMixture:
-    """Evaluator for the conditional band mixture xi_k.
-
-    xi_k(x) = xi((1-R^k) o x + R^k) - <grad xi(R^{k-1}), (1-R^k) o x + R^k>
-              + constant, where the constant is the telescoped sum over the
-    recursion history.  Only xi_k and its derivatives at 1 are needed
-    downstream, so no re-expanded coefficient set is produced.
-    """
-
-    spec: MixtureSpec
-    R_k: np.ndarray
-    R_prev: np.ndarray
-    constant: float
-    grad_prev: np.ndarray
-    xi_prime_one: np.ndarray
-    xi_dprime_one: np.ndarray
-
-    def eval(self, x, order: int = 2):
-        x = np.asarray(x, dtype=float)
-        shrink = 1.0 - self.R_k
-        y = shrink * x + self.R_k
-        value, grad, hess = eval_xi(self.spec, y, order=max(order, 1))
-        val = value - float(self.grad_prev @ y) + self.constant
-        g = shrink * (grad - self.grad_prev) if order >= 1 else None
-        h = np.outer(shrink, shrink) * hess if order >= 2 else None
-        return val, g, h
-
-    def solvability_min_eig(self) -> float:
-        return float(np.linalg.eigvalsh(np.diag(self.xi_prime_one)
-                                        - self.xi_dprime_one)[0])
-
-
-def band_mixture(spec: MixtureSpec, k: int) -> BandMixture:
-    """Conditional mixture for band k >= 1 of the recursion_radii orbit.
-
-    The band sits at radius R^k and is entered from R^{k-1}; the additive
-    constant telescopes over the recursion history R^0, ..., R^k.
-    """
-    if k < 1:
-        raise ValidationError("k = 0 is the trivial band; need k >= 1")
-    radii = recursion_radii(spec, k)
-    grads = [eval_xi(spec, R, order=1)[1] for R in radii[:k]]
-    R_k = radii[k]
-    if np.any(R_k >= 1.0):
-        raise ValidationError("band radius must be < 1 in every coordinate")
-    constant = 0.0
-    for i in range(1, k):
-        constant += float((grads[i] - grads[i - 1]) @ radii[i])
-    shrink = 1.0 - R_k
-    _, gk, hk = eval_xi(spec, np.ones(spec.r), order=2)
-    return BandMixture(
-        spec=spec, R_k=R_k, R_prev=radii[k - 1], constant=constant,
-        grad_prev=grads[k - 1],
-        xi_prime_one=shrink ** 2 * gk,
-        xi_dprime_one=np.outer(shrink, shrink) * hk,
-    )
 
 
 def v_star(spec: MixtureSpec, phi_prime) -> np.ndarray:

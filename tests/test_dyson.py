@@ -805,6 +805,25 @@ def test_classify_probes_both_chi_in_one_batch(monkeypatch):
         dy.classify_boundary_point(SC, np.array([2.0]), chi, chi2=chi)
 
 
+def test_classify_mixed_scales_raise(monkeypatch):
+    # real on the plus side at three of the four probe scales: no edge or
+    # cusp verdict fits, so the probes contradict each other
+    plus, minus = [True, True, False, True], [False] * 4
+    with pytest.raises(InconsistentProbes, match="probe realness"):
+        dy._probe_verdict(plus, minus)
+    values = dy.boundary_values
+
+    def nonreal_at_one_scale(stats, V, polish=True):
+        U = values(stats, V, polish)
+        if len(V) == 8:
+            U[2] += 1j
+        return U
+
+    monkeypatch.setattr(dy, "boundary_values", nonreal_at_one_scale)
+    with pytest.raises(InconsistentProbes, match="probe realness"):
+        dy.classify_boundary_point(SC, np.array([2.0]), np.array([1.0]))
+
+
 def test_classify_chi_validation():
     with pytest.raises(ValidationError):
         dy.classify_boundary_point(SC, np.array([2.0]), np.array([-1.0]))

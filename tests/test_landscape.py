@@ -45,6 +45,38 @@ def _uniform_follow(inst, delta, steps=40):
                             raise_on_fail=False)
 
 
+# an ascent stops at this scaled gradient |rgrad|/sqrt(N)
+ASCENT_STOP = 1e-3
+# Newton-Kantorovich (Blum-Cucker-Shub-Smale 1998): a point of scaled
+# gradient g lies about g sqrt(N)/mu from the critical point whose Hessian
+# has smallest |eigenvalue| mu; the factor 2 is slack for the change of the
+# Hessian over that distance
+CERTIFY_SLACK = 2.0
+
+
+def _ascend(inst, i, sign):
+    # oracle: Armijo ascent of sign * H along rgrad from random start i,
+    # stopped at ASCENT_STOP or after 300 steps, then polished by Newton;
+    # returns the stopped point, its scaled gradient and the polished result
+    part = inst.partition
+    sig = ham.random_state(part, np.random.default_rng((inst.seed, i))).sigma
+    ld = ham.local_data(inst, sig)
+    eta = 0.1
+    for _ in range(300):
+        g2 = float(ld.rgrad @ ld.rgrad)
+        if g2 <= ASCENT_STOP ** 2 * part.N:
+            break
+        cand = ham.retract(part, sig + sign * eta * ld.rgrad).sigma
+        trial = ham.local_data(inst, cand)
+        if sign * (trial.value - ld.value) >= 0.25 * eta * g2:
+            sig, ld, eta = cand, trial, 1.5 * eta
+        else:
+            eta *= 0.5
+    g = float(np.linalg.norm(ld.rgrad)) / np.sqrt(part.N)
+    return sig, g, ls.newton_refine(inst, sig, max_iters=40,
+                                    raise_on_fail=False)
+
+
 def _assert_same_point(res, oracle):
     assert oracle.grad_norm <= ls.NEWTON_TOL
     assert np.max(np.abs(res.sigma_star.sigma
@@ -53,7 +85,8 @@ def _assert_same_point(res, oracle):
 
 # cubic-pair seed 0 lost its delta=(1,-1) branch before the Euler predictor;
 # skew-pair N=40 seed 1 (N_0 = 12) lost two branches to an overlap-sign check
-# while every endpoint had its predicted index
+# while every endpoint had its predicted index; both are finite-N
+# non-trivial instances with a second critical point (EXTRA_POINTS)
 @pytest.fixture(scope="module", params=[("symmetric-pair", N, 0),
                                         ("symmetric-pair", N, 1),
                                         ("symmetric-pair", N, 2),
@@ -90,6 +123,57 @@ def test_followed_points_match_uniform_walk(followed):
     inst, results = followed
     for res in results:
         _assert_same_point(res, _uniform_follow(inst, res.delta))
+
+
+# finite-N counterexamples to the count: a second critical point of the
+# followed point's index, which the homotopy never visits
+EXTRA_POINTS = {
+    "cubic-pair-0": "ascent 11 polishes to a second index-0 point, radial "
+                    "(1.98, 2.09), 10.97 from the followed all-plus point",
+    "skew-pair-40-1": "descents 4, 6, 7, 9, 10 and 11 polish to a second "
+                      "minimum, index 38, radial (-3.99, -3.01), 9.82 from "
+                      "the followed all-minus point",
+}
+
+
+def test_ascents_end_on_followed_points(request, followed):
+    # strictly super-solvable: exactly 2^r critical points, so the all-plus
+    # point is the only maximum and the all-minus point the only minimum.
+    # 12 ascents and 12 descents must polish to them, and each stopped point,
+    # an approximate critical point of scaled gradient g, must already lie
+    # within CERTIFY_SLACK g sqrt(N)/mu of it (distance / radius <= 0.50 on
+    # symmetric-pair seeds 0-2)
+    reason = EXTRA_POINTS.get(request.node.callspec.id)
+    if reason:
+        request.applymarker(pytest.mark.xfail(strict=True, reason=reason,
+                                              raises=AssertionError))
+    inst, results = followed
+    sqrt_n = np.sqrt(inst.N)
+    for sign in (1, -1):
+        target = next(res for res in results
+                      if res.delta == (sign,) * inst.mixture.r)
+        end = target.sigma_star.sigma
+        for i in range(12):
+            stop, g, res = _ascend(inst, i, sign)
+            assert (np.linalg.norm(res.sigma_star.sigma - end)
+                    <= ls.DEDUP_RADIUS * sqrt_n)
+            assert (np.linalg.norm(stop - end)
+                    <= CERTIFY_SLACK * g * sqrt_n / target.min_abs_eig)
+
+
+def test_ascents_find_many_maxima_without_field():
+    # negative control: pure3 is not trivial, and 12 ascents at N=60 reach
+    # more than 2^r = 2 distinct maxima (10 were seen)
+    inst = ham.sample(get_preset("pure3"), N, seed=0)
+    radius = ls.DEDUP_RADIUS * np.sqrt(inst.N)
+    maxima = []
+    for i in range(12):
+        res = _ascend(inst, i, 1)[2]
+        sig = res.sigma_star.sigma
+        if (res.grad_norm <= ls.NEWTON_TOL and res.index == 0
+                and all(np.linalg.norm(sig - m) > radius for m in maxima)):
+            maxima.append(sig)
+    assert len(maxima) > 2
 
 
 # a weaker step control switched branch on each: a step guarded only by the
@@ -400,20 +484,3 @@ def test_inertia_check_matches_eigvalsh(monkeypatch, route, factorizations):
     fell_back = ["eigvalsh"] if route == "fallback" else []
     assert calls == factorizations + fell_back
     assert expect == (route not in ("wrong-index", "zero-below"))
-
-
-def test_survey_finds_only_followed_points():
-    # trivialization in miniature: random-start Newton finds no critical
-    # point besides the 2^r followed ones (it found one, 1.8e-11 from its
-    # followed point)
-    inst = ham.sample(SYM, N, seed=0)
-    patterns = all_sign_patterns(SYM.r)
-    followed = [ls.follow_critical_points(inst, d) for d in patterns]
-    report = ls.survey_approx_crits(
-        inst, [ideal_stats(SYM, d) for d in patterns], n_starts=8, eps=0.0,
-        followed=followed)
-    radius = ls.DEDUP_RADIUS * np.sqrt(inst.N)
-    assert report.n_exact >= 1
-    for point in report.points:
-        assert min(np.linalg.norm(point.sigma_star.sigma - f.sigma_star.sigma)
-                   for f in followed) <= radius

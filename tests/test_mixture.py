@@ -141,58 +141,6 @@ def test_ideal_stats_rejects_bad_delta():
         mx.ideal_stats(spec, [1.0])
 
 
-def test_recursion_radii_closed_form():
-    # xi = 2x + x^2/2 gives R^k = 1 - 3^{-k}
-    spec = presets.one_species_quadratic()
-    radii = mx.recursion_radii(spec, 8)
-    for k, R in enumerate(radii):
-        assert R[0] == pytest.approx(1 - 3.0 ** -k, abs=1e-12)
-
-
-def test_recursion_radii_monotone_convergent():
-    for spec in (presets.cubic_pair(), presets.skew_pair()):
-        radii = mx.recursion_radii(spec, 200)
-        for k in range(len(radii) - 1):
-            assert np.all(radii[k + 1] >= radii[k] - 1e-15)
-            assert np.all(radii[k + 1] <= 1.0)
-        assert np.all(1.0 - radii[200] <= 1e-6)
-
-
-def test_band_mixture_derivatives():
-    spec = presets.one_species_quadratic()
-    radii = mx.recursion_radii(spec, 3)
-    band = mx.band_mixture(spec, 2)
-    shrink = 1 - radii[2][0]
-    assert band.xi_prime_one[0] == pytest.approx(shrink ** 2 * 3.0, abs=1e-12)
-    assert band.xi_dprime_one[0, 0] == pytest.approx(shrink ** 2 * 1.0, abs=1e-12)
-    val, grad, hess = band.eval(np.ones(1))
-    assert grad[0] == pytest.approx(band.xi_prime_one[0], abs=1e-12)
-    assert hess[0, 0] == pytest.approx(band.xi_dprime_one[0, 0], abs=1e-12)
-    # the band of a strictly super-solvable mixture is strictly super-solvable
-    assert band.solvability_min_eig() > 1e-9
-
-
-def test_band_mixture_rejects_trivial_band():
-    spec = presets.one_species_quadratic()
-    for k in (0, -1):
-        with pytest.raises(ValidationError):
-            mx.band_mixture(spec, k)
-
-
-def test_band_centered_covariance_matches_original():
-    # xi_k agrees with xi((1-R)x + R) up to an affine function of x
-    spec = presets.cubic_pair()
-    radii = mx.recursion_radii(spec, 2)
-    band = mx.band_mixture(spec, 1)
-    shrink = 1 - radii[1]
-    rng = np.random.default_rng(5)
-    for _ in range(4):
-        x = rng.uniform(0.0, 1.5, size=2)
-        _, _, h_band = band.eval(x)
-        _, _, h_full = mx.eval_xi(spec, shrink * x + radii[1])
-        assert np.allclose(h_band, np.outer(shrink, shrink) * h_full)
-
-
 def test_v_star_pure_three():
     assert mx.v_star(presets.pure(3), [1.0])[0] == pytest.approx(
         2 * np.sqrt(6.0), abs=1e-12)
