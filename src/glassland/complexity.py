@@ -127,7 +127,8 @@ def _census_b(stats: MixtureStats, imag_mask, target=1e-12, max_iter=200):
     so their rows read xi'_s b_s - (xi'' b)_s; imag species contribute
     lambda_s / b_s - (xi'' b)_s.  Returns None when Newton fails, and
     without Newton when the pattern provably has no admissible root
-    (b_s > 0 on imag species, b_s >= 0 on the others).
+    (b_s > 0 on imag species, b_s >= 0 on the others).  Neither reads the
+    plus/minus tags: every pattern with this imag_mask shares one b.
 
     The proof: the pinned species S have rows M b_S = xi''_SI b_I, with
     M = diag(xi'_S) - xi''_SS.  xi'' is entrywise nonnegative for every
@@ -190,18 +191,20 @@ def find_stationary_points(stats: MixtureStats,
     Each of the 3^r patterns fixes, per species, either the sign of Re(u_s)
     with |u_s| pinned at sqrt(lambda_s/xi'_s), or Re(u_s) = 0.  The real
     part of the stationarity identity then holds automatically and only
-    Im v(u) = 0 is solved.  Patterns whose solution violates the modulus
-    cap or the attainability conditions are dropped without error.
+    Im v(u) = 0 is solved, once per imag mask (it reads no sign).  Patterns
+    violating the modulus cap or attainability are dropped without error.
     """
     if stats.r > 6:
         raise ValidationError("stationary enumeration supports r <= 6")
     _require_positive_xi_prime(stats)
     rho = np.sqrt(stats.lam / stats.xi_prime)
+    masks = product((False, True), repeat=stats.r)
+    solved = {m: _census_b(stats, np.array(m)) for m in masks}
     raw = []
     for pattern in product(("plus", "minus", "imag"), repeat=stats.r):
         tags = np.array(pattern)
         imag_mask = tags == "imag"
-        b = _census_b(stats, imag_mask)
+        b = solved[tuple(imag_mask)]
         if b is None:
             continue
         sign_mask = ~imag_mask

@@ -410,11 +410,16 @@ def _boundary_batch(shift, K, wgt, polish=True):
     return np.ascontiguousarray(m.T)
 
 
-def solve_dyson(stats: MixtureStats, x, z, warm=None) -> DysonSolution:
-    """Solve the vector Dyson equation at one spectral parameter."""
+def _radial(stats: MixtureStats, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (stats.r,):
         raise ValidationError(f"x must have shape ({stats.r},)")
+    return x
+
+
+def solve_dyson(stats: MixtureStats, x, z, warm=None) -> DysonSolution:
+    """Solve the vector Dyson equation at one spectral parameter."""
+    x = _radial(stats, x)
     z = complex(z)
     if z.imag < 0:
         raise ValidationError("z must lie in the closed upper half-plane")
@@ -479,15 +484,25 @@ def spectral_measure(stats: MixtureStats, x, grid_spec=None,
     solved instead: coupling xi''_{s,t}(N_t - 1)/(N lambda_s lambda_t) and
     aggregation weights (N_s - 1)/(N - r).
 
+    _measure_on_grid solves the grid, shared with psi's quadrature.
+    """
+    grid, dens_s, agg, mass_s, density_at = _measure_on_grid(
+        stats, x, grid_spec, sizes)
+    support = _detect_support(grid, agg, density_at)
+    return SpectralMeasure(grid=grid, density_s=dens_s, density=agg,
+                           support=support, mass_s=mass_s)
+
+
+def _measure_on_grid(stats, x, grid_spec=None, sizes=None):
+    """Grid, per-species and aggregated densities, masses, and density_at.
+
     A grid passes when every species' mass is within MASS_TOL of 1.  When
     one does not, the retry widens a grid whose ends carry density, which
     cut the support off, at the same spacing, and otherwise halves the
     spacing: a mass off 1 on either side inside the grid means it is too
     coarse for the density.  MassDeficit is raised after four retries.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (stats.r,):
-        raise ValidationError(f"x must have shape ({stats.r},)")
+    x = _radial(stats, x)
     lam = stats.lam
     d = x / np.sqrt(lam)
     if sizes is None:
@@ -524,9 +539,7 @@ def spectral_measure(stats: MixtureStats, x, grid_spec=None,
         mm = _boundary_batch(g[:, None] + d[None, :], K, wagg, polish=False)
         return mm.imag @ wagg / np.pi
 
-    support = _detect_support(grid, agg, agg_density_at)
-    return SpectralMeasure(grid=grid, density_s=dens_s, density=agg,
-                           support=support, mass_s=mass_s)
+    return grid, dens_s, agg, mass_s, agg_density_at
 
 
 def _detect_support(grid, agg, density_at):
@@ -600,17 +613,18 @@ def psi(stats: MixtureStats, x, mode: str = "closed_form") -> float:
 
     closed_form evaluates psi_of_u at the boundary value u; quadrature
     integrates log|gamma| against the measure with the 0-singularity
-    handled by a piecewise-linear-density analytic integral.
+    handled by a piecewise-linear-density analytic integral, on
+    spectral_measure's grid but without the support search it never reads.
     """
-    x = np.asarray(x, dtype=float)
+    x = _radial(stats, x)
     if mode == "closed_form":
         u = boundary_u(stats, np.sqrt(stats.lam) * x)
         if np.abs(u).min() < 1e-8:
             raise DegenerateU("some |u_s| < 1e-8; log|u_s| is unstable")
         return psi_of_u(stats, u)
     if mode == "quadrature":
-        meas = spectral_measure(stats, x)
-        return _log_integral(meas.grid, meas.density)
+        grid, _, agg, _, _ = _measure_on_grid(stats, x)
+        return _log_integral(grid, agg)
     raise ValidationError(f"unknown psi mode {mode!r}")
 
 
@@ -744,9 +758,7 @@ def sample_block_matrix(stats: MixtureStats, x, N: int, seed) -> np.ndarray:
     tangent blocks of sizes N_s - 1, minus x_s/sqrt(lambda_s) on the
     species diagonal.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (stats.r,):
-        raise ValidationError(f"x must have shape ({stats.r},)")
+    x = _radial(stats, x)
     if N < 10 * stats.r:
         raise ValidationError(f"need N >= {10 * stats.r}")
     lam = stats.lam

@@ -67,10 +67,10 @@ def thresholds(xi_prime: float, xi_dprime: float) -> ScalarThresholds:
         raise ValidationError(
             "alpha^2 < 0: parameters inconsistent with a normalized mixture")
     alpha_sq = max(alpha_sq, 0.0)
-    radicand = (4 * xpp * xp * xp
-                - (xpp + xp) * (2 * (xpp - xp + xp * xp)
-                                - alpha_sq * np.log(xpp / xp)))
-    if radicand < -1e-10:
+    scale = 4 * xpp * xp * xp  # the radicand's terms cancel at this size
+    radicand = scale - (xpp + xp) * (2 * (xpp - xp + xp * xp)
+                                     - alpha_sq * np.log(xpp / xp))
+    if radicand < -1e-12 * scale:
         raise NegativeRadicand(f"threshold radicand {radicand} < 0")
     root = np.sqrt(max(radicand, 0.0))
     base = 2 * xp * np.sqrt(xpp)

@@ -221,6 +221,79 @@ def test_census_points_satisfy_pattern_pins():
                 assert (u[s].real < 0) == (tag == "plus")
 
 
+def _relabel(spec, perm):
+    # new species i is old species perm[i]
+    return mx.MixtureSpec(
+        r=spec.r, lam=spec.lam[perm],
+        coeffs=tuple((deg, tuple(sorted(perm.index(s) for s in idx)), g)
+                     for deg, idx, g in spec.coeffs),
+        max_degree=spec.max_degree)
+
+
+@pytest.mark.parametrize("name, perm", [
+    ("three-species", [2, 0, 1]), ("three-species", [1, 0, 2]),
+    ("skew-pair", [1, 0]), ("symmetric-pair", [1, 0]),
+])
+def test_census_is_label_invariant(name, perm):
+    # relabelling the species permutes every stationary point's v and
+    # pattern and leaves F unchanged
+    spec = get_preset(name)
+    st, st_perm = mx.stats(spec), mx.stats(_relabel(spec, perm))
+    pts, pts_perm = cx.find_stationary_points(st), cx.find_stationary_points(st_perm)
+    assert len(pts_perm) == len(pts)
+    relabelled = {p.pattern: p for p in pts_perm}
+    for p in pts:
+        q = relabelled[tuple(p.pattern[s] for s in perm)]
+        assert np.abs(q.v - p.v[perm]).max() <= 1e-10
+        assert abs(q.F - p.F) <= 1e-12
+    rng = np.random.default_rng(len(perm))
+    for x in [p.v / np.sqrt(st.lam) for p in pts] + [rng.uniform(-2, 2, st.r)]:
+        assert abs(cx.F_point(st_perm, x[perm]).F - cx.F_point(st, x).F) <= 1e-12
+
+
+def _per_pattern_census(stats):
+    """(pattern, v, F) of the census, solving _census_b for every pattern."""
+    rho = np.sqrt(stats.lam / stats.xi_prime)
+    kept = []
+    for pattern in itertools.product(("plus", "minus", "imag"), repeat=stats.r):
+        tags = np.array(pattern)
+        sign = tags != "imag"
+        b = cx._census_b(stats, ~sign)
+        if b is None or np.any(rho[sign] - b[sign] <= 1e-9):
+            continue
+        re = np.zeros(stats.r)
+        re[sign] = np.where(tags == "plus", -1.0, 1.0)[sign] * np.sqrt(
+            rho[sign] ** 2 - b[sign] ** 2)
+        u = re + 1j * b
+        v = -stats.A @ re
+        if (dy.feasibility(stats, u).case == "infeasible"
+                or any(np.abs(v - w).max() <= cx.DEDUP_TOL for _, w, _ in kept)):
+            continue
+        F = float(cx._F_rows(stats, v[None, :], u[None, :])[0][0])
+        kept.append((pattern, v, F))
+    return kept
+
+
+@pytest.mark.parametrize("stats", [P3, FB, TS], ids=["pure3", "symmetric-pair",
+                                                     "three-species"])
+def test_census_solves_each_imag_mask_once(stats, monkeypatch):
+    # the imaginary-part system reads no plus/minus tag, so the 3^r patterns
+    # share 2^r solves, and the census is bitwise the per-pattern one
+    oracle = _per_pattern_census(stats)
+    solve = cx._census_b
+    masks = []
+
+    def counted(st, imag_mask, *args, **kwargs):
+        masks.append(tuple(imag_mask))
+        return solve(st, imag_mask, *args, **kwargs)
+
+    monkeypatch.setattr(cx, "_census_b", counted)
+    pts = cx.find_stationary_points(stats)
+    assert len(masks) == len(set(masks)) == 2 ** stats.r
+    assert sorted((p.pattern, p.v.tobytes(), p.F) for p in pts) == sorted(
+        (pattern, v.tobytes(), F) for pattern, v, F in oracle)
+
+
 def test_census_rejects_large_r():
     with pytest.raises(ValidationError):
         cx.find_stationary_points(uncoupled(7))

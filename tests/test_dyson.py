@@ -746,6 +746,33 @@ def test_psi_degenerate_u():
         dy.psi(SC, np.zeros(1), mode="nope")
 
 
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_psi_quadrature_skips_the_support_search(name, monkeypatch):
+    # the quadrature integrates spectral_measure's grid and density and
+    # never its support, so it runs no bisection and gives the same bits
+    stats = mx.stats(get_preset(name))
+    x = np.random.default_rng(sorted(PRESETS).index(name)).uniform(
+        -0.5, 0.5, size=stats.r)
+    meas = dy.spectral_measure(stats, x)
+
+    def no_bisection(*args):
+        raise AssertionError("support bisection ran")
+
+    monkeypatch.setattr(dy, "_bisect_brackets", no_bisection)
+    with pytest.raises(AssertionError, match="support bisection ran"):
+        dy.spectral_measure(stats, x)
+    assert dy.psi(stats, x, mode="quadrature") == dy._log_integral(
+        meas.grid, meas.density)
+
+
+@pytest.mark.parametrize("mode", ["closed_form", "quadrature"])
+def test_psi_rejects_misshapen_x(mode):
+    # a scalar or a length-1 x broadcasts against lambda without the check
+    for x in (0.1, np.zeros(1), np.zeros(3), np.zeros((1, 2)), np.zeros((2, 2))):
+        with pytest.raises(ValidationError, match="x must have shape"):
+            dy.psi(FB, x, mode=mode)
+
+
 def test_stability_matrices_oracles():
     m = dy.stability_matrices(SC, np.array([-1 / np.sqrt(3) + 0j]))
     assert abs(m.M[0, 0] - 2.0) < 1e-12

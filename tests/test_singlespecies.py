@@ -34,6 +34,14 @@ def test_thresholds_validation():
         ss.thresholds(3.0, 3.0)  # alpha^2 < 0, impossible when normalized
 
 
+def test_thresholds_at_alpha_zero_survive_rounding():
+    # alpha^2 = xi'' + xi' - xi'^2 is 0 up to rounding here, and with it the
+    # radicand, whose terms of size 4 xi'' xi'^2 ~ 5e5 cancel to -1.2e-10
+    t = ss.thresholds(19.332333083270818, 354.40676935925654)
+    assert t.alpha_sq == 0.0
+    assert t.E_inf_minus == t.E_inf_plus
+
+
 def test_thresholds_from_mixture():
     spec = single_species([0.0, np.sqrt(0.5), np.sqrt(0.5)])
     th = ss.thresholds_from_mixture(spec)
