@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 
@@ -17,7 +17,7 @@ from .mixture import (MixtureSpec, mixture_from_dict, mixture_to_dict,
 MAX_N_DEGREE3 = 400
 MAX_N = 4000
 MANIFOLD_RTOL = 1e-8
-MAGIC = b"GLHAM02\n"
+MAGIC = b"GLHAM03\n"
 # entries per tile of the in-place coupling build (256 KB)
 TILE_ENTRIES = 32768
 
@@ -61,9 +61,11 @@ class Partition:
 
 @dataclass(frozen=True)
 class HamiltonianInstance:
-    """tensors[1] is the raw external-field draw G_1; tensors[k], k >= 2,
-    the symmetric coupling J_k (see sample).  A degree-3 instance thus
-    holds one N^3 float64 array, 512 MB at MAX_N_DEGREE3."""
+    """tensors[1] is the raw external-field draw G_1 and tensors[2] the
+    symmetric coupling J_2 (see sample).  tensors[3] holds the (i <= j)
+    rows of the symmetric J_3 as an (N(N+1)/2, N) array, row p(i, j) =
+    iN + j - i(i+1)/2 being J_3[i, j, :].  A degree-3 instance thus holds
+    N^2(N+1)/2 float64 entries, 257 MB at MAX_N_DEGREE3."""
 
     mixture: MixtureSpec
     N: int
@@ -153,6 +155,35 @@ def _couple(g, partition: Partition, table: np.ndarray):
             g[tiles[i]] = acc.transpose(shift[i])
 
 
+def _pack(g):
+    """Shrink the symmetric N^3 coupling g in place to its (i <= j) rows.
+
+    Row p(i, j) = iN + j - i(i+1)/2 of the result is g[i, j, :].  It lies
+    at or before its source row iN + j, so moving the rows in increasing
+    order never overwrites one not yet read, and no second N^3 array is
+    made.  g must own its buffer, which resize then shrinks.
+    """
+    N = g.shape[0]
+    rows = g.reshape(N * N, N)
+    for i in range(1, N):
+        p = i * N - i * (i - 1) // 2
+        rows[p:p + N - i] = rows[i * N + i:(i + 1) * N]
+    del rows
+    g.resize(_stored_shape(3, N), refcheck=False)
+
+
+def _stored_shape(k: int, N: int) -> tuple:
+    """Shape of tensors[k]: (N,) * k, and J_3's packed rows for k = 3."""
+    return (N * (N + 1) // 2, N) if k == 3 else (N,) * k
+
+
+@lru_cache(maxsize=8)
+def _triu_flat(N: int) -> tuple:
+    """Flat indices of M[i, j] and M[j, i], i <= j, in packed-row order."""
+    i, j = np.triu_indices(N)
+    return i * N + j, j * N + i
+
+
 def sample(mixture: MixtureSpec, N: int, seed) -> HamiltonianInstance:
     """Draw one disorder instance; deterministic given the seed.
 
@@ -160,6 +191,8 @@ def sample(mixture: MixtureSpec, N: int, seed) -> HamiltonianInstance:
     increasing k.  For k >= 2 it is turned in place into the coupling
     J_k (see _couple), so H(sigma) = sum_k N^{-(k-1)/2} gamma_k G_k(sigma,
     ..., sigma) is gamma_1 G_1 . sigma + sum_{k>=2} J_k(sigma, ..., sigma).
+    J_3 is then packed in place to its (i <= j) rows (see
+    HamiltonianInstance): N^2(N+1)/2 floats are kept of the N^3 drawn.
     """
     return _sampler(mixture, N)(seed)
 
@@ -182,6 +215,8 @@ def _sampler(mixture: MixtureSpec, N: int):
         for k, g in tensors.items():
             if k > 1:
                 _couple(g, partition, tables[k])
+            if k == 3:
+                _pack(g)
             g.flags.writeable = False
         return HamiltonianInstance(mixture=mixture, N=N, partition=partition,
                                    tensors=tensors, seed=seed,
@@ -269,9 +304,11 @@ def _contract(instance: HamiltonianInstance, sig: np.ndarray,
 
     With M = J(., ., sigma) for degree 3 and M = J for degree 2, a degree-k
     term contributes sigma^T M sigma, k M sigma and k(k-1) M, since J is
-    symmetric.  degree_weights rescales each degree's contribution; missing
-    degrees keep weight 1.  Used for homotopies between the degree-1 part
-    and the full Hamiltonian.
+    symmetric.  The degree-3 M is one gemv over the packed (i <= j) rows,
+    each value written to M[i, j] and M[j, i], so M is exactly symmetric.
+    degree_weights rescales each degree's contribution; missing degrees
+    keep weight 1.  Used for homotopies between the degree-1 part and the
+    full Hamiltonian.
     """
     N = instance.N
     wts = degree_weights or {}
@@ -287,7 +324,14 @@ def _contract(instance: HamiltonianInstance, sig: np.ndarray,
             value += float(c1 @ sig)
             egrad += c1
         elif w != 0.0:
-            M = t if k == 2 else (t.reshape(N * N, N) @ sig).reshape(N, N)
+            if k == 2:
+                M = t
+            else:
+                m = t @ sig
+                M = np.empty((N, N))
+                flat = M.reshape(-1)
+                for idx in _triu_flat(N):
+                    flat[idx] = m
             Msig = M @ sig
             value += w * float(sig @ Msig)
             egrad += (w * k) * Msig
@@ -449,8 +493,10 @@ def covariance_selftest(mixture: MixtureSpec, N: int, trials: int,
 
 def save_instance(instance: HamiltonianInstance, path) -> None:
     """MAGIC, header length (8 bytes, little-endian), JSON header, then
-    instance.tensors as float64 by degree: G_1, J_2, J_3.  load_instance
-    rejects other magics, such as GLHAM01's raw-draw files."""
+    instance.tensors as float64 by degree: G_1 (N), J_2 (N^2) and J_3's
+    packed (i <= j) rows (N^2(N+1)/2, see HamiltonianInstance).
+    load_instance rejects other magics: GLHAM01 files hold the raw draws
+    and GLHAM02 files the full N^3 J_3."""
     header = {
         "mixture": mixture_to_dict(instance.mixture),
         "N": instance.N,
@@ -479,11 +525,12 @@ def load_instance(path) -> HamiltonianInstance:
         tensors = {}
         for k in header["degrees"]:
             k = int(k)
-            count = N ** k
+            shape = _stored_shape(k, N)
+            count = int(np.prod(shape))
             buf = fh.read(count * 8)
             if len(buf) != count * 8:
                 raise ValidationError(f"truncated tensor data in {path}")
-            g = np.frombuffer(buf, dtype=np.float64).reshape((N,) * k).copy()
+            g = np.frombuffer(buf, dtype=np.float64).reshape(shape).copy()
             g.flags.writeable = False
             tensors[k] = g
     partition = Partition(sizes=np.asarray(header["sizes"], dtype=int), N=N)

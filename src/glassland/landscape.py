@@ -390,26 +390,48 @@ def _has_index(rhess, up):
     and a definite pivot block: Cholesky tests the delta_s = +1 block for
     negative and its Schur complement for positive definiteness, else the
     delta_s = -1 block for positive and its complement for negative
-    definiteness; eigvalsh decides when neither block is definite.
+    definiteness; eigvalsh decides when neither block is definite.  Each
+    block is read in place, a slice where its coordinates are contiguous;
+    only the pivot and complement copies carry the ZERO_EIG shift.
     """
-    n = int(np.count_nonzero(~up))
-    order = np.argsort(up, kind="stable")
-    A = rhess[np.ix_(order, order)]
-    A.flat[::A.shape[0] + 1] -= ZERO_EIG
-    for sign, p, q in ((-1.0, slice(None, n), slice(n, None)),
-                       (1.0, slice(n, None), slice(None, n))):
+    plus, minus = _coords(~up), _coords(up)
+    for sign, p, q in ((-1.0, plus, minus), (1.0, minus, plus)):
         try:
-            L = np.linalg.cholesky(sign * A[p, p])
+            L = np.linalg.cholesky(_shifted(rhess, p, sign))
         except np.linalg.LinAlgError:
             continue
+        A_pq = _block(rhess, p, q)
         # solve would factor L even for an empty right-hand side
-        K = np.linalg.solve(L, A[p, q]) if A[p, q].size else A[p, q]
+        K = np.linalg.solve(L, A_pq) if A_pq.size else A_pq
+        S = _shifted(rhess, q, sign)
         try:
-            np.linalg.cholesky(K.T @ K - sign * A[q, q])
+            np.linalg.cholesky(np.subtract(K.T @ K, S, out=S))
         except np.linalg.LinAlgError:
             return False
         return True
     return np.count_nonzero(np.linalg.eigvalsh(rhess) > ZERO_EIG) == up.sum()
+
+
+def _coords(mask):
+    """The coordinates where mask holds: a slice if they are contiguous."""
+    idx = np.flatnonzero(mask)
+    if idx.size == 0:
+        return slice(0, 0)
+    return slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] < idx.size else idx
+
+
+def _block(A, p, q):
+    """A[p, q] for slices or index arrays p and q."""
+    if isinstance(p, slice) or isinstance(q, slice):
+        return A[p, q]
+    return A[np.ix_(p, q)]
+
+
+def _shifted(A, p, sign):
+    """A copy of sign (A - ZERO_EIG I)[p, p]."""
+    out = sign * _block(A, p, p)
+    out.flat[::out.shape[0] + 1] -= sign * ZERO_EIG
+    return out
 
 
 def _soft_hop(instance, sigma, accept):

@@ -62,8 +62,8 @@ def thresholds(xi_prime: float, xi_dprime: float) -> ScalarThresholds:
     xp, xpp = float(xi_prime), float(xi_dprime)
     if not (xpp >= xp > 0):
         raise ValidationError("need xi'' >= xi' > 0")
-    alpha_sq = xpp + xp - xp * xp
-    if alpha_sq < -1e-12:
+    alpha_sq = xpp + xp - xp * xp  # its terms cancel at size xi'^2
+    if alpha_sq < -1e-12 * xp * xp:
         raise ValidationError(
             "alpha^2 < 0: parameters inconsistent with a normalized mixture")
     alpha_sq = max(alpha_sq, 0.0)

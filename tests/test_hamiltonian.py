@@ -1,3 +1,4 @@
+import itertools
 import os
 import tracemalloc
 
@@ -90,18 +91,23 @@ def _contract_all_but(t, sig, free):
     return np.einsum(*operands, list(free))
 
 
-def _raw_oracle(mixture, N, seed, sig, weights):
-    # H, its gradient and its Hessian from the raw draws, redrawn in
-    # sample's order, with every slot of each term differentiated apart
+def _raw_terms(mixture, N, seed, weights=None):
+    # the raw draws, redrawn in sample's order, each scaled by its weight,
+    # N^{-(k-1)/2} and the gamma of every index's species
     tabs = ham._gamma_tables(mixture)
     degrees = sorted(k for k, tab in tabs.items() if np.any(tab > 0))
     rng = np.random.default_rng(seed)
     raw = {k: rng.standard_normal((N,) * k) for k in degrees}
     labels = ham.make_partition(mixture, N).labels
+    return {k: ((weights or {}).get(k, 1.0) * N ** (-(k - 1) / 2)
+                * tabs[k][np.ix_(*[labels] * k)] * g) for k, g in raw.items()}
+
+
+def _raw_oracle(mixture, N, seed, sig, weights):
+    # H, its gradient and its Hessian from the raw draws, with every slot
+    # of each term differentiated apart
     value, grad, hess = 0.0, np.zeros(N), np.zeros((N, N))
-    for k, g in raw.items():
-        scale = (weights or {}).get(k, 1.0) * N ** (-(k - 1) / 2)
-        term = scale * tabs[k][np.ix_(*[labels] * k)] * g
+    for k, term in _raw_terms(mixture, N, seed, weights).items():
         value += _contract_all_but(term, sig, ())
         for i in range(k):
             grad += _contract_all_but(term, sig, (i,))
@@ -148,6 +154,41 @@ def test_sample_holds_one_cubic_array():
     finally:
         tracemalloc.stop()
     assert peak <= 1.2 * 8 * N ** 3
+
+
+@pytest.mark.parametrize("mixture,N", [(CUBIC, 24), (TRIPLE, 25)],
+                         ids=["cubic-pair", "three-species-cubic"])
+def test_cubic_coupling_is_packed(mixture, N):
+    # tensors[3] holds the (i <= j) rows of the symmetrised raw draw, in
+    # row-major order of (i, j)
+    inst = ham.sample(mixture, N, seed=8)
+    term = _raw_terms(mixture, N, 8)[3]
+    sym = sum(term.transpose(p) for p in itertools.permutations(range(3))) / 6
+    i, j = np.triu_indices(N)
+    packed = inst.tensors[3]
+    assert packed.shape == (N * (N + 1) // 2, N)
+    assert packed.flags.c_contiguous
+    assert np.abs(packed - sym[i, j]).max() <= 1e-15 * np.abs(sym).max()
+
+
+def test_cubic_hessian_is_exactly_symmetric(inst):
+    # each packed value is written to both M[i, j] and M[j, i]
+    sig = ham.random_state(inst.partition, 7).sigma
+    ehess = ham._contract(inst, sig, True)[2]
+    assert np.array_equal(ehess, ehess.T)
+
+
+def test_sample_keeps_only_the_packed_rows():
+    # the N^3 draw shrinks to N^2(N+1)/2 entries once packed
+    N = 120
+    tracemalloc.start()
+    try:
+        kept = ham.sample(CUBIC, N, seed=1)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept.tensors[3].nbytes == 8 * N * N * (N + 1) // 2
+    assert held <= 0.55 * 8 * N ** 3
 
 
 def test_degree_and_size_caps():
@@ -482,14 +523,16 @@ def test_instance_rejects_bad_file(tmp_path):
 
 
 def test_instance_rejects_raw_draw_format(tmp_path, inst):
-    # GLHAM01 files hold the raw draws, not the couplings
+    # GLHAM01 files hold the raw draws and GLHAM02 files the full N^3 J_3,
+    # not the packed couplings
     path = tmp_path / "instance.bin"
     ham.save_instance(inst, path)
     blob = path.read_bytes()
-    assert blob.startswith(b"GLHAM02\n")
-    path.write_bytes(b"GLHAM01\n" + blob[8:])
-    with pytest.raises(ValidationError):
-        ham.load_instance(path)
+    assert blob.startswith(b"GLHAM03\n")
+    for magic in (b"GLHAM01\n", b"GLHAM02\n"):
+        path.write_bytes(magic + blob[8:])
+        with pytest.raises(ValidationError):
+            ham.load_instance(path)
 
 
 def test_state_round_trip(tmp_path, inst):

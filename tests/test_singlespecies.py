@@ -42,6 +42,14 @@ def test_thresholds_at_alpha_zero_survive_rounding():
     assert t.E_inf_minus == t.E_inf_plus
 
 
+def test_thresholds_alpha_floor_is_relative():
+    # alpha^2 computes to -1.8e-12 here, rounding of its terms of size
+    # xi'^2 ~ 1e4, and must not be rejected as negative
+    t = ss.thresholds(98.79497054682452, 9661.651234801098)
+    assert t.alpha_sq == 0.0
+    assert t.E_inf_minus <= t.E_inf_plus
+
+
 def test_thresholds_from_mixture():
     spec = single_species([0.0, np.sqrt(0.5), np.sqrt(0.5)])
     th = ss.thresholds_from_mixture(spec)
