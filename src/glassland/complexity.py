@@ -184,8 +184,7 @@ def _census_b(stats: MixtureStats, imag_mask, target=1e-12, max_iter=200):
     return b if np.abs(residual(b)).max() <= target else None
 
 
-def find_stationary_points(stats: MixtureStats,
-                           tol: float = 1e-8) -> list[StationaryPoint]:
+def find_stationary_points(stats: MixtureStats) -> list[StationaryPoint]:
     """Enumerate stationary points of F by the per-species dichotomy.
 
     Each of the 3^r patterns fixes, per species, either the sign of Re(u_s)

@@ -425,8 +425,7 @@ def covariance_selftest(mixture: MixtureSpec, N: int, trials: int,
         raise ValidationError("covariance selftest needs trials >= 1000")
     partition = make_partition(mixture, N)
     lam_N = partition.lam_N
-    finite_spec = MixtureSpec(r=mixture.r, lam=lam_N, coeffs=mixture.coeffs,
-                              max_degree=mixture.max_degree)
+    finite_spec = MixtureSpec(r=mixture.r, lam=lam_N, coeffs=mixture.coeffs)
     st = mixture_stats(finite_spec)
     r = mixture.r
     pole = north_pole(partition)

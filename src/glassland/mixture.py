@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
@@ -31,15 +31,6 @@ __all__ = [
 ]
 
 
-def _orbit_multiplicity(index: tuple[int, ...]) -> int:
-    # number of distinct orderings of the multi-index: k! / prod_s (count_s!)
-    k = len(index)
-    mult = math.factorial(k)
-    for s in set(index):
-        mult //= math.factorial(index.count(s))
-    return mult
-
-
 @dataclass(frozen=True)
 class MixtureSpec:
     """Mixture function data.
@@ -54,16 +45,19 @@ class MixtureSpec:
         One entry per orbit representative.  ``index`` is a nondecreasing
         tuple of 0-based species labels of length ``degree``; ``gamma`` is
         the nonnegative coefficient.
-    max_degree : int
-        Largest degree appearing.
+
+    The terms are also held as an exponent matrix: row t of the int array
+    ``_exponents`` (T, r) counts each species in entry t's index, and
+    ``_weights`` (T,) is gamma^2 times the orbit multiplicity, so that
+    xi(x) = sum_t w_t prod_s (lambda_s x_s)^{E_ts}.  ``max_degree`` is
+    derived from ``coeffs``.
     """
 
     r: int
     lam: np.ndarray
     coeffs: tuple[tuple[int, tuple[int, ...], float], ...]
-    max_degree: int
-    # per-entry (counts vector, gamma^2 * multiplicity), precomputed for evaluation
-    _terms: tuple[tuple[np.ndarray, float], ...] = field(repr=False, default=())
+    _exponents: np.ndarray = field(init=False, repr=False, compare=False)
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lam = np.asarray(self.lam, dtype=float)
@@ -75,8 +69,9 @@ class MixtureSpec:
             raise BadMixture(f"species weights sum to {lam.sum()!r}, not 1")
         object.__setattr__(self, "lam", lam)
         seen = set()
-        terms = []
-        for degree, index, gamma in self.coeffs:
+        exponents = np.zeros((len(self.coeffs), self.r), dtype=int)
+        weights = np.zeros(len(self.coeffs))
+        for t, (degree, index, gamma) in enumerate(self.coeffs):
             if degree < 1 or degree != len(index):
                 raise BadMixture(f"degree {degree} does not match index {index}")
             if degree > MAX_DEGREE:
@@ -91,11 +86,17 @@ class MixtureSpec:
             if key in seen:
                 raise BadMixture(f"duplicate coefficient entry {key}")
             seen.add(key)
-            counts = np.zeros(self.r, dtype=int)
-            for s in index:
-                counts[s] += 1
-            terms.append((counts, gamma * gamma * _orbit_multiplicity(tuple(index))))
-        object.__setattr__(self, "_terms", tuple(terms))
+            exponents[t] = np.bincount(index, minlength=self.r)
+            # orbit multiplicity: the index's distinct orderings, k! / prod_s E_ts!
+            orbit = math.factorial(degree) // math.prod(map(math.factorial, exponents[t]))
+            weights[t] = gamma * gamma * orbit
+        object.__setattr__(self, "_exponents", exponents)
+        object.__setattr__(self, "_weights", weights)
+
+    @property
+    def max_degree(self) -> int:
+        """Largest degree among the coefficients, 1 when there are none."""
+        return max((degree for degree, _, _ in self.coeffs), default=1)
 
     @property
     def gamma1(self) -> np.ndarray:
@@ -108,14 +109,9 @@ class MixtureSpec:
 
     def nondegenerate(self) -> bool:
         """True iff all degree 1, 2, 3 coefficients are strictly positive."""
-        present = {}
-        for degree, index, gamma in self.coeffs:
-            present[(degree, tuple(index))] = gamma
-        for k in (1, 2, 3):
-            for idx in combinations_with_replacement(range(self.r), k):
-                if present.get((k, idx), 0.0) <= 0.0:
-                    return False
-        return True
+        present = {(degree, tuple(index)): gamma for degree, index, gamma in self.coeffs}
+        return all(present.get((k, idx), 0.0) > 0.0 for k in (1, 2, 3)
+                   for idx in combinations_with_replacement(range(self.r), k))
 
 
 def mixture_from_dict(data: dict) -> MixtureSpec:
@@ -137,9 +133,7 @@ def mixture_from_dict(data: dict) -> MixtureSpec:
         except (KeyError, TypeError, ValueError) as exc:
             raise BadMixture(f"malformed coefficient entry {entry!r}") from exc
         coeffs.append((degree, index, gamma))
-    max_degree = max((c[0] for c in coeffs), default=1)
-    return MixtureSpec(r=r, lam=np.asarray(lam, dtype=float),
-                       coeffs=tuple(coeffs), max_degree=max_degree)
+    return MixtureSpec(r=r, lam=np.asarray(lam, dtype=float), coeffs=tuple(coeffs))
 
 
 def mixture_to_dict(spec: MixtureSpec) -> dict:
@@ -162,11 +156,18 @@ def load_mixture(path: str) -> MixtureSpec:
     return mixture_from_dict(data)
 
 
-def eval_xi(spec: MixtureSpec, x, order: int = 2):
-    """Evaluate xi(x) and its first/second derivatives.
+def eval_xi(spec: MixtureSpec, x):
+    """Evaluate xi(x) and its gradient and Hessian; returns ``(value, grad, hess)``.
 
-    Returns ``(value, grad, hess)``; ``grad`` is None for order 0 and
-    ``hess`` is None for order < 2.
+    With y = lambda * x, exponent matrix E and weights w (see MixtureSpec):
+
+        xi       = sum_t w_t prod_v y_v^{E_tv}
+        d_s xi   = lambda_s sum_t w_t E_ts prod_v y_v^{max(E_tv - d_sv, 0)}
+        d_su xi  = lambda_s lambda_u sum_t w_t E_ts (E_tu - d_su)
+                   prod_v y_v^{max(E_tv - d_sv - d_uv, 0)}
+
+    The clip at 0 only touches exponents whose coefficient is already 0, so
+    no negative power of a zero coordinate is ever formed.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (spec.r,):
@@ -174,58 +175,16 @@ def eval_xi(spec: MixtureSpec, x, order: int = 2):
     if not np.all(np.isfinite(x)):
         raise ValidationError("x must be finite")
     y = spec.lam * x
-    r = spec.r
-    value = 0.0
-    grad = np.zeros(r) if order >= 1 else None
-    hess = np.zeros((r, r)) if order >= 2 else None
-    for counts, weight in spec._terms:
-        # product over species of y_s^{c_s}, plus versions with one or two powers removed
-        term = weight
-        for s in range(r):
-            c = counts[s]
-            if c:
-                term *= y[s] ** c
-        value += term
-        if order == 0:
-            continue
-        for s in range(r):
-            cs = counts[s]
-            if cs == 0:
-                continue
-            dterm = weight * cs * spec.lam[s] * _safe_pow(y[s], cs - 1)
-            for t in range(r):
-                if t != s and counts[t]:
-                    dterm *= y[t] ** counts[t]
-            grad[s] += dterm
-            if order < 2:
-                continue
-            for t in range(s, r):
-                ct = counts[t]
-                if t == s:
-                    if cs < 2:
-                        continue
-                    h = weight * cs * (cs - 1) * spec.lam[s] ** 2 * _safe_pow(y[s], cs - 2)
-                    for w in range(r):
-                        if w != s and counts[w]:
-                            h *= y[w] ** counts[w]
-                else:
-                    if ct == 0:
-                        continue
-                    h = (weight * cs * ct * spec.lam[s] * spec.lam[t]
-                         * _safe_pow(y[s], cs - 1) * _safe_pow(y[t], ct - 1))
-                    for w in range(r):
-                        if w != s and w != t and counts[w]:
-                            h *= y[w] ** counts[w]
-                hess[s, t] += h
-                if t != s:
-                    hess[t, s] += h
+    E, w = spec._exponents, spec._weights
+    eye = np.eye(spec.r, dtype=int)
+    lower = E[:, None, :] - eye                          # [t, s, v] = E_tv - d_sv
+    value = float(np.einsum("t,t->", w, np.prod(y ** E, axis=-1)))
+    grad = spec.lam * np.einsum("t,ts,ts->s", w, E,
+                                np.prod(y ** np.maximum(lower, 0), axis=-1))
+    lower2 = np.maximum(lower[:, :, None, :] - eye, 0)   # [t, s, u, v]
+    hess = np.outer(spec.lam, spec.lam) * np.einsum(
+        "t,ts,tsu,tsu->su", w, E, lower, np.prod(y ** lower2, axis=-1))
     return value, grad, hess
-
-
-def _safe_pow(base: float, exp: int) -> float:
-    if exp == 0:
-        return 1.0
-    return base ** exp
 
 
 @dataclass(frozen=True)
@@ -250,7 +209,7 @@ class MixtureStats:
 
 def stats(spec: MixtureSpec) -> MixtureStats:
     """Compute xi(1), xi', xi'', xi^s(1), Lambda, and A = diag(xi') + xi''."""
-    value, grad, hess = eval_xi(spec, np.ones(spec.r), order=2)
+    value, grad, hess = eval_xi(spec, np.ones(spec.r))
     return MixtureStats(
         xi_one=value,
         xi_prime=grad,
@@ -320,11 +279,7 @@ def ideal_stats(spec: MixtureSpec, delta) -> CriticalPrediction:
 
 def all_sign_patterns(r: int):
     """All 2^r sign vectors, in lexicographic order starting from all +1."""
-    out = []
-    for bits in range(2 ** r):
-        out.append(np.array([1.0 if not (bits >> (r - 1 - s)) & 1 else -1.0
-                             for s in range(r)]))
-    return out
+    return [np.array(signs) for signs in product((1.0, -1.0), repeat=r)]
 
 
 def species_sizes(lam, N: int) -> np.ndarray:

@@ -12,7 +12,6 @@ def one_species_quadratic() -> MixtureSpec:
     return MixtureSpec(
         r=1, lam=np.array([1.0]),
         coeffs=((1, (0,), np.sqrt(2.0)), (2, (0, 0), np.sqrt(0.5))),
-        max_degree=2,
     )
 
 
@@ -26,7 +25,6 @@ def symmetric_pair() -> MixtureSpec:
             (1, (0,), s5), (1, (1,), s5),
             (2, (0, 0), s2), (2, (0, 1), 1.0), (2, (1, 1), s2),
         ),
-        max_degree=2,
     )
 
 
@@ -44,7 +42,6 @@ def skew_pair() -> MixtureSpec:
             (1, (0,), g1), (1, (1,), g2),
             (2, (0, 0), g11), (2, (0, 1), g12), (2, (1, 1), g22),
         ),
-        max_degree=2,
     )
 
 
@@ -59,14 +56,12 @@ def cubic_pair() -> MixtureSpec:
         for b in range(a, 2):
             for c in range(b, 2):
                 coeffs.append((3, (a, b, c), 0.2))
-    return MixtureSpec(r=2, lam=np.array([0.5, 0.5]),
-                       coeffs=tuple(coeffs), max_degree=3)
+    return MixtureSpec(r=2, lam=np.array([0.5, 0.5]), coeffs=tuple(coeffs))
 
 
 def pure(p: int) -> MixtureSpec:
     # xi(t) = t^p
-    return MixtureSpec(r=1, lam=np.array([1.0]),
-                       coeffs=((p, (0,) * p, 1.0),), max_degree=p)
+    return MixtureSpec(r=1, lam=np.array([1.0]), coeffs=((p, (0,) * p, 1.0),))
 
 
 def three_species() -> MixtureSpec:
@@ -75,16 +70,14 @@ def three_species() -> MixtureSpec:
     for a in range(3):
         for b in range(a, 3):
             coeffs.append((2, (a, b), 0.8))
-    return MixtureSpec(r=3, lam=np.array([0.2, 0.3, 0.5]),
-                       coeffs=tuple(coeffs), max_degree=2)
+    return MixtureSpec(r=3, lam=np.array([0.2, 0.3, 0.5]), coeffs=tuple(coeffs))
 
 
 def single_species(gammas) -> MixtureSpec:
     """One-species mixture from a coefficient list (gamma_1, gamma_2, ...)."""
     coeffs = tuple((k + 1, (0,) * (k + 1), float(g))
                    for k, g in enumerate(gammas) if g != 0.0)
-    return MixtureSpec(r=1, lam=np.array([1.0]), coeffs=coeffs,
-                       max_degree=max((c[0] for c in coeffs), default=1))
+    return MixtureSpec(r=1, lam=np.array([1.0]), coeffs=coeffs)
 
 
 PRESETS = {

@@ -15,9 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCase, NegativeRadicand, ValidationError
-from .mixture import MixtureSpec, eval_xi
+from .mixture import MixtureSpec, stats
 
 SQRT2 = np.sqrt(2.0)
+# alpha^2 = xi'' + xi' - xi'^2 is formed from terms of size xi'^2 that cancel,
+# so its rounding residue scales with xi'^2: a pure model is one whose
+# |alpha^2| is within this multiple of xi'^2
+ALPHA_SQ_REL_FLOOR = 1e-12
 
 __all__ = [
     "ScalarThresholds", "EllipseParams", "thresholds",
@@ -62,8 +66,8 @@ def thresholds(xi_prime: float, xi_dprime: float) -> ScalarThresholds:
     xp, xpp = float(xi_prime), float(xi_dprime)
     if not (xpp >= xp > 0):
         raise ValidationError("need xi'' >= xi' > 0")
-    alpha_sq = xpp + xp - xp * xp  # its terms cancel at size xi'^2
-    if alpha_sq < -1e-12 * xp * xp:
+    alpha_sq = xpp + xp - xp * xp
+    if alpha_sq < -ALPHA_SQ_REL_FLOOR * xp * xp:
         raise ValidationError(
             "alpha^2 < 0: parameters inconsistent with a normalized mixture")
     alpha_sq = max(alpha_sq, 0.0)
@@ -84,13 +88,16 @@ def thresholds_from_mixture(spec: MixtureSpec) -> ScalarThresholds:
     """Same, from a one-species mixture; checks normalization here."""
     if spec.r != 1:
         raise ValidationError("single-species formulas require r = 1")
-    one = np.ones(1)
-    val, grad, hess = eval_xi(spec, one, order=2)
-    if abs(val - 1.0) > 1e-10:
-        raise ValidationError(f"xi(1) = {val}; normalization to 1 is required")
+    st = stats(spec)
+    if abs(st.xi_one - 1.0) > 1e-10:
+        raise ValidationError(f"xi(1) = {st.xi_one}; normalization to 1 is required")
     if spec.gamma1[0] != 0.0:
         raise ValidationError("external field (degree-1 term) is not allowed")
-    return thresholds(float(grad[0]), float(hess[0, 0]))
+    return thresholds(float(st.xi_prime[0]), float(st.xi_dprime[0, 0]))
+
+
+def _is_pure(th: ScalarThresholds) -> bool:
+    return th.alpha_sq <= ALPHA_SQ_REL_FLOOR * th.xi_prime * th.xi_prime
 
 
 def theta(s: float) -> float:
@@ -111,7 +118,7 @@ def F_sy(th: ScalarThresholds, s: float, y: float, tilde: bool = False) -> float
     """
     s, y = float(s), float(y)
     dev = s - y * th.xi_prime / np.sqrt(2 * th.xi_dprime)
-    if th.alpha_sq <= 1e-12:
+    if _is_pure(th):
         if abs(dev) > 1e-9:
             return float("-inf")
         penalty = 0.0
@@ -125,7 +132,7 @@ def F_sy(th: ScalarThresholds, s: float, y: float, tilde: bool = False) -> float
 
 def ellipse(th: ScalarThresholds) -> EllipseParams:
     """Centered ellipse bounding {F-tilde >= 0}."""
-    if th.alpha_sq <= 1e-12:
+    if _is_pure(th):
         raise DegenerateCase("pure mixture: the region degenerates to a segment")
     xp, xpp, a2 = th.xi_prime, th.xi_dprime, th.alpha_sq
     a_ss = 0.5 * (1.0 - 2 * xpp / a2)

@@ -67,8 +67,7 @@ def uncoupled(r):
     spec = mx.MixtureSpec(
         r=r, lam=np.full(r, 1.0 / r),
         coeffs=tuple((2, (s, s), 1.0) for s in range(r)) + tuple(
-            (1, (s,), 1.0) for s in range(r)),
-        max_degree=2)
+            (1, (s,), 1.0) for s in range(r)))
     return mx.stats(spec)
 
 
@@ -100,7 +99,7 @@ def test_F_point_validation():
     with pytest.raises(ValidationError):
         cx.F_point(FB, np.zeros(3))
     bare = mx.MixtureSpec(r=2, lam=np.array([0.5, 0.5]),
-                          coeffs=((2, (0, 0), 1.0),), max_degree=2)
+                          coeffs=((2, (0, 0), 1.0),))
     with pytest.raises(ValidationError):
         cx.F_point(mx.stats(bare), np.zeros(2))
 
@@ -226,8 +225,7 @@ def _relabel(spec, perm):
     return mx.MixtureSpec(
         r=spec.r, lam=spec.lam[perm],
         coeffs=tuple((deg, tuple(sorted(perm.index(s) for s in idx)), g)
-                     for deg, idx, g in spec.coeffs),
-        max_degree=spec.max_degree)
+                     for deg, idx, g in spec.coeffs))
 
 
 @pytest.mark.parametrize("name, perm", [
@@ -380,7 +378,7 @@ def _cubic_mixture(c):
     coeffs += [(3, idx, 1.0)
                for idx in ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1))]
     return mx.MixtureSpec(r=2, lam=np.array([0.3, 0.7]),
-                          coeffs=tuple(coeffs), max_degree=3)
+                          coeffs=tuple(coeffs))
 
 
 def test_sup_is_positive_exactly_when_sub_solvable():
@@ -437,7 +435,7 @@ def _random_mixtures(draw):
                for p in range(2, degree + 1)
                for idx in itertools.combinations_with_replacement(range(r), p)]
     return mx.MixtureSpec(r=r, lam=weights / weights.sum(),
-                          coeffs=tuple(coeffs), max_degree=degree)
+                          coeffs=tuple(coeffs))
 
 
 # derandomized, so that every run draws the same 40 mixtures

@@ -299,7 +299,7 @@ def _all_pairs(lam, gamma):
     # every degree-2 coupling, the species' own ones gamma, the others 0.5
     r = len(lam)
     return mx.stats(mx.MixtureSpec(
-        r=r, lam=np.asarray(lam), max_degree=2,
+        r=r, lam=np.asarray(lam),
         coeffs=tuple((2, (s, t), gamma if s == t else 0.5)
                      for s, t in itertools.combinations_with_replacement(
                          range(r), 2))))
@@ -553,8 +553,7 @@ def test_boundary_values_are_label_invariant():
         relabelled = mx.MixtureSpec(
             r=3, lam=spec.lam[perm],
             coeffs=tuple((deg, tuple(sorted(perm.index(s) for s in idx)), g)
-                         for deg, idx, g in spec.coeffs),
-            max_degree=spec.max_degree)
+                         for deg, idx, g in spec.coeffs))
         st = mx.stats(relabelled)
         assert np.allclose(st.xi_dprime, T3.xi_dprime[np.ix_(perm, perm)])
         assert np.abs(dy.boundary_values(st, V[:, perm]) - U[:, perm]).max() <= 1e-12

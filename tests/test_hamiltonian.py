@@ -59,7 +59,7 @@ def test_sample_tensors_frozen():
 
 def test_zero_mixture_is_flat():
     zero = mx.MixtureSpec(r=2, lam=np.array([0.5, 0.5]),
-                          coeffs=((2, (0, 0), 0.0),), max_degree=2)
+                          coeffs=((2, (0, 0), 0.0),))
     inst0 = ham.sample(zero, 16, seed=1)
     assert inst0.tensors == {}
     sig = ham.random_state(inst0.partition, 2)
@@ -78,8 +78,7 @@ TRIPLE = mx.MixtureSpec(
                     for a in range(3) for b in range(a, 3))
             + tuple((3, (a, b, c), 0.1 + 0.15 * a + 0.05 * b + 0.02 * c)
                     for a in range(3) for b in range(a, 3)
-                    for c in range(b, 3))),
-    max_degree=3)
+                    for c in range(b, 3))))
 
 
 def _contract_all_but(t, sig, free):
@@ -217,9 +216,8 @@ def test_covariance_identity():
     part = inst0.partition
     sig = ham.random_state(part, 1)
     rho = ham.random_state(part, 2)
-    spec_N = mx.MixtureSpec(r=2, lam=part.lam_N, coeffs=CUBIC.coeffs,
-                            max_degree=CUBIC.max_degree)
-    target = N * mx.eval_xi(spec_N, ham.overlap(sig, rho, part), order=0)[0]
+    spec_N = mx.MixtureSpec(r=2, lam=part.lam_N, coeffs=CUBIC.coeffs)
+    target = N * mx.eval_xi(spec_N, ham.overlap(sig, rho, part))[0]
     prods = np.empty(400)
     for t in range(prods.shape[0]):
         it = ham.sample(CUBIC, N, seed=(123, t))
@@ -429,8 +427,7 @@ def test_linear_model_critical_stats():
     # a degree-1-only mixture has closed-form critical points, pinning the
     # overlap and radial predictions without any solver in the loop
     lin = mx.MixtureSpec(r=2, lam=np.array([0.3, 0.7]),
-                         coeffs=((1, (0,), 1.0), (1, (1,), 1.0)),
-                         max_degree=1)
+                         coeffs=((1, (0,), 1.0), (1, (1,), 1.0)))
     pred = mx.ideal_stats(lin, np.array([1.0, 1.0]))
     overlaps, radials = [], []
     for t in range(60):

@@ -300,7 +300,7 @@ def test_follow_validation():
 def _homotopy_mixture(spec, t):
     # H_1 + t H_{>=2}, the Hamiltonian at weight t on the homotopy path, has
     # covariance xi_1 + t^2 xi_{>=2}: every coefficient of degree >= 2 times t
-    return MixtureSpec(r=spec.r, lam=spec.lam, max_degree=spec.max_degree,
+    return MixtureSpec(r=spec.r, lam=spec.lam,
                        coeffs=tuple((deg, idx, g if deg == 1 else t * g)
                                     for deg, idx, g in spec.coeffs))
 

@@ -1,6 +1,9 @@
-"""Tests for mixture evaluation, classification, and band recursion."""
+"""Tests for mixture evaluation, solvability classification and the
+closed-form critical-point predictions."""
 
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,14 +22,101 @@ def test_eval_xi_quadratic_at_one():
     assert hess[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_eval_xi_orders():
-    spec = presets.cubic_pair()
-    v0, g0, h0 = mx.eval_xi(spec, [0.7, 1.3], order=0)
-    assert g0 is None and h0 is None
-    v1, g1, h1 = mx.eval_xi(spec, [0.7, 1.3], order=1)
-    assert h1 is None
-    v2, g2, h2 = mx.eval_xi(spec, [0.7, 1.3], order=2)
-    assert v0 == pytest.approx(v2) and np.allclose(g1, g2)
+def _loop_eval_xi(spec, x):
+    # reference: xi and its derivatives term by term from spec.coeffs, one
+    # species at a time, never forming a power with a negative exponent
+    y = spec.lam * np.asarray(x, dtype=float)
+    r = spec.r
+    value, grad, hess = 0.0, np.zeros(r), np.zeros((r, r))
+
+    def pow_(base, exp):
+        return 1.0 if exp == 0 else base ** exp
+
+    for degree, index, gamma in spec.coeffs:
+        counts = [index.count(s) for s in range(r)]
+        orbit = math.factorial(degree) // math.prod(math.factorial(c) for c in counts)
+        weight = gamma * gamma * orbit
+        term = weight
+        for s in range(r):
+            if counts[s]:
+                term *= y[s] ** counts[s]
+        value += term
+        for s in range(r):
+            cs = counts[s]
+            if cs == 0:
+                continue
+            dterm = weight * cs * spec.lam[s] * pow_(y[s], cs - 1)
+            for t in range(r):
+                if t != s and counts[t]:
+                    dterm *= y[t] ** counts[t]
+            grad[s] += dterm
+            for t in range(s, r):
+                ct = counts[t]
+                if t == s:
+                    if cs < 2:
+                        continue
+                    h = weight * cs * (cs - 1) * spec.lam[s] ** 2 * pow_(y[s], cs - 2)
+                    others = [w for w in range(r) if w != s]
+                else:
+                    if ct == 0:
+                        continue
+                    h = (weight * cs * ct * spec.lam[s] * spec.lam[t]
+                         * pow_(y[s], cs - 1) * pow_(y[t], ct - 1))
+                    others = [w for w in range(r) if w != s and w != t]
+                for w in others:
+                    if counts[w]:
+                        h *= y[w] ** counts[w]
+                hess[s, t] += h
+                if t != s:
+                    hess[t, s] += h
+    return value, grad, hess
+
+
+def _assert_matches_loop(spec, x):
+    got = mx.eval_xi(spec, x)
+    for out, ref in zip(got, _loop_eval_xi(spec, x)):
+        out, ref = np.asarray(out), np.asarray(ref)
+        assert np.all(np.abs(out - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
+    # the loop mirrors each off-diagonal entry; the contraction must agree
+    assert np.array_equal(got[2], got[2].T)
+
+
+def test_eval_xi_matches_loop_on_presets():
+    # x = 0 and negative coordinates are where a zero or negative base meets
+    # a clipped exponent
+    grid = (-1.0, -0.37, 0.0, 0.5, 1.0)
+    with np.errstate(all="raise"):
+        for name in presets.PRESETS:
+            spec = presets.get_preset(name)
+            for x in itertools.product(grid, repeat=spec.r):
+                _assert_matches_loop(spec, np.array(x))
+
+
+def test_eval_xi_matches_loop_on_random_mixtures():
+    # every coefficient up to each degree, x in [-1, 1]^r with exact zeros
+    rng = np.random.default_rng(21)
+    with np.errstate(all="raise"):
+        for r in (1, 2, 3, 6):
+            for degree in range(1, mx.MAX_DEGREE + 1):
+                lam = rng.uniform(0.5, 1.5, r)
+                coeffs = tuple(
+                    (k, idx, float(rng.uniform(0.0, 1.0)))
+                    for k in range(1, degree + 1)
+                    for idx in itertools.combinations_with_replacement(range(r), k))
+                spec = mx.MixtureSpec(r=r, lam=lam / lam.sum(), coeffs=coeffs)
+                for _ in range(3):
+                    x = rng.uniform(-1.0, 1.0, r) * (rng.random(r) < 0.7)
+                    _assert_matches_loop(spec, x)
+
+
+def test_max_degree_is_largest_coefficient_degree():
+    for name in presets.PRESETS:
+        spec = presets.get_preset(name)
+        assert spec.max_degree == max(d for d, _, _ in spec.coeffs)
+        back = mx.mixture_from_dict(mx.mixture_to_dict(spec))
+        assert back.max_degree == spec.max_degree
+    empty = mx.MixtureSpec(r=1, lam=np.array([1.0]), coeffs=())
+    assert empty.max_degree == 1
 
 
 def test_cubic_pair_stats():
@@ -51,11 +141,11 @@ def test_finite_difference_consistency():
                 xp, xm = x.copy(), x.copy()
                 xp[s] += eps
                 xm[s] -= eps
-                fd = (mx.eval_xi(spec, xp, order=0)[0]
-                      - mx.eval_xi(spec, xm, order=0)[0]) / (2 * eps)
+                fd = (mx.eval_xi(spec, xp)[0]
+                      - mx.eval_xi(spec, xm)[0]) / (2 * eps)
                 assert fd == pytest.approx(grad[s], rel=1e-6, abs=1e-8)
-                gp = mx.eval_xi(spec, xp, order=1)[1]
-                gm = mx.eval_xi(spec, xm, order=1)[1]
+                gp = mx.eval_xi(spec, xp)[1]
+                gm = mx.eval_xi(spec, xm)[1]
                 assert np.allclose((gp - gm) / (2 * eps), hess[s],
                                    rtol=1e-6, atol=1e-7)
 
@@ -69,7 +159,6 @@ def test_permutation_symmetry():
         lam=spec.lam[perm],
         coeffs=tuple((d, tuple(sorted(perm.index(s) for s in idx)), g)
                      for d, idx, g in spec.coeffs),
-        max_degree=spec.max_degree,
     )
     rng = np.random.default_rng(3)
     for _ in range(5):
@@ -167,7 +256,7 @@ def test_v_star_zero_coupling_row_raises():
     # species 0 has only an external field, so its xi'' row and the slope
     # <xi''_0, phi> / lambda_0 are zero: f_0 = sqrt(phi_0 / slope_0) has no
     # finite value, which must raise before any division warns
-    spec = mx.MixtureSpec(r=2, lam=np.array([0.5, 0.5]), max_degree=2,
+    spec = mx.MixtureSpec(r=2, lam=np.array([0.5, 0.5]),
                           coeffs=((1, (0,), 1.0), (1, (1,), 1.0),
                                   (2, (1, 1), 1.0)))
     with pytest.raises(NegativeRadicand):

@@ -120,6 +120,19 @@ def test_ellipse_degenerate_pure():
         ss.classify_Einf_case(th)
 
 
+def test_pure_floor_is_relative_in_F_and_ellipse():
+    # alpha^2 = 0 up to rounding of terms of size xi'^2 ~ 9e3, computed as
+    # +1.8e-12: F_sy and ellipse must both take the model as pure
+    th = ss.thresholds(94.8435313515356, 8900.451907878181)
+    assert 0.0 < th.alpha_sq < 1e-11
+    y = 1.0
+    s_line = y * th.xi_prime / np.sqrt(2 * th.xi_dprime)
+    assert np.isfinite(ss.F_sy(th, s_line, y))
+    assert ss.F_sy(th, s_line + 1e-3, y) == float("-inf")
+    with pytest.raises(DegenerateCase):
+        ss.ellipse(th)
+
+
 def test_tangent_slope_at_Eminus_nonnegative():
     ell = ss.ellipse(MIXED)
     # slope at the left intersection is positive by the geometry lemma
