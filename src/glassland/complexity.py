@@ -16,6 +16,8 @@ MAXIMALITY_TOL = 1e-9
 # the stationarity residual the census tests hold every preset to
 SUP_RESIDUAL_TOL = 1e-6
 SCAN_POINTS = {1: 1201, 2: 301, 3: 61}
+# rows per boundary_values call in scan
+SCAN_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -256,25 +258,20 @@ def fd_hessian(stats: MixtureStats, x, h: float = 1e-4) -> np.ndarray:
     return 0.5 * (hess + hess.T)
 
 
-def sup_F(stats: MixtureStats, region=None, multistart: int = 32):
-    """sup F and a maximiser x, read off the stationary census.
+def sup_F(stats: MixtureStats, multistart: int = 32):
+    """sup F over all of R^r and a maximiser x, read off the stationary census.
 
     F -> -inf as |x| grows, so sup F is attained at a stationary point, and
     find_stationary_points gives every one in closed form through the
     per-species dichotomy: the largest census value is sup F, with no
     ascent or polish.  The census caps r at 6 (ValidationError).
-
-    region=None means all of R^r.  A radius restricts x to the box
-    [-region, region]^r; a maximiser outside it raises ValidationError, as
-    the census gives no box-constrained maximum.  NonConvergence means an
-    empty census, or a maximiser whose stationarity residual, checked
-    independently through the Dyson solve, exceeds SUP_RESIDUAL_TOL.
+    NonConvergence means an empty census, or a maximiser whose stationarity
+    residual, checked independently through the Dyson solve, exceeds
+    SUP_RESIDUAL_TOL.
 
     multistart is unused but must be >= 1; perfbench still passes it, and
     it goes away with the perfbench change that replaces its sup F check.
     """
-    if region is not None and float(region) <= 0:
-        raise ValidationError("region radius must be positive")
     if multistart < 1:
         raise ValidationError("multistart must be at least 1")
     points = find_stationary_points(stats)
@@ -285,11 +282,7 @@ def sup_F(stats: MixtureStats, region=None, multistart: int = 32):
         raise NonConvergence(
             f"census maximiser residual {best.residual:.3e} "
             f"> {SUP_RESIDUAL_TOL:.0e}")
-    x = best.v / np.sqrt(stats.lam)
-    if region is not None and np.abs(x).max() > float(region):
-        raise ValidationError(
-            f"the maximiser of F lies outside the box of radius {region}")
-    return best.F, x
+    return best.F, best.v / np.sqrt(stats.lam)
 
 
 def _parse_scan_grid(stats: MixtureStats, grid_spec):
@@ -306,8 +299,8 @@ def _parse_scan_grid(stats: MixtureStats, grid_spec):
     return lo, hi, n
 
 
-def scan(stats: MixtureStats, grid_spec=None, chunk: int = 4096) -> ScanResult:
-    """F and the nonreal mask on a tensor-product x-grid."""
+def scan(stats: MixtureStats, grid_spec=None) -> ScanResult:
+    """F and the nonreal mask on a tensor-product x-grid, by SCAN_CHUNK rows."""
     if stats.r > 3:
         raise ValidationError("tensor-grid scans support r <= 3")
     _require_positive_xi_prime(stats)
@@ -319,8 +312,8 @@ def scan(stats: MixtureStats, grid_spec=None, chunk: int = 4096) -> ScanResult:
     V = np.sqrt(stats.lam) * X
     values = np.empty(X.shape[0])
     mask = np.empty(X.shape[0], dtype=bool)
-    for start in range(0, X.shape[0], chunk):
-        sl = slice(start, start + chunk)
+    for start in range(0, X.shape[0], SCAN_CHUNK):
+        sl = slice(start, start + SCAN_CHUNK)
         u = dyson.boundary_values(stats, V[sl], polish=False)
         values[sl] = _F_rows(stats, V[sl], u)[0]
         mask[sl] = u.imag.max(axis=1) > dyson.REAL_TOL

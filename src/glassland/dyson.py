@@ -12,11 +12,11 @@ batch species-major, as (r, n) arrays with one contiguous length-n row
 per species: the residual reduces over the short species axis, and the
 r <= 3 step is elementwise on rows, where an (n, r) layout spent most of
 its time in numpy overhead.  Batches enter and leave as (n, r) rows
-through _boundary_batch.  Only rows where Newton
-stalls, and a real z (reached from a warm start), take the slower path of
-damped half-plane sweeps before Newton.  Boundary values u(v) at z -> 0
-come from two eta levels: a cold solve (m = i) at ETA_LEVELS[0], where
-uniqueness makes a warm start unnecessary, and a warm solve at
+through _boundary_batch.  Only rows where Newton stalls, and a real z
+(reached from a warm start), take the slower path of damped half-plane
+sweeps over their whole batch before Newton.  Boundary values u(v) at
+z -> 0 come from two eta levels: a cold solve (m = i) at ETA_LEVELS[0],
+where uniqueness makes a warm start unnecessary, and a warm solve at
 ETA_LEVELS[1], whose drift from the first is the Hoelder check.
 Limiting spectral densities come from the imaginary parts, and boundary
 points are classified by feasibility conditions on the stability
@@ -47,6 +47,10 @@ MASS_TOL = 1e-4
 SUPPORT_BISECTIONS = 20
 DYADIC_DEPTH = 4
 SOLVER_TOL = 1e-12
+# feasibility's slack: at a census point Mbar Im u is _census_b's residual
+FEASIBILITY_TOL = 1e-8
+# an edge root at residual 1e-12 has O(1e-6) stability eigenvalue error
+SINGULAR_M_TOL = 1e-6
 
 __all__ = [
     "DysonSolution", "SpectralMeasure", "StabilityMatrices",
@@ -114,52 +118,32 @@ def _system(m, shift, K, z):
     return 1.0 + denom * m, J
 
 
-def _carried(live):
-    # numpy multiplies a lone column through gemv, which rounds differently
-    # from the gemm it uses for two or more; one settled row rides along so
-    # a last straggler gets the bits it would get in the full batch
-    keep = live.copy()
-    if len(keep) > 1 and keep.sum() == 1:
-        keep[np.argmin(keep)] = True
-    return keep
-
-
 def _damped_sweeps(m, shift, K, z, tol, sweeps):
     """Damped half-plane iteration; the step map preserves Im m >= 0.
 
-    A step is taken only where it does not raise the residual, so a row's
-    residual never increases and a row at or below tol is final.  Only
-    the live rows are therefore carried through the sweeps; each row is
-    written back to m and res when it leaves them.  The result, and the
-    count of sweeps used, equal those of sweeping the whole batch.
+    Every sweep steps the whole batch, and a row takes its step only while
+    it is above tol and the step does not raise its residual, so a row's
+    residual never increases and a row at or below tol is final.  The
+    batch is small: sweeps run only on Newton's stalled rows and at real z.
     """
     res = _resid(m, shift, K, z)
-    idx = np.flatnonzero(_carried(res > tol))
-    ml, sl, rl = m.take(idx, 1), shift.take(idx, 1), res[idx]
-    alpha = np.full(len(idx), 0.5)
+    alpha = np.full(m.shape[1], 0.5)
     used = 0
     for _ in range(sweeps):
-        live = rl > tol
+        live = res > tol
         if not live.any():
             break
-        keep = _carried(live)
-        if not keep.all():
-            out = idx[~keep]
-            m[:, out], res[out] = ml.compress(~keep, 1), rl[~keep]
-            idx, rl, alpha, live = idx[keep], rl[keep], alpha[keep], live[keep]
-            ml, sl = ml.compress(keep, 1), sl.compress(keep, 1)
         used += 1
-        step = -1.0 / (z + sl + K @ ml)
-        cand = (1.0 - alpha) * ml + alpha * step
+        step = -1.0 / (z + shift + K @ m)
+        cand = (1.0 - alpha) * m + alpha * step
         np.maximum(cand.imag, 0.0, out=cand.imag)
-        rc = _resid(cand, sl, K, z)
-        better = live & (rc <= rl)
+        rc = _resid(cand, shift, K, z)
+        better = live & (rc <= res)
         worse = live & ~better
-        ml, rl = np.where(better, cand, ml), np.where(better, rc, rl)
+        m[:, better] = cand[:, better]
+        res[better] = rc[better]
         alpha[better] = np.minimum(0.5, alpha[better] * 1.2)
         alpha[worse] = np.maximum(1e-3, alpha[worse] * 0.5)
-    m[:, idx] = ml
-    res[idx] = rl
     return m, res, used
 
 
@@ -250,7 +234,7 @@ def _sweep_first(m, shift, K, z):
     The sweeps bring each row near the root before the first Newton
     round.  Both phases accept a step only where it does not raise
     the residual, so a row's residual never increases: a row that reaches
-    SOLVER_TOL is final, and each phase works on the rows still above it.
+    SOLVER_TOL is final.  Newton carries the rows above it; sweeps mask them.
     Raises NonConvergence when 60 rounds of phases, at most
     400 + 60 * 200 sweeps, leave a row above SOLVER_TOL.
     """
@@ -668,20 +652,21 @@ def stability_matrices(stats: MixtureStats, u) -> StabilityMatrices:
     return StabilityMatrices(M=M, Mbar=Mbar, Mhat=Mhat)
 
 
-def feasibility(stats: MixtureStats, u, tol: float = 1e-8) -> FeasibilityReport:
+def feasibility(stats: MixtureStats, u) -> FeasibilityReport:
     """Classify u against the attainability conditions.
 
     boundary_real and boundary_imag are the two ways u can arise as the
     boundary value at a real v; interior means attainable from the open
     upper half-plane only; infeasible means not attainable at all.
     """
+    tol = FEASIBILITY_TOL
     u = np.asarray(u, dtype=complex)
     if np.any(u.imag < -tol):
         raise ValidationError("u must have nonnegative imaginary parts")
     mats = stability_matrices(stats, u)
     min_eig_mbar = float(np.linalg.eigvalsh(mats.Mbar)[0])
     mb_imu = mats.Mbar @ u.imag
-    u_real = np.abs(u.imag).max() <= max(tol, REAL_TOL)
+    u_real = np.abs(u.imag).max() <= REAL_TOL
     min_eig_m_real = None
     if u_real:
         min_eig_m_real = float(np.linalg.eigvalsh(np.real(mats.M))[0])
@@ -710,16 +695,16 @@ def _probe_verdict(plus_real, minus_real):
         f"probe realness plus={plus_real} minus={minus_real}")
 
 
-def classify_boundary_point(stats: MixtureStats, x, chi, tol: float = 1e-6,
-                            chi2=None) -> str:
+def classify_boundary_point(stats: MixtureStats, x, chi, chi2=None) -> str:
     """Edge or cusp classification of the spectral point 0 at parameter x.
 
-    Probes the boundary value at v + gamma*chi and v - gamma*chi over four
-    scales, for chi and chi2 all in one batch.  Real on the plus side only
-    means 0 sits at the right edge of the support; real on the minus side
-    only, left edge; nonreal on both sides, a cusp where two bands pinch.
-    Mixed verdicts across scales raise InconsistentProbes, as does
-    disagreement with a second chi.
+    nonsingular unless u0 = u(v) is real and its real stability matrix has
+    an |eigenvalue| <= SINGULAR_M_TOL.  Then probes u at v + gamma*chi and
+    v - gamma*chi over four scales, for chi and chi2 all in one batch.  Real
+    on the plus side only means 0 sits at the right edge of the support;
+    real on the minus side only, left edge; nonreal on both sides, a cusp
+    where two bands pinch.  Mixed verdicts across scales raise
+    InconsistentProbes, as does disagreement with a second chi.
     """
     x = np.asarray(x, dtype=float)
     chis = [np.asarray(c, dtype=float) for c in
@@ -735,7 +720,7 @@ def classify_boundary_point(stats: MixtureStats, x, chi, tol: float = 1e-6,
         return "nonsingular"
     m_eigs = np.linalg.eigvals(np.diag(stats.lam / u0.real ** 2)
                                - stats.xi_dprime)
-    if np.abs(m_eigs).min() > tol:
+    if np.abs(m_eigs).min() > SINGULAR_M_TOL:
         return "nonsingular"
     gamma0 = 1e-2
     scales = np.array([gamma0 / 8, gamma0 / 4, gamma0 / 2, gamma0])

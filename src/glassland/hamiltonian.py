@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DegreeTooHigh, OffManifold, TooLarge, ValidationError
 from .mixture import (MixtureSpec, mixture_from_dict, mixture_to_dict,
-                      species_sizes, stats as mixture_stats)
+                      species_sizes)
 
 MAX_N_DEGREE3 = 400
 MAX_N = 4000
@@ -49,6 +49,11 @@ class Partition:
     @cached_property
     def labels(self) -> np.ndarray:
         return np.repeat(np.arange(self.r), self.sizes)
+
+    @cached_property
+    def _tangent_mask(self) -> np.ndarray:
+        # the tangent_basis coordinates: all but each block's first
+        return np.isin(np.arange(self.N), self.offsets[:-1], invert=True)
 
     def slices(self) -> list:
         off = self.offsets
@@ -93,17 +98,6 @@ class LocalData:
     curvature: np.ndarray
     rhess: np.ndarray
     reflectors: tuple = None
-
-
-@dataclass(frozen=True)
-class CovarianceReport:
-    passed: bool
-    max_abs_z: float
-    zscores: dict
-    empirical: dict
-    analytic: dict
-    N: int
-    trials: int
 
 
 def _gamma_tables(mixture: MixtureSpec) -> dict:
@@ -402,92 +396,6 @@ def g1_overlap(instance: HamiltonianInstance, sigma) -> np.ndarray:
     part = instance.partition
     raw = overlap(instance.tensors[1], sigma, part)
     return raw / np.sqrt(part.lam_N)
-
-
-def _zscore(products: np.ndarray, target: float) -> float:
-    n = products.shape[0]
-    se = products.std(ddof=1) / np.sqrt(n)
-    if se == 0.0:
-        return 0.0 if abs(products.mean() - target) < 1e-14 else np.inf
-    return float((products.mean() - target) / se)
-
-
-def covariance_selftest(mixture: MixtureSpec, N: int, trials: int,
-                        seed) -> CovarianceReport:
-    """Monte Carlo check of the derivative laws at the species north pole.
-
-    Empirical second moments of (H, tangential derivatives, radial
-    derivative, degree-1 overlap) are compared with the exact finite-N
-    covariances, which are those of the limit laws with the species
-    proportions N_s/N in place of lambda.  PASS means all |z| <= 4.
-    """
-    if trials < 1000:
-        raise ValidationError("covariance selftest needs trials >= 1000")
-    partition = make_partition(mixture, N)
-    lam_N = partition.lam_N
-    finite_spec = MixtureSpec(r=mixture.r, lam=lam_N, coeffs=mixture.coeffs)
-    st = mixture_stats(finite_spec)
-    r = mixture.r
-    pole = north_pole(partition)
-
-    # first two tangential coordinates of each species (one if N_s = 2)
-    tang_idx = []
-    for s, sl in enumerate(partition.slices()):
-        take = min(2, partition.sizes[s] - 1)
-        tang_idx.extend(range(sl.start + 1, sl.start + 1 + take))
-    tang_species = partition.labels[tang_idx]
-
-    energies = np.empty(trials)
-    radials = np.empty((trials, r))
-    overlaps = np.empty((trials, r))
-    tangentials = np.empty((trials, len(tang_idx)))
-    has_g1 = np.any(mixture.gamma1 > 0)
-    draw = _sampler(mixture, N)
-    for t in range(trials):
-        inst = draw((seed, t))
-        data = local_data(inst, pole)
-        energies[t] = data.value
-        radials[t] = data.radial
-        tangentials[t] = data.egrad[tang_idx]
-        if has_g1:
-            overlaps[t] = overlap(inst.tensors[1], pole, partition)
-
-    zscores, empirical, analytic = {}, {}, {}
-
-    def record(name, products, target):
-        zscores[name] = _zscore(products, target)
-        empirical[name] = float(products.mean())
-        analytic[name] = float(target)
-
-    record("energy_var", energies ** 2 / N, st.xi_one)
-    rad_cov = np.diag(lam_N ** -0.5) @ st.A @ np.diag(lam_N ** -0.5) / N
-    for s in range(r):
-        for t in range(s, r):
-            record(f"radial_cov_{s}{t}", radials[:, s] * radials[:, t],
-                   rad_cov[s, t])
-        record(f"energy_radial_{s}", energies * radials[:, s],
-               st.xi_prime[s] / np.sqrt(lam_N[s]))
-    for i, s in enumerate(tang_species):
-        record(f"tangential_var_{i}", tangentials[:, i] ** 2,
-               st.xi_species[s])
-        record(f"indep_tang_energy_{i}", tangentials[:, i] * energies / N, 0.0)
-        for t in range(r):
-            record(f"indep_tang_radial_{i}{t}",
-                   tangentials[:, i] * radials[:, t], 0.0)
-    if has_g1:
-        gamma1 = mixture.gamma1
-        for s in range(r):
-            for t in range(s, r):
-                target = (1.0 / (N * lam_N[s])) if s == t else 0.0
-                record(f"g1_cov_{s}{t}", overlaps[:, s] * overlaps[:, t],
-                       target)
-            record(f"g1_radial_{s}", overlaps[:, s] * radials[:, s],
-                   gamma1[s] / (N * np.sqrt(lam_N[s])))
-
-    max_abs_z = max(abs(z) for z in zscores.values())
-    return CovarianceReport(passed=max_abs_z <= 4.0, max_abs_z=max_abs_z,
-                            zscores=zscores, empirical=empirical,
-                            analytic=analytic, N=N, trials=trials)
 
 
 def save_instance(instance: HamiltonianInstance, path) -> None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dyson import SpectralMeasure
 from .errors import (LostTrack, MaxIters, NumericalError, OffManifold,
-                     ValidationError, ZeroComponent)
+                     ValidationError)
 from .hamiltonian import (HamiltonianInstance, StatePoint, _as_sigma,
                           check_on_manifold, g1_overlap, local_data, retract)
 from .mixture import all_sign_patterns, classify_solvability, ideal_stats
@@ -73,43 +73,15 @@ class ComparisonReport:
     gap_at_zero: float
 
 
-def _as_delta(delta, r: int):
-    arr = np.asarray(delta, dtype=float)
-    if arr.shape != (r,) or not np.all(np.abs(arr) == 1.0):
-        raise ValidationError(f"delta must be a vector of +-1 of length {r}")
-    return tuple(int(v) for v in arr), arr
-
-
-def scale(vec, delta, q, partition):
-    """Species-wise signed rescaling of vec to radii q.
-
-    Block s becomes delta_s sqrt(q_s N_s) vec_s/||vec_s||, so its squared
-    norm over N_s is exactly q_s.
-    """
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape != (partition.N,):
-        raise ValidationError(f"vec must have shape ({partition.N},)")
-    _, arr = _as_delta(delta, partition.r)
-    q = np.asarray(q, dtype=float)
-    if q.shape != (partition.r,) or np.any(q < 0):
-        raise ValidationError("q must be a nonnegative vector of length r")
-    out = np.empty(partition.N)
-    for s, sl in enumerate(partition.slices()):
-        nrm = float(np.linalg.norm(vec[sl]))
-        if nrm < 1e-300:
-            raise ZeroComponent(f"species {s} block of vec vanishes")
-        out[sl] = (arr[s] * np.sqrt(q[s] * partition.sizes[s]) / nrm) * vec[sl]
-    return out
-
-
 def _reduced(refl, partition, vec):
     V, X = refl
-    return np.delete(vec - X @ (V.T @ vec), partition.offsets[:-1])
+    return (vec - X @ (V.T @ vec))[partition._tangent_mask]
 
 
 def _ambient(refl, partition, red):
     V, X = refl
-    out = np.insert(red, partition.offsets[:-1] - np.arange(partition.r), 0.0)
+    out = np.zeros(partition.N)
+    out[partition._tangent_mask] = red
     return out - X @ (V.T @ out)
 
 
@@ -302,7 +274,11 @@ def follow_critical_points(instance: HamiltonianInstance, delta,
     it; if none passes, LostTrack.
     """
     part = instance.partition
-    ints, arr = _as_delta(delta, part.r)
+    arr = np.asarray(delta, dtype=float)
+    if arr.shape != (part.r,) or not np.all(np.abs(arr) == 1.0):
+        raise ValidationError(
+            f"delta must be a vector of +-1 of length {part.r}")
+    ints = tuple(int(v) for v in arr)
     if steps < 1:
         raise ValidationError("steps must be >= 1")
     if 1 not in instance.tensors or np.any(instance.mixture.gamma1 <= 0):
@@ -321,7 +297,7 @@ def follow_critical_points(instance: HamiltonianInstance, delta,
         return (res.grad_norm <= NEWTON_TOL and res.index == up.sum()
                 and _assign_delta(predictions, res.radial, np.inf) == ints)
 
-    sigma = scale(instance.tensors[1], arr, np.ones(part.r), part)
+    sigma = retract(part, arr[part.labels] * instance.tensors[1]).sigma
     tangent = None
     k, m = 0, 1
     while k < steps:

@@ -22,6 +22,8 @@ from .errors import BadMixture, DegreeTooHigh, NegativeRadicand, ValidationError
 
 MAX_DEGREE = 6          # library-wide cap on mixture degree
 LAMBDA_SUM_TOL = 1e-12
+# |min_eig| counted as 0: above the rounding of xi', xi'', below preset gaps
+SOLVABLE_TOL = 1e-9
 
 __all__ = [
     "MixtureSpec", "MixtureStats", "SolvabilityReport", "CriticalPrediction",
@@ -31,7 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixtureSpec:
     """Mixture function data.
 
@@ -50,14 +52,14 @@ class MixtureSpec:
     ``_exponents`` (T, r) counts each species in entry t's index, and
     ``_weights`` (T,) is gamma^2 times the orbit multiplicity, so that
     xi(x) = sum_t w_t prod_s (lambda_s x_s)^{E_ts}.  ``max_degree`` is
-    derived from ``coeffs``.
+    derived from ``coeffs``.  Specs compare and hash by identity (eq=False).
     """
 
     r: int
     lam: np.ndarray
     coeffs: tuple[tuple[int, tuple[int, ...], float], ...]
-    _exponents: np.ndarray = field(init=False, repr=False, compare=False)
-    _weights: np.ndarray = field(init=False, repr=False, compare=False)
+    _exponents: np.ndarray = field(init=False, repr=False)
+    _weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         lam = np.asarray(self.lam, dtype=float)
@@ -224,22 +226,19 @@ def stats(spec: MixtureSpec) -> MixtureStats:
 class SolvabilityReport:
     label: str
     min_eig: float
-    tol: float
 
 
-def classify_solvability(spec: MixtureSpec, tol: float = 1e-9) -> SolvabilityReport:
-    """Classify the mixture by the smallest eigenvalue of diag(xi') - xi''."""
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
+def classify_solvability(spec: MixtureSpec) -> SolvabilityReport:
+    """Classify by min_eig of diag(xi') - xi'', solvable within SOLVABLE_TOL."""
     st = stats(spec)
     min_eig = float(np.linalg.eigvalsh(np.diag(st.xi_prime) - st.xi_dprime)[0])
-    if min_eig > tol:
+    if min_eig > SOLVABLE_TOL:
         label = "strictly_super_solvable"
-    elif min_eig < -tol:
+    elif min_eig < -SOLVABLE_TOL:
         label = "strictly_sub_solvable"
     else:
         label = "solvable"
-    return SolvabilityReport(label=label, min_eig=min_eig, tol=tol)
+    return SolvabilityReport(label=label, min_eig=min_eig)
 
 
 @dataclass(frozen=True)

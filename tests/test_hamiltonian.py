@@ -19,9 +19,84 @@ def inst():
     return ham.sample(CUBIC, 60, seed=11)
 
 
+def _zscore(products, target):
+    se = products.std(ddof=1) / np.sqrt(products.shape[0])
+    if se == 0.0:
+        return 0.0 if abs(products.mean() - target) < 1e-14 else np.inf
+    return float((products.mean() - target) / se)
+
+
+def _covariance_moments(mixture, N, trials, seed):
+    """Monte Carlo check of the derivative laws at the species north pole.
+
+    The mixture needs a degree-1 part.  Returns {name: (products, target)}:
+    per trial, a product of two of (H, tangential derivatives, radial
+    derivative, degree-1 overlap), and its expectation under the exact
+    finite-N covariances, which are those of the limit laws with the
+    species proportions N_s/N in place of lambda.  These are exact at
+    every N, so a small N weakens no claim.
+    """
+    partition = ham.make_partition(mixture, N)
+    lam_N = partition.lam_N
+    st = mx.stats(mx.MixtureSpec(r=mixture.r, lam=lam_N,
+                                 coeffs=mixture.coeffs))
+    r = mixture.r
+    pole = ham.north_pole(partition)
+
+    # first two tangential coordinates of each species (one if N_s = 2)
+    tang_idx = []
+    for s, sl in enumerate(partition.slices()):
+        take = min(2, partition.sizes[s] - 1)
+        tang_idx.extend(range(sl.start + 1, sl.start + 1 + take))
+    tang_species = partition.labels[tang_idx]
+
+    energies = np.empty(trials)
+    radials = np.empty((trials, r))
+    overlaps = np.empty((trials, r))
+    tangentials = np.empty((trials, len(tang_idx)))
+    draw = ham._sampler(mixture, N)
+    for t in range(trials):
+        it = draw((seed, t))
+        data = ham.local_data(it, pole)
+        energies[t] = data.value
+        radials[t] = data.radial
+        tangentials[t] = data.egrad[tang_idx]
+        overlaps[t] = ham.overlap(it.tensors[1], pole, partition)
+
+    moments = {"energy_var": (energies ** 2 / N, st.xi_one)}
+    rad_cov = np.diag(lam_N ** -0.5) @ st.A @ np.diag(lam_N ** -0.5) / N
+    for s in range(r):
+        for t in range(s, r):
+            moments[f"radial_cov_{s}{t}"] = (radials[:, s] * radials[:, t],
+                                             rad_cov[s, t])
+        moments[f"energy_radial_{s}"] = (energies * radials[:, s],
+                                         st.xi_prime[s] / np.sqrt(lam_N[s]))
+    for i, s in enumerate(tang_species):
+        moments[f"tangential_var_{i}"] = (tangentials[:, i] ** 2,
+                                          st.xi_species[s])
+        moments[f"indep_tang_energy_{i}"] = (tangentials[:, i] * energies / N,
+                                             0.0)
+        for t in range(r):
+            moments[f"indep_tang_radial_{i}{t}"] = (
+                tangentials[:, i] * radials[:, t], 0.0)
+    for s in range(r):
+        for t in range(s, r):
+            target = (1.0 / (N * lam_N[s])) if s == t else 0.0
+            moments[f"g1_cov_{s}{t}"] = (overlaps[:, s] * overlaps[:, t],
+                                         target)
+        moments[f"g1_radial_{s}"] = (
+            overlaps[:, s] * radials[:, s],
+            mixture.gamma1[s] / (N * np.sqrt(lam_N[s])))
+    return moments
+
+
 @pytest.fixture(scope="module")
-def selftest_report():
-    return ham.covariance_selftest(CUBIC, 30, 10000, seed=42)
+def covariance_moments():
+    # cubic-pair has lambda = (1/2, 1/2); skew-pair's (0.3, 0.7) covers
+    # unequal species proportions
+    return {"cubic-pair": _covariance_moments(CUBIC, 16, 10000, seed=42),
+            "skew-pair": _covariance_moments(get_preset("skew-pair"), 20,
+                                             10000, seed=42)}
 
 
 def random_tangent(partition, sigma, seed):
@@ -445,26 +520,24 @@ def test_linear_model_critical_stats():
     assert np.abs(np.mean(radials, axis=0) - pred.radial).max() <= 0.05
 
 
-def test_covariance_selftest_passes(selftest_report):
-    rep = selftest_report
-    assert rep.passed
-    assert rep.max_abs_z <= 4.0
-    assert rep.trials == 10000
-    # the report carries every family, including the degree-1 rows
-    assert any(k.startswith("g1_cov") for k in rep.zscores)
-    assert any(k.startswith("indep_tang") for k in rep.zscores)
+def test_covariance_selftest_passes(covariance_moments):
+    for moments in covariance_moments.values():
+        assert all(products.shape == (10000,)
+                   for products, _ in moments.values())
+        zscores = {name: _zscore(*m) for name, m in moments.items()}
+        assert max(abs(z) for z in zscores.values()) <= 4.0, zscores
+        # every family, including the degree-1 rows
+        for family in ("energy_var", "radial_cov", "energy_radial",
+                       "tangential_var", "indep_tang_energy",
+                       "indep_tang_radial", "g1_cov", "g1_radial"):
+            assert any(name.startswith(family) for name in zscores)
 
 
-def test_selftest_tangential_variance(selftest_report):
-    rep = selftest_report
-    for name, emp in rep.empirical.items():
-        if name.startswith("tangential_var"):
-            assert abs(emp / rep.analytic[name] - 1.0) <= 0.05
-
-
-def test_selftest_rejects_small_trials():
-    with pytest.raises(ValidationError):
-        ham.covariance_selftest(CUBIC, 20, 100, seed=0)
+def test_selftest_tangential_variance(covariance_moments):
+    for moments in covariance_moments.values():
+        for name, (products, target) in moments.items():
+            if name.startswith("tangential_var"):
+                assert abs(products.mean() / target - 1.0) <= 0.05
 
 
 def test_scale_bounds():

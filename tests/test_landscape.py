@@ -31,7 +31,8 @@ def _uniform_follow(inst, delta, steps=40):
     # oracle: the homotopy walk with every step one grid unit long, each
     # corrector run to its 40-iteration budget, then the t = 1 polish
     part = inst.partition
-    sigma = ls.scale(inst.tensors[1], delta, np.ones(part.r), part)
+    sigma = ham.retract(part, np.asarray(delta)[part.labels]
+                        * inst.tensors[1]).sigma
     ld = None
     for i in range(1, steps + 1):
         wts = _weights(inst, i / steps)

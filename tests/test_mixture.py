@@ -119,6 +119,14 @@ def test_max_degree_is_largest_coefficient_degree():
     assert empty.max_degree == 1
 
 
+def test_spec_compares_and_hashes_by_identity():
+    # a field-wise == would compare the lam arrays and raise
+    a, b = presets.cubic_pair(), presets.cubic_pair()
+    assert (a == a) is True and (a == b) is False and (a != b) is True
+    assert isinstance(hash(a), int)
+    assert len({a, a, b}) == 2
+
+
 def test_cubic_pair_stats():
     st = mx.stats(presets.cubic_pair())
     assert np.allclose(st.xi_prime, [1.56, 1.56], atol=1e-12)
@@ -189,7 +197,7 @@ def test_classify_solvable_boundary():
     spec = presets.pure(2)
     rep = mx.classify_solvability(spec)
     assert rep.label == "solvable"
-    assert abs(rep.min_eig) <= rep.tol
+    assert abs(rep.min_eig) <= mx.SOLVABLE_TOL
 
 
 def test_ideal_stats_cubic_pair():
