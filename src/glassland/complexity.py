@@ -44,7 +44,11 @@ class StationaryPoint:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Tensor-product grid scan of F with the nonreal-region mask."""
+    """Tensor-product grid scan of F with the nonreal-region mask.
+
+    H has the law of -H, so F is even: on a grid with lo == -hi only the
+    first ceil(n^r / 2) flat rows are solved, the rest mirror them.
+    """
 
     grid: list
     F_values: np.ndarray
@@ -300,23 +304,32 @@ def _parse_scan_grid(stats: MixtureStats, grid_spec):
 
 
 def scan(stats: MixtureStats, grid_spec=None) -> ScanResult:
-    """F and the nonreal mask on a tensor-product x-grid, by SCAN_CHUNK rows."""
+    """F and the nonreal mask on a tensor-product x-grid, by SCAN_CHUNK rows.
+
+    H has the law of -H, so F and the mask are even.  When lo == -hi the
+    axis is made odd and only the first ceil(n^r / 2) flat rows are solved:
+    reversing every axis reverses the flat index, so the rest mirror them.
+    """
     if stats.r > 3:
         raise ValidationError("tensor-grid scans support r <= 3")
     _require_positive_xi_prime(stats)
     lo, hi, n = _parse_scan_grid(stats, grid_spec)
     axis = np.linspace(lo, hi, n)
+    if lo == -hi:
+        axis = 0.5 * (axis - axis[::-1])
     axes = [axis.copy() for _ in range(stats.r)]
     mesh = np.meshgrid(*axes, indexing="ij")
-    X = np.stack([m.ravel() for m in mesh], axis=1)
-    V = np.sqrt(stats.lam) * X
-    values = np.empty(X.shape[0])
-    mask = np.empty(X.shape[0], dtype=bool)
-    for start in range(0, X.shape[0], SCAN_CHUNK):
-        sl = slice(start, start + SCAN_CHUNK)
+    values = np.empty(n ** stats.r)
+    mask = np.empty(values.size, dtype=bool)
+    h = (values.size + 1) // 2 if lo == -hi else values.size
+    V = np.sqrt(stats.lam) * np.stack([m.ravel()[:h] for m in mesh], axis=1)
+    for start in range(0, h, SCAN_CHUNK):
+        sl = slice(start, min(start + SCAN_CHUNK, h))
         u = dyson.boundary_values(stats, V[sl], polish=False)
         values[sl] = _F_rows(stats, V[sl], u)[0]
         mask[sl] = u.imag.max(axis=1) > dyson.REAL_TOL
+    values[h:] = values[:values.size - h][::-1]
+    mask[h:] = mask[:values.size - h][::-1]
     shape = (n,) * stats.r
     return ScanResult(grid=axes, F_values=values.reshape(shape),
                       boundary_mask=mask.reshape(shape))

@@ -423,7 +423,9 @@ def boundary_values(stats: MixtureStats, V, polish: bool = True) -> np.ndarray:
     Each row solves the system with shift v_s/lambda_s, coupling
     xi''_{s,t}/lambda_s and weights lambda_s.  polish=False skips the
     Hoelder drift check and the real-root polish (see _boundary_batch),
-    for callers that need only the continued values.
+    for callers that need only the continued values.  u(-v) = -conj u(v)
+    bitwise, polished or not: the z = i eta system is invariant under
+    (m, shift) -> (-conj m, -shift).
     """
     V = np.asarray(V, dtype=float)
     if V.ndim != 2 or V.shape[1] != stats.r:

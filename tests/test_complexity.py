@@ -514,6 +514,9 @@ def test_scan_pair_topology():
     assert np.isfinite(sc.F_values).all()
     _, n_components = ndimage.label(sc.boundary_mask)
     assert n_components == 1
+    # scan fills one half of a symmetric grid by mirroring the other, so
+    # these two hold by construction; the independent check of the mirror is
+    # test_boundary_values_mirror_under_v_to_minus_v in tests/test_dyson.py
     assert np.array_equal(sc.boundary_mask, sc.boundary_mask[::-1, ::-1])
     assert np.allclose(sc.F_values, sc.F_values[::-1, ::-1], atol=1e-9)
 
@@ -524,6 +527,41 @@ def test_scan_matches_pointwise_F():
         for j in (1, 4, 6):
             x = np.array([sc.grid[0][i], sc.grid[1][j]])
             assert abs(sc.F_values[i, j] - cx.F_point(FB, x).F) < 1e-5
+
+
+@pytest.mark.parametrize("st, grid_spec, solved", [
+    (FB, (-3.0, 3.0, 7), 25), (TS, (-2.0, 2.0, 5), 63),
+    (FB, (-3.0, 3.0, 8), 32), (FB, (-3.0, 2.0, 9), 81),
+], ids=["pair-odd", "three-odd", "pair-even", "pair-asymmetric"])
+def test_scan_solves_one_point_of_each_mirror_pair(st, grid_spec, solved,
+                                                   monkeypatch):
+    # F(-x) = F(x), so a grid with lo == -hi solves ceil(n^r / 2) rows and
+    # an asymmetric grid solves all n^r
+    rows, solve = [], dy.boundary_values
+
+    def counted(stats, V, polish=True):
+        rows.append(len(V))
+        return solve(stats, V, polish)
+
+    monkeypatch.setattr(cx.dyson, "boundary_values", counted)
+    sc = cx.scan(st, grid_spec)
+    assert sum(rows) == solved
+    lo, hi, n = grid_spec
+    axis = sc.grid[0]
+    assert axis[0] == lo and axis[-1] == hi
+    if lo == -hi:
+        assert np.array_equal(axis, -axis[::-1])
+        assert (0.0 in axis) == (n % 2 == 1)
+    else:
+        assert np.array_equal(axis, np.linspace(lo, hi, n))
+
+
+def test_scan_asymmetric_grid_matches_pointwise_F():
+    # every row of an asymmetric grid is solved: no mirror fills it
+    sc = cx.scan(FB, (-3.0, 2.0, 9))
+    for i, j in itertools.product((0, 2, 4, 6, 8), (0, 3, 5, 8)):
+        x = np.array([sc.grid[0][i], sc.grid[1][j]])
+        assert abs(sc.F_values[i, j] - cx.F_point(FB, x).F) < 1e-5
 
 
 def test_scan_chunking_consistent(monkeypatch):

@@ -559,6 +559,56 @@ def test_boundary_values_are_label_invariant():
         assert np.abs(dy.boundary_values(st, V[:, perm]) - U[:, perm]).max() <= 1e-12
 
 
+def _random_mixture(seed):
+    # every coupling of degrees 2 and 3 present, some external fields near 0
+    rng = np.random.default_rng(seed)
+    r = 1 + seed % 3
+    weights = rng.uniform(0.2, 1.0, r)
+    coeffs = [(1, (s,), rng.uniform(0.0, 2.0)) for s in range(r)]
+    coeffs += [(p, idx, rng.uniform(0.1, 1.5)) for p in (2, 3)
+               for idx in itertools.combinations_with_replacement(range(r), p)]
+    return mx.MixtureSpec(r=r, lam=weights / weights.sum(),
+                          coeffs=tuple(coeffs))
+
+
+def _rays_through_the_edge(st, seed, n_rays=8, n_radii=25):
+    # points along rays out of v = 0: bulk rows near 0, real rows far out,
+    # and eight more rows within 1e-6..1/2 of a step of each ray's first
+    # real point, where the eta-ladder converges slowest
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=(n_rays, st.r))
+    d = np.sqrt(st.lam) * d / np.linalg.norm(d, axis=1, keepdims=True)
+    t = np.linspace(0.0, 3.0 * np.sqrt(st.r * st.xi_dprime.max()) + 2.0,
+                    n_radii)
+    V = (t[None, :, None] * d[:, None, :]).reshape(-1, st.r)
+    U = dy.boundary_values(st, V, polish=False)
+    real = (np.abs(U.imag).max(axis=1) <= dy.REAL_TOL).reshape(n_rays, -1)
+    near = np.geomspace(1e-6, 0.5, 4)
+    steps = np.r_[near, 1.0 - near] * (t[1] - t[0])
+    edge = [(t[j - 1] + steps)[:, None] * d[k]
+            for k, j in enumerate(real.argmax(axis=1)) if real[k, j]]
+    return np.vstack([V] + edge)
+
+
+@pytest.mark.parametrize(
+    "spec", [get_preset(n) for n in PRESETS]
+    + [_random_mixture(seed) for seed in range(6)],
+    ids=list(PRESETS) + [f"random-{seed}" for seed in range(6)])
+def test_boundary_values_mirror_under_v_to_minus_v(spec):
+    # the z = i eta system is invariant under (m, shift) -> (-conj m, -shift),
+    # and every step of the solve and the polish is odd in that sense, so
+    # u(-v) = -conj u(v) holds bitwise; complexity.scan relies on it
+    st = mx.stats(spec)
+    V = _rays_through_the_edge(st, seed=5)
+    assert len(V) >= 200
+    for polish in (False, True):
+        U = dy.boundary_values(st, V, polish=polish)
+        real = np.abs(U.imag).max(axis=1) <= dy.REAL_TOL
+        assert 0 < real.sum() < len(V)
+        assert np.array_equal(dy.boundary_values(st, -V, polish=polish),
+                              -np.conj(U))
+
+
 def _two_bands(g):
     # unit-mass semicircles of radius 1 on [-3, -1] and [0.5, 2.5]
     dens = np.zeros_like(g)

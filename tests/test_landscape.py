@@ -12,6 +12,8 @@ from glassland.mixture import (MixtureSpec, all_sign_patterns,
                                classify_solvability, ideal_stats, stats)
 from glassland.presets import get_preset
 
+from test_complexity import _relabel
+
 SYM = get_preset("symmetric-pair")
 N = 60
 # the smallest |eigenvalue| seen was 0.27 on symmetric-pair seeds 0-2, 0.12
@@ -287,6 +289,31 @@ def test_follow_is_seed_deterministic(tmp_path):
                 for inst in copies]
         for end in ends[1:]:
             assert np.max(np.abs(end - ends[0])) <= 1e-14
+
+
+def test_follow_permutes_with_the_species():
+    # relabel the species of one skew-pair draw by permuting its coordinates,
+    # not by sampling again: every followed endpoint permutes with them
+    spec, perm = get_preset("skew-pair"), [1, 0]
+    inst = ham.sample(spec, 40, seed=0)
+    idx = np.concatenate([np.arange(inst.N)[inst.partition.slices()[s]]
+                          for s in perm])
+    relabelled = _relabel(spec, perm)
+    moved = ham.HamiltonianInstance(
+        mixture=relabelled, N=inst.N,
+        partition=ham.make_partition(relabelled, inst.N),
+        tensors={1: inst.tensors[1][idx],
+                 2: inst.tensors[2][np.ix_(idx, idx)]},
+        seed=inst.seed, gamma_tables=ham._gamma_tables(relabelled))
+    assert np.array_equal(moved.partition.sizes, inst.partition.sizes[perm])
+    for delta in all_sign_patterns(2):
+        res = ls.follow_critical_points(inst, delta)
+        got = ls.follow_critical_points(moved, np.asarray(delta)[perm])
+        assert (np.abs(got.sigma_star.sigma - res.sigma_star.sigma[idx]).max()
+                <= 1e-10 * np.sqrt(inst.N))
+        assert np.abs(got.radial - res.radial[perm]).max() <= 1e-10
+        assert got.index == res.index == _expected_index(inst, delta)
+        assert abs(got.energy - res.energy) <= 1e-12
 
 
 def test_follow_validation():
