@@ -5,18 +5,21 @@ The central object is the coupled fixed-point system
     1 + (z + x_s/sqrt(lambda_s) + sum_t xi''_{s,t} m_t / lambda_s) m_s = 0
 
 on the closed upper half-plane.  For Im z > 0 it has a unique root with
-Im m >= 0, so each solve runs guarded Newton rounds first.  A round
-carries only the rows still above SOLVER_TOL and solves their steps by
-the adjugate for r <= 3, by LAPACK for larger r.  The solver keeps a
-batch species-major, as (r, n) arrays with one contiguous length-n row
-per species: the residual reduces over the short species axis, and the
-r <= 3 step is elementwise on rows, where an (n, r) layout spent most of
-its time in numpy overhead.  Batches enter and leave as (n, r) rows
-through _boundary_batch.  Only rows where Newton stalls, and a real z
-(reached from a warm start), take the slower path of damped half-plane
-sweeps over their whole batch before Newton.  Boundary values u(v) at
-z -> 0 come from two eta levels: a cold solve (m = i) at ETA_LEVELS[0],
-where uniqueness makes a warm start unnecessary, and a warm solve at
+Im m >= 0, so each solve runs guarded Newton rounds first, a cold one
+from the root of the decoupled scalar system (every m_t set to m_s).  A
+round carries only the rows still above SOLVER_TOL and solves each step
+on K + diag(denom/m), the Jacobian with the row scaling diag(m) taken
+out: by Cramer's rule for r <= 3, where only the diagonal varies by row,
+by LAPACK for larger r.  The solver keeps a batch species-major, as
+(r, n) arrays with one contiguous length-n row per species: the residual
+reduces over the short species axis, and the r <= 3 step is elementwise
+on rows, where an (n, r) layout spent most of its time in numpy
+overhead.  Batches enter and leave as (n, r) rows through
+_boundary_batch.  Only rows where Newton stalls, and a real z (reached
+from a warm start), take the slower path of damped half-plane sweeps
+over their whole batch before Newton.  Boundary values u(v) at z -> 0
+come from two eta levels: a cold solve at ETA_LEVELS[0], where
+uniqueness makes a warm start unnecessary, and a warm solve at
 ETA_LEVELS[1], whose drift from the first is the Hoelder check.
 Limiting spectral densities come from the imaginary parts, and boundary
 points are classified by feasibility conditions on the stability
@@ -109,15 +112,6 @@ def _resid(m, shift, K, z):
     return np.abs(1.0 + (z + shift + K @ m) * m).max(axis=0)
 
 
-def _system(m, shift, K, z):
-    # F and J at the columns of m, J[i, j] = m_i K_ij + delta_ij denom_i;
-    # K is cast first, as numpy's mixed complex-real product is 3x slower
-    denom = z + shift + K @ m
-    J = m[:, None] * K.astype(m.dtype)[:, :, None]
-    np.einsum("iin->in", J)[...] += denom
-    return 1.0 + denom * m, J
-
-
 def _damped_sweeps(m, shift, K, z, tol, sweeps):
     """Damped half-plane iteration; the step map preserves Im m >= 0.
 
@@ -150,9 +144,9 @@ def _damped_sweeps(m, shift, K, z, tol, sweeps):
 def _newton_rounds(m, shift, K, z, tol=SOLVER_TOL, rounds=40, halvings=10):
     """Guarded Newton rounds, at most rounds, on the rows above tol.
 
-    Each round solves J d = -F by _solve_rows, the least-squares step
-    where J is singular, and takes the first of up to halvings halvings
-    of d that lowers the residual, clamped to Im m >= 0 when Im z > 0.  A
+    Each round takes _newton_step's step d, the least-squares one where
+    that has none, and then the first of up to halvings halvings of d
+    that lowers the residual, clamped to Im m >= 0 when Im z > 0.  A
     row's residual never increases, so only the rows still above tol are
     carried; each is written back to m and res when it leaves.  A row
     whose line search fails stays carried and fails again, since its
@@ -165,8 +159,7 @@ def _newton_rounds(m, shift, K, z, tol=SOLVER_TOL, rounds=40, halvings=10):
     used = 0
     while idx.size and used < rounds:
         used += 1
-        F, J = _system(ml, sl, K, z)
-        d = _solve_rows(J, -F, lstsq=True)[0]
+        d = _newton_step(ml, sl, K, z, lstsq=True)
         # the full step on the carried arrays, halvings on the rows it failed
         cand, sp, rp, pend = ml + d, sl, rl, None
         for _bt in range(halvings):
@@ -196,6 +189,19 @@ def _newton_rounds(m, shift, K, z, tol=SOLVER_TOL, rounds=40, halvings=10):
     return m, res, used
 
 
+def _scalar_start(shift, K, z):
+    """Per species, the root with Im m > 0 of the system at m_t = m_s.
+
+    That is k_s m^2 + (z + shift_s) m + 1 = 0 with k_s = sum_t K_st, exact
+    for r = 1.  Its roots are -2/(b +- sq) with b = z + shift_s and
+    sq^2 = b^2 - 4 k_s.  Taking sq = i sqrt(4 k_s - b^2), whose Im is >= 0,
+    gives Im(b + sq) >= Im z > 0, so -2/(b + sq) is the root in the upper
+    half-plane, free of cancellation; k_s = 0 leaves -1/b.
+    """
+    b = z + shift
+    return -2.0 / (b + 1j * np.sqrt(4.0 * K.sum(axis=1)[:, None] - b * b))
+
+
 def _solve_batch(shift, K, z, warm=None):
     """Solve the system to SOLVER_TOL for a batch of shifts at one z.
 
@@ -204,12 +210,14 @@ def _solve_batch(shift, K, z, warm=None):
     (Ajanki-Erdos-Krueger), so guarded Newton clamped to the closed upper
     half-plane cannot settle on a wrong root and runs first.  It can stall
     on the boundary Im m_s = 0, far from the root, where no
-    residual-lowering step exists; the rows it leaves above SOLVER_TOL
-    restart from their start value in _sweep_first.  On the real axis the
-    uniqueness argument is gone and _sweep_first solves every row.
-    Newton carries only the live rows; see _newton_rounds and _solve_rows
-    for how each step is solved.  Returns m and the work done, sweeps plus
-    Newton rounds.
+    residual-lowering step exists.  A cold solve starts Newton at
+    _scalar_start, exact for r = 1, and the rows it leaves above
+    SOLVER_TOL restart _sweep_first from m = i; a warm solve restarts them
+    from warm.  On the real axis the uniqueness argument is gone and
+    _sweep_first solves every row, from warm or m = i.  Newton carries
+    only the live rows; see _newton_rounds and _newton_step for how each
+    step is solved.  Returns m and the work done, sweeps plus Newton
+    rounds.
     """
     if warm is not None:
         m0 = np.array(warm, dtype=complex).reshape(shift.shape)
@@ -219,7 +227,9 @@ def _solve_batch(shift, K, z, warm=None):
         m0 = np.full(shift.shape, 1j, dtype=complex)
     if z.imag == 0:
         return _sweep_first(m0, shift, K, z)
-    m, res, work = _newton_rounds(m0.copy(), shift, K, z)
+    m, res, work = _newton_rounds(
+        m0.copy() if warm is not None else _scalar_start(shift, K, z),
+        shift, K, z)
     stalled = res > SOLVER_TOL
     if stalled.any():
         m[:, stalled], more = _sweep_first(
@@ -255,47 +265,64 @@ def _sweep_first(m, shift, K, z):
     return m, sweeps + rounds
 
 
-def _solve_rows(J, rhs, lstsq=False):
-    """Newton steps d with J d = rhs for a stack of systems, and a solved mask.
+def _newton_step(m, shift, K, z, lstsq=False):
+    """Newton steps d at the columns of m.
 
-    J is (r, r, n) and rhs (r, n), so J[i, j] and rhs[i] are length-n rows.
-    For r <= 3 each system is solved by the adjugate (Cramer's rule),
-    elementwise on those rows; a system whose determinant is zero or not
-    finite is unsolved.  Larger r goes through LAPACK, one system at a time
-    when the stacked solve finds a singular one, so only those come back
-    unsolved.  With lstsq, they take the least-squares step instead.
+    J = diag(denom) + diag(m) K is diag(m) (K + diag(q)) with q = denom/m,
+    so d solves (K + diag(q)) d = -F/m = -(1/m + denom): the real K is
+    shared by the batch and only the diagonal varies by row.  For r <= 3
+    Cramer's rule solves it elementwise on the (r, n) rows, where every
+    off-diagonal entry is a scalar; larger r goes through LAPACK, one
+    system at a time when the stacked solve finds a singular one.  A row
+    whose step is not finite (a zero component of m, or a singular system)
+    is unsolved and steps 0, or with lstsq takes the least-squares step on J.
     """
-    r, n = rhs.shape
-    d, solved = np.zeros_like(rhs), np.ones(n, bool)
-    if r <= 3:
-        if r == 1:
-            C = [[1.0]]
-        elif r == 2:
-            C = [[J[1, 1], -J[1, 0]], [-J[0, 1], J[0, 0]]]
+    r, n = m.shape
+    denom = z + shift + K @ m
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv = 1.0 / m
+        # q, and F/m = 1/m + denom: each solve folds the step's sign in
+        q, fm = denom * inv, inv + denom
+        if r <= 3:
+            A = [[K[i, j] + q[i] if i == j else K[i, j] for j in range(r)]
+                 for i in range(r)]
+            if r == 1:
+                C = [[1.0]]
+            elif r == 2:
+                C = [[A[1][1], -A[1][0]], [-A[0][1], A[0][0]]]
+            else:
+                # cofactor C[i][j] from the cyclic successors i+1, i+2 of i, j
+                C = [[A[(i + 1) % 3][(j + 1) % 3] * A[(i + 2) % 3][(j + 2) % 3]
+                      - A[(i + 1) % 3][(j + 2) % 3] * A[(i + 2) % 3][(j + 1) % 3]
+                      for j in range(3)] for i in range(3)]
+            terms = [A[0][j] * C[0][j] for j in range(r)]
+            inv_det = -1.0 / sum(terms[1:], terms[0])
+            d = np.empty_like(fm)
+            for j in range(r):
+                terms = [C[i][j] * fm[i] for i in range(r)]
+                np.multiply(sum(terms[1:], terms[0]), inv_det, out=d[j])
         else:
-            # cofactor C[i][j] from the cyclic successors i+1, i+2 of i and j
-            C = [[J[(i + 1) % 3, (j + 1) % 3] * J[(i + 2) % 3, (j + 2) % 3]
-                  - J[(i + 1) % 3, (j + 2) % 3] * J[(i + 2) % 3, (j + 1) % 3]
-                  for j in range(3)] for i in range(3)]
-        det = sum(J[0, j] * C[0][j] for j in range(r))
-        solved = np.isfinite(det) & (det != 0)
-        num = np.stack([sum(C[i][j] * rhs[i] for i in range(r))
-                        for j in range(r)])
-        np.divide(num, det, out=d, where=solved)
-    else:
-        stack = J.transpose(2, 0, 1)
-        try:
-            d[...] = np.linalg.solve(stack, rhs.T[..., None])[..., 0].T
-        except np.linalg.LinAlgError:
-            for i in range(n):
-                try:
-                    d[:, i] = np.linalg.solve(stack[i], rhs[:, i])
-                except np.linalg.LinAlgError:
-                    solved[i] = False
+            stack = np.zeros((n, r, r), q.dtype)
+            stack[...] = K
+            np.einsum("nii->ni", stack)[...] += q.T
+            try:
+                d = np.linalg.solve(stack, -fm.T[..., None])[..., 0].T
+            except np.linalg.LinAlgError:
+                d = np.full_like(fm, np.nan)
+                for i in range(n):
+                    try:
+                        d[:, i] = np.linalg.solve(stack[i], -fm[:, i])
+                    except np.linalg.LinAlgError:
+                        pass
+    solved = np.isfinite(d).all(axis=0)
+    if not solved.all():
+        d[:, ~solved] = 0.0
     if lstsq:
         for i in np.flatnonzero(~solved):
-            d[:, i] = np.linalg.lstsq(J[..., i], rhs[:, i], rcond=None)[0]
-    return d, solved
+            J = np.diag(denom[:, i]) + m[:, i, None] * K
+            d[:, i] = np.linalg.lstsq(J, -1.0 - denom[:, i] * m[:, i],
+                                      rcond=None)[0]
+    return d
 
 
 def _polish_real(shift, K, wgt, m):
@@ -311,8 +338,9 @@ def _polish_real(shift, K, wgt, m):
 
     Each row runs its own iterations: _newton_rounds at z = 0, up to 200
     rounds to 5e-14 with up to 30 halvings each, the least-squares step
-    where J is singular; then up to 12 multiplicity steps, leaving on a
-    zero residual, a singular J or no strict descent.
+    where _newton_step finds none; then up to 12 multiplicity steps on
+    _newton_step's step, leaving on a zero residual, an unsolved step or
+    no strict descent.
     """
     w = m.real.copy()
     start = np.flatnonzero(np.abs(w).min(axis=0) >= 1e-12)
@@ -327,15 +355,12 @@ def _polish_real(shift, K, wgt, m):
     # rejected by the strict-descent test
     live = start
     for _ in range(12):
-        F, J = _system(w[:, live], shift[:, live], K, 0.0)
-        base = np.abs(F).max(axis=0)
-        go = base != 0.0
-        live, F, J, base = live[go], F[:, go], J[..., go], base[go]
         if not live.size:
             break
-        d, solved = _solve_rows(J, -F)
-        live, d, base = live[solved], d[:, solved], base[solved]
         wl, sl = w[:, live], shift[:, live]
+        # an unsolved row steps 0, and a zero residual cannot descend
+        d = _newton_step(wl, sl, K, 0.0)
+        base = _resid(wl, sl, K, 0.0)
         best, step = base.copy(), wl.copy()
         for mult in (3.0, 2.0, 1.0):
             cand = wl + mult * d
@@ -361,11 +386,11 @@ def _polish_real(shift, K, wgt, m):
 def _boundary_batch(shift, K, wgt, polish=True):
     """Boundary values for a batch of shifts from the two ETA_LEVELS.
 
-    Every row is solved cold (m = i) at ETA_LEVELS[0]: for Im z > 0 the
-    root with Im m >= 0 is unique, so _solve_batch reaches it from any
-    start in the upper half-plane, and levels above it would buy only
-    warm starts, which cost more than they save.  The row is then solved
-    at ETA_LEVELS[1] from that root.
+    Every row is solved cold at ETA_LEVELS[0], from the decoupled scalar
+    root (_scalar_start): for Im z > 0 the root with Im m >= 0 is unique,
+    so _solve_batch reaches it from any start in the upper half-plane,
+    and levels above it would buy only warm starts, which cost more than
+    they save.  The row is then solved at ETA_LEVELS[1] from that root.
 
     shift comes in and m goes out as (n, r), one row per point; the kernel
     works on their (r, n) transposes.  The (n, r) seam stays because the

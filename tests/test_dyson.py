@@ -46,7 +46,11 @@ def test_solve_dyson_at_i():
     assert abs(sol.m[0] - 1j * (np.sqrt(5) - 1) / 2) < 1e-10
     assert sol.residual <= 1e-12
     assert sol.m[0].imag > 0
-    # Newton alone solves this point; its rounds count as work
+    # for r = 1 the cold start is the root itself: no Newton round
+    assert sol.iterations == 0
+    # for r = 2 Newton alone solves the point; its rounds count as work
+    sol = dy.solve_dyson(FB, np.array([1.0, -0.5]), 1j)
+    assert sol.residual <= 1e-12 and np.all(sol.m.imag > 0)
     assert sol.iterations >= 1
 
 
@@ -151,6 +155,13 @@ def test_boundary_values_rows_are_boundary_u():
             dy.boundary_values(FB, bad)
 
 
+def _scaled_step(K, w, denom):
+    # the kernel's Newton step: J = diag(denom) + diag(w) K is
+    # diag(w) (K + diag(denom/w)), and -F/w = -(1/w + denom)
+    inv = 1.0 / w
+    return np.linalg.solve(K + np.diag(denom * inv), -(inv + denom))
+
+
 def _polish_real_row(shift_row, K, wgt, m_row):
     # reference: the real-root polish of one row, returning the root or None
     w = m_row.real.copy()
@@ -163,10 +174,10 @@ def _polish_real_row(shift_row, K, wgt, m_row):
         base = np.abs(F).max()
         if base <= target:
             break
-        J = np.diag(denom) + w[:, None] * K
         try:
-            d = np.linalg.solve(J, -F)
+            d = _scaled_step(K, w, denom)
         except np.linalg.LinAlgError:
+            J = np.diag(denom) + w[:, None] * K
             d = np.linalg.lstsq(J, -F, rcond=None)[0]
         t = 1.0
         for _bt in range(30):
@@ -183,9 +194,8 @@ def _polish_real_row(shift_row, K, wgt, m_row):
         base = np.abs(F).max()
         if base == 0.0:
             break
-        J = np.diag(denom) + w[:, None] * K
         try:
-            d = np.linalg.solve(J, -F)
+            d = _scaled_step(K, w, denom)
         except np.linalg.LinAlgError:
             break
         best = None
@@ -489,56 +499,128 @@ def test_stalled_newton_rows_restart_sweep_first():
     assert np.abs(m - ref).max() <= 1e-10
 
 
-def _random_stack(rng, n, r, dtype):
-    J = rng.standard_normal((n, r, r)) + 2.0 * np.eye(r)
-    rhs = rng.standard_normal((n, r))
+def _step_case(rng, n, r, dtype):
+    # a real coupling shared by the batch, and (r, n) rows m and shift
+    K = rng.uniform(0.0, 1.5, (r, r))
+    m = rng.standard_normal((r, n))
+    shift = 2.0 + rng.standard_normal((r, n))
     if dtype is complex:
-        J = J + 1j * rng.standard_normal((n, r, r))
-        rhs = rhs + 1j * rng.standard_normal((n, r))
-    return J, rhs
+        m = m + 1j * rng.standard_normal((r, n))
+        shift = shift + 1j * rng.standard_normal((r, n))
+    return K, m, shift
 
 
-def _solve_rows(J, rhs, lstsq=False):
-    # the kernel takes J as (r, r, n) and rhs as (r, n); rows come back (n, r)
-    d, solved = dy._solve_rows(J.transpose(1, 2, 0), rhs.T, lstsq)
-    return d.T, solved
+def _jacobian(K, m, shift):
+    # J = diag(denom) + diag(m) K per row as (n, r, r), and F as (r, n),
+    # with denom formed as the kernel forms it at z = 0
+    denom = 0.0 + shift + K @ m
+    J = denom.T[:, :, None] * np.eye(len(K)) + m.T[:, :, None] * K
+    return J, 1.0 + denom * m
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_solve_rows_matches_lapack(r, dtype):
-    # r <= 3 solves by the adjugate, r = 4 through LAPACK
-    J, rhs = _random_stack(np.random.default_rng(r), 200, r, dtype)
-    d, solved = _solve_rows(J, rhs)
-    want = np.linalg.solve(J, rhs[..., None])[..., 0]
-    assert d.dtype == want.dtype and solved.all()
+    # _newton_step's rows against LAPACK on J: r <= 3 solves K + diag(denom/m)
+    # by Cramer's rule, r = 4 through LAPACK
+    K, m, shift = _step_case(np.random.default_rng(r), 200, r, dtype)
+    d = dy._newton_step(m, shift, K, 0.0)
+    J, F = _jacobian(K, m, shift)
+    want = np.linalg.solve(J, -F.T[..., None])[..., 0]
+    assert d.dtype == want.dtype
     scale = np.linalg.cond(J)[:, None] * np.abs(want).max(axis=1, keepdims=True)
-    assert np.all(np.abs(d - want) <= 1e-13 * scale)
+    assert np.all(np.abs(d.T - want) <= 1e-13 * scale)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_solve_rows_flags_only_the_singular_row(r):
-    J, rhs = _random_stack(np.random.default_rng(10 + r), 6, r, complex)
-    J[2, -1] = 0.0                         # a zero row: det exactly 0
-    d, solved = _solve_rows(J, rhs)
-    assert solved.tolist() == [True, True, False, True, True, True]
-    assert np.all(d[2] == 0.0)
-    keep = np.flatnonzero(solved)
-    assert np.allclose(d[keep], np.linalg.solve(J[keep], rhs[keep, :, None])[..., 0])
-    # with lstsq the singular row takes the least-squares step
-    d_ls, _ = _solve_rows(J, rhs, lstsq=True)
-    assert np.allclose(d_ls[2], np.linalg.lstsq(J[2], rhs[2], rcond=None)[0])
-    assert np.array_equal(d_ls[keep], d[keep])
+    # the rows whose scaled system has no finite step, and no others
+    K, m, shift = _step_case(np.random.default_rng(10 + r), 6, r, complex)
+    m[0, 2] = 0.0                          # a zero component of m
+    # K's last row vanishes off the diagonal; at m = 1 and this shift the
+    # last row of K + diag(denom/m), and of J, is exactly 0
+    K[-1, :-1] = 0.0
+    m[:, 4] = 1.0
+    shift[-1, 4] = -2.0 * K[-1, -1]
+    d = dy._newton_step(m, shift, K, 0.0)
+    # an unsolved row steps 0
+    keep = [0, 1, 3, 5]
+    assert np.all(d[:, [2, 4]] == 0.0) and np.all(d[:, keep] != 0.0)
+    J, F = _jacobian(K, m, shift)
+    assert np.allclose(d[:, keep].T,
+                       np.linalg.solve(J[keep], -F.T[keep, :, None])[..., 0])
+    # with lstsq the unsolved rows take the least-squares step on J
+    d_ls = dy._newton_step(m, shift, K, 0.0, lstsq=True)
+    for i in (2, 4):
+        assert np.allclose(d_ls[:, i],
+                           np.linalg.lstsq(J[i], -F[:, i], rcond=None)[0])
+    assert np.array_equal(d_ls[:, keep], d[:, keep])
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_empty_batches_pass_through(r):
-    d, solved = dy._solve_rows(np.zeros((r, r, 0)), np.zeros((r, 0)))
-    assert d.shape == (r, 0) and solved.shape == (0,)
+    d = dy._newton_step(np.zeros((r, 0), complex), np.zeros((r, 0)),
+                        np.eye(r), 1j)
+    assert d.shape == (r, 0)
     K = np.eye(r)
     roots, ok = dy._polish_real(np.zeros((r, 0)), K, np.ones(r) / r,
                                 np.zeros((r, 0), complex))
     assert roots.shape == (r, 0) and ok.shape == (0,)
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(PRESETS)
+                                  if get_preset(n).r == 1])
+def test_scalar_start_is_the_one_species_root(name):
+    # for r = 1 the decoupled system is the system: the cold start is the
+    # root, and no Newton round is needed
+    st = mx.stats(get_preset(name))
+    K = dy._coupling(st)
+    shift = (np.linspace(-30.0, 30.0, 61) / np.sqrt(st.lam))[None, :]
+    for z in (1e-7j, 1e-6j, 1e-2j, 1j, 0.7 + 1e-6j, -2.5 + 0.3j):
+        m = dy._scalar_start(shift, K, z)
+        assert dy._resid(m, shift, K, z).max() <= 1e-12
+        assert np.all(m.imag >= 0.0)
+        assert dy._solve_batch(shift, K, z)[1] == 0
+
+
+def test_scalar_start_mirrors_under_shift_to_minus_shift():
+    # the z = i eta system is invariant under (m, shift) -> (-conj m, -shift)
+    # and so is its cold start, bitwise, as boundary_values' mirror needs;
+    # a species with no coupling (k_s = 0) starts at -1/(z + shift_s)
+    rng = np.random.default_rng(4)
+    free = np.array([[0.0, 0.0], [0.7, 1.3]])
+    for K in [dy._coupling(st) for st in (SC, FB, FC, TC, T3)] + [free]:
+        S = rng.uniform(-6.0, 6.0, (len(K), 500))
+        S[:, :3] = [0.0, 1e-9, 40.0]
+        for eta in dy.ETA_LEVELS + (1e-2, 1.0):
+            z = 1j * eta
+            m = dy._scalar_start(S, K, z)
+            assert np.array_equal(dy._scalar_start(-S, K, z), -np.conj(m))
+            assert np.all(m.imag >= 0.0)
+            if K is free:
+                assert np.allclose(m[0], -1.0 / (z + S[0]), rtol=1e-15)
+
+
+def test_stalled_cold_rows_restart_from_i_and_converge(monkeypatch):
+    # the mirror test's random-1 rays hold rows where Newton stalls from the
+    # scalar start; _sweep_first restarts them from m = i, where it converges
+    st = mx.stats(_random_mixture(1))
+    V = _rays_through_the_edge(st, seed=5)
+    sweep_first = dy._sweep_first
+    restarted = []
+
+    def counted(m, shift, K, z):
+        assert np.all(m == 1j) and z == 1j * dy.ETA_LEVELS[0]
+        out, work = sweep_first(m, shift, K, z)
+        restarted.append((m.shape[1], dy._resid(out, shift, K, z).max()))
+        return out, work
+
+    monkeypatch.setattr(dy, "_sweep_first", counted)
+    for polish in (False, True):
+        U = dy.boundary_values(st, V, polish=polish)
+        assert np.all(np.isfinite(U)) and np.all(U.imag >= 0.0)
+    assert [n for n, _ in restarted] == [2, 2]
+    assert max(res for _, res in restarted) <= dy.SOLVER_TOL
 
 
 def test_boundary_values_are_label_invariant():
