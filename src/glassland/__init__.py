@@ -7,7 +7,7 @@ dyson          vector Dyson equation, spectral measures, boundary values
 complexity     annealed complexity functionals and their maximization
 singlespecies  one-species threshold energies and complexity ellipse
 hamiltonian    finite-N sampled Hamiltonians and local derivative data
-landscape      critical-point following and spectrum comparison
+landscape      critical-point following
 presets        named example mixtures
 errors         exception hierarchy shared by all modules
 """

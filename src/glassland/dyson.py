@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import (DegenerateU, InconsistentProbes, MassDeficit,
                      NonConvergence, ValidationError, ZeroComponent)
-from .mixture import MixtureStats, species_sizes
+from .mixture import MixtureStats
 
 ETA_FLOOR = 1e-9
 # the cold level and the final level of every boundary solve
@@ -59,7 +59,7 @@ __all__ = [
     "DysonSolution", "SpectralMeasure", "StabilityMatrices",
     "FeasibilityReport", "solve_dyson", "boundary_values", "boundary_u",
     "spectral_measure", "psi", "psi_of_u", "stability_matrices",
-    "feasibility", "classify_boundary_point", "sample_block_matrix",
+    "feasibility", "classify_boundary_point",
 ]
 
 
@@ -423,6 +423,8 @@ def _radial(stats: MixtureStats, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (stats.r,):
         raise ValidationError(f"x must have shape ({stats.r},)")
+    if not np.all(np.isfinite(x)):
+        raise ValidationError("x must be finite")
     return x
 
 
@@ -430,11 +432,16 @@ def solve_dyson(stats: MixtureStats, x, z, warm=None) -> DysonSolution:
     """Solve the vector Dyson equation at one spectral parameter."""
     x = _radial(stats, x)
     z = complex(z)
+    if not np.isfinite(z):
+        raise ValidationError("z must be finite")
     if z.imag < 0:
         raise ValidationError("z must lie in the closed upper half-plane")
     if z.imag < ETA_FLOOR and warm is None:
         raise ValidationError(
             f"Im z < {ETA_FLOOR} requires a warm start from a nearby point")
+    if warm is not None and (np.size(warm) != stats.r
+                             or not np.all(np.isfinite(warm))):
+        raise ValidationError(f"warm must hold {stats.r} finite values")
     shift = (x / np.sqrt(stats.lam))[:, None]
     K = _coupling(stats)
     m, iters = _solve_batch(shift, K, z, warm=warm)
@@ -761,26 +768,3 @@ def classify_boundary_point(stats: MixtureStats, x, chi, chi2=None) -> str:
         raise InconsistentProbes(
             f"chi-dependent classification: {verdicts[0]} vs {verdicts[1]}")
     return verdicts[0]
-
-
-def sample_block_matrix(stats: MixtureStats, x, N: int, seed) -> np.ndarray:
-    """Gaussian block matrix distributed as the shifted tangential Hessian.
-
-    Entry variances (1+delta_ij) xi''_{s(i),s(j)}/(N lambda_s lambda_t) on
-    tangent blocks of sizes N_s - 1, minus x_s/sqrt(lambda_s) on the
-    species diagonal.
-    """
-    x = _radial(stats, x)
-    if N < 10 * stats.r:
-        raise ValidationError(f"need N >= {10 * stats.r}")
-    lam = stats.lam
-    sizes = species_sizes(lam, N)
-    labels = np.repeat(np.arange(stats.r), sizes - 1)
-    sig = np.sqrt(stats.xi_dprime / (N * lam[:, None] * lam[None, :]))
-    scale = sig[np.ix_(labels, labels)]
-    rng = np.random.default_rng(seed)
-    Np = N - stats.r
-    G = rng.standard_normal((Np, Np))
-    W = (G + G.T) / np.sqrt(2.0) * scale
-    W[np.arange(Np), np.arange(Np)] -= (x / np.sqrt(lam))[labels]
-    return W

@@ -41,11 +41,6 @@ class Partition:
     def lam_N(self) -> np.ndarray:
         return self.sizes / self.N
 
-    @property
-    def lam_circ(self) -> np.ndarray:
-        # aggregation weights (N_s - 1)/(N - r) for finite-N spectra
-        return (self.sizes - 1) / (self.N - self.r)
-
     @cached_property
     def labels(self) -> np.ndarray:
         return np.repeat(np.arange(self.r), self.sizes)
@@ -230,7 +225,7 @@ def check_on_manifold(partition: Partition, sigma) -> None:
         raise OffManifold(f"state must have shape ({partition.N},)")
     rel = np.abs(partition.block_sums(sig * sig) - partition.sizes)
     rel /= partition.sizes
-    for s in np.flatnonzero(rel > MANIFOLD_RTOL)[:1]:
+    for s in np.flatnonzero(~(rel <= MANIFOLD_RTOL))[:1]:
         raise OffManifold(
             f"species {s} norm off sphere by relative {rel[s]:.3e}")
 
@@ -240,8 +235,9 @@ def retract(partition: Partition, vec) -> StatePoint:
     out = _as_sigma(vec).copy()
     for s, sl in enumerate(partition.slices()):
         nrm = np.linalg.norm(out[sl])
-        if nrm < 1e-12:
-            raise ValidationError(f"species {s} block has vanishing norm")
+        if not 1e-12 <= nrm < np.inf:
+            raise ValidationError(
+                f"species {s} block has vanishing or non-finite norm")
         out[sl] *= np.sqrt(partition.sizes[s]) / nrm
     return StatePoint(sigma=out)
 

@@ -4,8 +4,7 @@ Homotopy following from the pure external-field landscape, with a
 t-step that doubles after easy corrections and halves when a long step
 converges slowly, jumps or changes the predicted index, and each
 endpoint labelled by the paper's predicted index and radial derivative;
-damped tangent-space Newton refinement, and comparison of the Hessian
-spectrum with its predicted limit.
+damped tangent-space Newton refinement.
 """
 
 import warnings
@@ -13,9 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dyson import SpectralMeasure
-from .errors import (LostTrack, MaxIters, NumericalError, OffManifold,
-                     ValidationError)
+from .errors import LostTrack, MaxIters, OffManifold, ValidationError
 from .hamiltonian import (HamiltonianInstance, StatePoint, _as_sigma,
                           check_on_manifold, g1_overlap, local_data, retract)
 from .mixture import all_sign_patterns, classify_solvability, ideal_stats
@@ -36,8 +33,6 @@ EASY_ITERS = 2
 SINGULAR_EIG = 1e-6
 ZERO_EIG = 1e-8
 DEDUP_RADIUS = 1e-4
-W2_NODES = 10000
-SUPPORT_NODES = 2000
 
 
 @dataclass(frozen=True)
@@ -64,13 +59,6 @@ class CriticalPointResult:
     ill_conditioned: bool
     iterations: int
     grad_history: tuple
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    w2: float
-    hausdorff: float
-    gap_at_zero: float
 
 
 def _reduced(refl, partition, vec):
@@ -438,67 +426,3 @@ def _assign_delta(predictions, radial, eps: float):
     if dists[best] <= eps:
         return tuple(int(v) for v in predictions[best].delta)
     return UNCLASSIFIED
-
-
-def _quantiles_from_atoms(atoms, probs):
-    idx = np.minimum((probs * atoms.shape[0]).astype(int),
-                     atoms.shape[0] - 1)
-    return atoms[idx]
-
-
-def _quantiles_from_measure(measure: SpectralMeasure, probs):
-    wgt = measure.density * np.gradient(measure.grid)
-    total = float(wgt.sum())
-    if total <= 0:
-        raise NumericalError("spectral measure carries no mass")
-    cum = np.cumsum(wgt) / total
-    idx = np.clip(np.searchsorted(cum, probs, side="left"), 0,
-                  measure.grid.shape[0] - 1)
-    return measure.grid[idx]
-
-
-def _directed_set_dist(points, targets):
-    pos = np.searchsorted(targets, points)
-    lo = np.abs(points - targets[np.clip(pos - 1, 0, targets.shape[0] - 1)])
-    hi = np.abs(points - targets[np.clip(pos, 0, targets.shape[0] - 1)])
-    return float(np.max(np.minimum(lo, hi)))
-
-
-def spectrum_compare(instance, result, measure) -> ComparisonReport:
-    """Quantile W2, support Hausdorff distance, and the gap at zero.
-
-    result may be a CriticalPointResult or a plain array of eigenvalues;
-    measure a SpectralMeasure or a second eigenvalue array (then both
-    sides are treated as atomic).  The instance is not consulted.
-    """
-    if isinstance(result, CriticalPointResult):
-        eigs = np.asarray(result.spectrum, dtype=float)
-    else:
-        eigs = np.sort(np.asarray(result, dtype=float).ravel())
-    if eigs.size == 0:
-        raise ValidationError("empty spectrum")
-    probs = (np.arange(W2_NODES) + 0.5) / W2_NODES
-    q_emp = _quantiles_from_atoms(eigs, probs)
-    if isinstance(measure, SpectralMeasure):
-        q_ref = _quantiles_from_measure(measure, probs)
-        if not measure.support:
-            raise NumericalError("spectral measure has empty support")
-        to_support = np.full(eigs.shape, np.inf)
-        chunks = []
-        for lo, hi in measure.support:
-            to_support = np.minimum(
-                to_support, np.maximum.reduce([lo - eigs, eigs - hi,
-                                               np.zeros_like(eigs)]))
-            chunks.append(np.linspace(lo, hi, SUPPORT_NODES))
-        haus = max(float(np.max(to_support)),
-                   _directed_set_dist(np.concatenate(chunks), eigs))
-    else:
-        ref = np.sort(np.asarray(measure, dtype=float).ravel())
-        if ref.size == 0:
-            raise ValidationError("empty reference spectrum")
-        q_ref = _quantiles_from_atoms(ref, probs)
-        haus = max(_directed_set_dist(eigs, ref),
-                   _directed_set_dist(ref, eigs))
-    w2 = float(np.sqrt(np.mean((q_emp - q_ref) ** 2)))
-    return ComparisonReport(w2=w2, hausdorff=haus,
-                            gap_at_zero=float(np.min(np.abs(eigs))))

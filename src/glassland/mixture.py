@@ -65,9 +65,9 @@ class MixtureSpec:
         lam = np.asarray(self.lam, dtype=float)
         if lam.shape != (self.r,):
             raise BadMixture(f"lambda must have length r={self.r}")
-        if np.any(lam <= 0):
+        if not np.all(lam > 0):
             raise BadMixture("all species weights must be positive")
-        if abs(lam.sum() - 1.0) > LAMBDA_SUM_TOL:
+        if not abs(lam.sum() - 1.0) <= LAMBDA_SUM_TOL:
             raise BadMixture(f"species weights sum to {lam.sum()!r}, not 1")
         object.__setattr__(self, "lam", lam)
         seen = set()
@@ -82,8 +82,8 @@ class MixtureSpec:
                 raise BadMixture(f"species label out of range in {index}")
             if tuple(index) != tuple(sorted(index)):
                 raise BadMixture(f"index {index} is not nondecreasing")
-            if gamma < 0:
-                raise BadMixture(f"negative coefficient for {index}")
+            if not 0 <= gamma < math.inf:
+                raise BadMixture(f"coefficient for {index} must be finite and >= 0")
             key = (degree, tuple(index))
             if key in seen:
                 raise BadMixture(f"duplicate coefficient entry {key}")
@@ -121,7 +121,7 @@ def mixture_from_dict(data: dict) -> MixtureSpec:
     try:
         r = int(data["r"])
         lam = [float(v) for v in data["lambda"]]
-        entries = data["gammas"]
+        entries = list(data["gammas"])
     except (KeyError, TypeError, ValueError) as exc:
         raise BadMixture(f"malformed mixture data: {exc}") from exc
     if r < 1:

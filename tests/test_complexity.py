@@ -395,6 +395,37 @@ def test_sup_is_positive_exactly_when_sub_solvable():
     assert sides == {True, False}
 
 
+# a support edge is read where the density crosses TAU_SUPP: a square-root
+# edge c sqrt(|t - e|) hides (TAU_SUPP / c)^2 of the support, under 3e-6 for
+# the c >= 0.06 of the edges below, so a gap above this is no threshold
+# artefact; the smallest gap below is 0.030
+GAP_FLOOR = 1e-3
+
+
+def _gap_at_zero(spec, delta):
+    x = mx.ideal_stats(spec, delta).radial
+    support = dy.spectral_measure(mx.stats(spec), x).support
+    return min(max(lo, -hi, 0.0) for lo, hi in support)
+
+
+def test_hessian_gap_at_ideal_points_tracks_the_phase_boundary():
+    # strictly super-solvable: the N = infinity Hessian spectrum at each of
+    # the 2^r predicted critical points stays away from 0; strictly
+    # sub-solvable: 0 lies inside it at the mixed-sign points
+    names = ("one-species-quadratic", "symmetric-pair", "skew-pair",
+             "cubic-pair", "three-species")
+    for spec in ([get_preset(name) for name in names]
+                 + [_cubic_mixture(2.2), _cubic_mixture(3.0)]):
+        assert mx.classify_solvability(spec).label == "strictly_super_solvable"
+        for delta in mx.all_sign_patterns(spec.r):
+            assert _gap_at_zero(spec, delta) > GAP_FLOOR
+    for c in (0.7, 1.2):
+        spec = _cubic_mixture(c)
+        assert mx.classify_solvability(spec).label == "strictly_sub_solvable"
+        for delta in ((1.0, -1.0), (-1.0, 1.0)):
+            assert _gap_at_zero(spec, delta) == 0.0
+
+
 def test_census_skips_patterns_without_admissible_root(monkeypatch):
     # pattern (imag, pinned) in the cubic pair: the pinned row reads
     # (xi'_1 - xi''_11) b_1 = xi''_10 b_0 with xi''_10 > 0, so b_0 > 0 and

@@ -111,7 +111,6 @@ def test_partition_layout():
     part = ham.make_partition(get_preset("three-species"), 47)
     assert part.sizes.sum() == 47
     assert np.array_equal(part.offsets, np.concatenate([[0], np.cumsum(part.sizes)]))
-    assert np.allclose(part.lam_circ, (part.sizes - 1) / (47 - 3))
     labels = part.labels
     for s, sl in enumerate(part.slices()):
         assert np.all(labels[sl] == s)
@@ -282,6 +281,19 @@ def test_manifold_checks(inst):
     with pytest.raises(OffManifold):
         ham.check_on_manifold(part, np.zeros(part.N - 1))
     ham.check_on_manifold(part, ham.retract(part, np.ones(part.N)))
+    # every comparison with NaN is False, so each check must be one NaN fails
+    nan = np.full(part.N, np.nan)
+    with pytest.raises(OffManifold):
+        ham.check_on_manifold(part, nan)
+    with pytest.raises(OffManifold):
+        ham.energy(inst, nan)
+    with pytest.raises(OffManifold):
+        ham.local_data(inst, nan)
+    for bad in (np.nan, np.inf):
+        vec = np.ones(part.N)
+        vec[-1] = bad
+        with pytest.raises(ValidationError):
+            ham.retract(part, vec)
 
 
 def test_covariance_identity():

@@ -300,6 +300,12 @@ def test_loader_rejections(tmp_path):
     reject(lambda d: d.__setitem__("lambda", [0.5, 0.6]))
     reject(lambda d: d.__setitem__("lambda", [1.5, -0.5]))
     reject(lambda d: d["gammas"][0].__setitem__("gamma", -1.0))
+    # every comparison with NaN is False, so each check must be one NaN fails
+    reject(lambda d: d.__setitem__("lambda", [math.nan, 0.7]))
+    reject(lambda d: d.__setitem__("lambda", [math.inf, 0.7]))
+    reject(lambda d: d["gammas"][0].__setitem__("gamma", math.nan))
+    reject(lambda d: d["gammas"][0].__setitem__("gamma", math.inf))
+    reject(lambda d: d.__setitem__("gammas", None))
     reject(lambda d: d["gammas"].append(dict(d["gammas"][0])))
     reject(lambda d: d["gammas"][0].__setitem__("index", [2, 1]))
     reject(lambda d: d["gammas"][0].__setitem__("index", [1, 3]))
