@@ -9,7 +9,7 @@ import numpy as np
 
 from . import dyson
 from .errors import DegenerateU, DegenerateVariance, NonConvergence, ValidationError
-from .mixture import MixtureStats
+from .mixture import MixtureStats, as_vector, ideal_radial
 
 DEDUP_TOL = 1e-6
 MAXIMALITY_TOL = 1e-9
@@ -78,11 +78,8 @@ def _quad_const(stats: MixtureStats) -> float:
 
 def _r_auto(stats: MixtureStats) -> float:
     # beyond this radius the quadratic term dominates the log growth of Psi;
-    # radial is mixture.ideal_stats(spec, +1).radial, the all-plus ideal point
-    sq = np.sqrt(stats.xi_prime)
-    root_lam = np.sqrt(stats.lam)
-    radial = sq + (stats.xi_dprime @ (root_lam / sq)) / root_lam
-    return 2.0 * float(np.max(radial)) + 4.0
+    # the radial derivative is that of the all-plus ideal point
+    return 2.0 * float(np.max(ideal_radial(stats, np.ones(stats.r)))) + 4.0
 
 
 def _F_rows(stats: MixtureStats, V, U):
@@ -98,9 +95,7 @@ def _F_rows(stats: MixtureStats, V, U):
 
 def F_point(stats: MixtureStats, x) -> ComplexityPoint:
     """Evaluate F(x) and its closed-form gradient."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (stats.r,):
-        raise ValidationError(f"x must have shape ({stats.r},)")
+    x = as_vector(x, stats.r)
     _require_positive_xi_prime(stats)
     v = np.sqrt(stats.lam) * x
     u = dyson.boundary_u(stats, v)
@@ -116,14 +111,15 @@ def F_point(stats: MixtureStats, x) -> ComplexityPoint:
 
 def F_extended(stats: MixtureStats, x, E: float) -> float:
     """F(x, E): F(x) minus the Gaussian-conditioning penalty in the energy."""
-    x = np.asarray(x, dtype=float)
+    if not np.isfinite(E):
+        raise ValidationError("E must be finite")
     ainv_xi = np.linalg.solve(stats.A, stats.xi_prime)
     variance = stats.xi_one - float(stats.xi_prime @ ainv_xi)
     if variance <= 1e-12:
         raise DegenerateVariance(
             f"conditional energy variance {variance:.3e} <= 1e-12")
-    mean = float(ainv_xi @ (np.sqrt(stats.lam) * x))
-    return F_point(stats, x).F - (float(E) - mean) ** 2 / (2.0 * variance)
+    point = F_point(stats, x)
+    return point.F - (float(E) - float(ainv_xi @ point.v)) ** 2 / (2.0 * variance)
 
 
 def _census_b(stats: MixtureStats, imag_mask, target=1e-12, max_iter=200):
@@ -289,20 +285,6 @@ def sup_F(stats: MixtureStats, multistart: int = 32):
     return best.F, best.v / np.sqrt(stats.lam)
 
 
-def _parse_scan_grid(stats: MixtureStats, grid_spec):
-    if grid_spec is None:
-        grid_spec = SCAN_POINTS[stats.r]
-    if isinstance(grid_spec, int):
-        radius = _r_auto(stats)
-        grid_spec = (-radius, radius, grid_spec)
-    lo, hi, n = float(grid_spec[0]), float(grid_spec[1]), int(grid_spec[2])
-    if not lo < hi:
-        raise ValidationError("grid range must satisfy lo < hi")
-    if n < 2:
-        raise ValidationError("grid needs at least 2 points per axis")
-    return lo, hi, n
-
-
 def scan(stats: MixtureStats, grid_spec=None) -> ScanResult:
     """F and the nonreal mask on a tensor-product x-grid, by SCAN_CHUNK rows.
 
@@ -312,8 +294,8 @@ def scan(stats: MixtureStats, grid_spec=None) -> ScanResult:
     """
     if stats.r > 3:
         raise ValidationError("tensor-grid scans support r <= 3")
-    _require_positive_xi_prime(stats)
-    lo, hi, n = _parse_scan_grid(stats, grid_spec)
+    lo, hi, n = dyson.grid_range(
+        SCAN_POINTS[stats.r] if grid_spec is None else grid_spec, _r_auto(stats))
     axis = np.linspace(lo, hi, n)
     if lo == -hi:
         axis = 0.5 * (axis - axis[::-1])

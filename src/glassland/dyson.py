@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import (DegenerateU, InconsistentProbes, MassDeficit,
                      NonConvergence, ValidationError, ZeroComponent)
-from .mixture import MixtureStats
+from .mixture import MixtureStats, as_vector
 
 ETA_FLOOR = 1e-9
 # the cold level and the final level of every boundary solve
@@ -419,18 +419,9 @@ def _boundary_batch(shift, K, wgt, polish=True):
     return np.ascontiguousarray(m.T)
 
 
-def _radial(stats: MixtureStats, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (stats.r,):
-        raise ValidationError(f"x must have shape ({stats.r},)")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("x must be finite")
-    return x
-
-
 def solve_dyson(stats: MixtureStats, x, z, warm=None) -> DysonSolution:
     """Solve the vector Dyson equation at one spectral parameter."""
-    x = _radial(stats, x)
+    x = as_vector(x, stats.r)
     z = complex(z)
     if not np.isfinite(z):
         raise ValidationError("z must be finite")
@@ -439,9 +430,8 @@ def solve_dyson(stats: MixtureStats, x, z, warm=None) -> DysonSolution:
     if z.imag < ETA_FLOOR and warm is None:
         raise ValidationError(
             f"Im z < {ETA_FLOOR} requires a warm start from a nearby point")
-    if warm is not None and (np.size(warm) != stats.r
-                             or not np.all(np.isfinite(warm))):
-        raise ValidationError(f"warm must hold {stats.r} finite values")
+    if warm is not None:
+        warm = as_vector(warm, stats.r, "warm", complex)
     shift = (x / np.sqrt(stats.lam))[:, None]
     K = _coupling(stats)
     m, iters = _solve_batch(shift, K, z, warm=warm)
@@ -469,22 +459,18 @@ def boundary_values(stats: MixtureStats, V, polish: bool = True) -> np.ndarray:
 
 def boundary_u(stats: MixtureStats, v) -> np.ndarray:
     """Boundary value u(v) = lim m(i eta; Lambda^{-1/2} v) as eta drops to 0."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (stats.r,):
-        raise ValidationError(f"v must have shape ({stats.r},)")
-    return boundary_values(stats, v[None, :])[0]
+    return boundary_values(stats, as_vector(v, stats.r, "v")[None, :])[0]
 
 
-def _parse_grid_spec(grid_spec, C):
-    if grid_spec is None:
-        grid_spec = 2001
-    if isinstance(grid_spec, int):
-        grid_spec = (-C, C, grid_spec)
-    lo, hi, n = float(grid_spec[0]), float(grid_spec[1]), int(grid_spec[2])
-    if not lo < hi:
-        raise ValidationError("grid range must satisfy lo < hi")
-    if n < 2:
-        raise ValidationError("grid needs at least 2 points")
+def grid_range(grid_spec, radius: float) -> tuple:
+    """(lo, hi, n) from a count n over [-radius, radius] or from (lo, hi, n)."""
+    if np.ndim(grid_spec) == 0:
+        grid_spec = (-radius, radius, grid_spec)
+    lo, hi, n = float(grid_spec[0]), float(grid_spec[1]), grid_spec[2]
+    if not -np.inf < lo < hi < np.inf:
+        raise ValidationError("grid range must be finite with lo < hi")
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise ValidationError("grid needs an integer count of at least 2")
     return lo, hi, n
 
 
@@ -520,21 +506,22 @@ def _measure_on_grid(stats, x, grid_spec=None, sizes=None):
     spacing: a mass off 1 on either side inside the grid means it is too
     coarse for the density.  MassDeficit is raised after four retries.
     """
-    x = _radial(stats, x)
+    x = as_vector(x, stats.r)
     lam = stats.lam
     d = x / np.sqrt(lam)
     if sizes is None:
         K = _coupling(stats)
         wagg = lam
     else:
-        sizes = np.asarray(sizes, dtype=int)
-        if sizes.shape != (stats.r,) or np.any(sizes < 2):
-            raise ValidationError("sizes must give every species at least 2")
+        sizes = as_vector(sizes, stats.r, "sizes")
+        if np.any(sizes < 2) or np.any(sizes != np.round(sizes)):
+            raise ValidationError("sizes must be integers of at least 2")
+        sizes = sizes.astype(int)
         N = int(sizes.sum())
         K = stats.xi_dprime * (sizes - 1)[None, :] / (N * lam[:, None] * lam[None, :])
         wagg = (sizes - 1) / (N - stats.r)
     C = _grid_radius(stats, d)
-    lo, hi, n = _parse_grid_spec(grid_spec, C)
+    lo, hi, n = grid_range(2001 if grid_spec is None else grid_spec, C)
     for _attempt in range(5):
         grid = np.linspace(lo, hi, n)
         shift = grid[:, None] + d[None, :]
@@ -634,7 +621,7 @@ def psi(stats: MixtureStats, x, mode: str = "closed_form") -> float:
     handled by a piecewise-linear-density analytic integral, on
     spectral_measure's grid but without the support search it never reads.
     """
-    x = _radial(stats, x)
+    x = as_vector(x, stats.r)
     if mode == "closed_form":
         u = boundary_u(stats, np.sqrt(stats.lam) * x)
         if np.abs(u).min() < 1e-8:
@@ -674,9 +661,7 @@ def _log_integral(grid, density):
 
 def stability_matrices(stats: MixtureStats, u) -> StabilityMatrices:
     """M, Mbar, Mhat at a candidate boundary value u."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (stats.r,):
-        raise ValidationError(f"u must have shape ({stats.r},)")
+    u = as_vector(u, stats.r, "u", complex)
     if np.abs(u).min() < 1e-13:
         raise ZeroComponent("u has a vanishing component")
     lam = stats.lam
@@ -740,12 +725,12 @@ def classify_boundary_point(stats: MixtureStats, x, chi, chi2=None) -> str:
     where two bands pinch.  Mixed verdicts across scales raise
     InconsistentProbes, as does disagreement with a second chi.
     """
-    x = np.asarray(x, dtype=float)
-    chis = [np.asarray(c, dtype=float) for c in
-            ((chi,) if chi2 is None else (chi, chi2))]
+    x = as_vector(x, stats.r)
+    chis = [as_vector(c, stats.r, "chi")
+            for c in ((chi,) if chi2 is None else (chi, chi2))]
     for c in chis:
-        if c.shape != (stats.r,) or np.any(c <= 0):
-            raise ValidationError("chi must be a positive r-vector")
+        if np.any(c <= 0):
+            raise ValidationError("chi must be positive")
         if abs(c.sum() - 1.0) > 1e-9:
             raise ValidationError("chi must be normalized to unit 1-norm")
     v = np.sqrt(stats.lam) * x

@@ -225,7 +225,9 @@ def check_on_manifold(partition: Partition, sigma) -> None:
         raise OffManifold(f"state must have shape ({partition.N},)")
     rel = np.abs(partition.block_sums(sig * sig) - partition.sizes)
     rel /= partition.sizes
-    for s in np.flatnonzero(~(rel <= MANIFOLD_RTOL))[:1]:
+    ok = rel <= MANIFOLD_RTOL
+    if not ok.all():
+        s = int(np.argmin(ok))
         raise OffManifold(
             f"species {s} norm off sphere by relative {rel[s]:.3e}")
 
@@ -289,58 +291,55 @@ def tangent_basis(partition: Partition, sigma) -> list:
 
 
 def _contract(instance: HamiltonianInstance, sig: np.ndarray,
-              want_hessian: bool, degree_weights=None):
+              want_hessian: bool, t: float = 1.0):
     """Value, Euclidean gradient, and optionally the Euclidean Hessian.
 
     With M = J(., ., sigma) for degree 3 and M = J for degree 2, a degree-k
     term contributes sigma^T M sigma, k M sigma and k(k-1) M, since J is
     symmetric.  The degree-3 M is one gemv over the packed (i <= j) rows,
     each value written to M[i, j] and M[j, i], so M is exactly symmetric.
-    degree_weights rescales each degree's contribution; missing degrees
-    keep weight 1.  Used for homotopies between the degree-1 part and the
-    full Hamiltonian.
+    The degree >= 2 terms are scaled by t: H_t = H_1 + t H_{>=2} is the
+    homotopy from the degree-1 part (t = 0) to the full Hamiltonian (t = 1).
     """
     N = instance.N
-    wts = degree_weights or {}
     value = 0.0
     egrad = np.zeros(N)
     # the Hessian starts from its first term; filling an N x N zeros array
     # and adding a temporary to it dominated this function's time
     ehess = None
-    for k, t in instance.tensors.items():
-        w = wts.get(k, 1.0)
+    for k, J in instance.tensors.items():
         if k == 1:
-            c1 = w * instance.gamma_tables[1][instance.partition.labels] * t
+            c1 = instance.gamma_tables[1][instance.partition.labels] * J
             value += float(c1 @ sig)
             egrad += c1
-        elif w != 0.0:
-            if k == 2:
-                M = t
-            else:
-                m = t @ sig
-                M = np.empty((N, N))
-                flat = M.reshape(-1)
-                for idx in _triu_flat(N):
-                    flat[idx] = m
-            Msig = M @ sig
-            value += w * float(sig @ Msig)
-            egrad += (w * k) * Msig
-            if want_hessian:
-                term = (w * k * (k - 1)) * M
-                ehess = term if ehess is None else ehess + term
+            continue
+        if k == 2:
+            M = J
+        else:
+            m = J @ sig
+            M = np.empty((N, N))
+            flat = M.reshape(-1)
+            for idx in _triu_flat(N):
+                flat[idx] = m
+        Msig = M @ sig
+        value += t * float(sig @ Msig)
+        egrad += (t * k) * Msig
+        if want_hessian:
+            term = (t * k * (k - 1)) * M
+            ehess = term if ehess is None else ehess + term
     if want_hessian and ehess is None:
         ehess = np.zeros((N, N))
     return value, egrad, ehess
 
 
 def local_data(instance: HamiltonianInstance, sigma,
-               want_hessian: bool = False, degree_weights=None) -> LocalData:
-    """Value, gradients, radial data, and optionally the Riemannian Hessian."""
+               want_hessian: bool = False, t: float = 1.0) -> LocalData:
+    """H_t's value, gradients, radial data and optional Riemannian Hessian."""
     sig = _as_sigma(sigma)
     part = instance.partition
     check_on_manifold(part, sig)
     sls = part.slices()
-    value, egrad, ehess = _contract(instance, sig, want_hessian, degree_weights)
+    value, egrad, ehess = _contract(instance, sig, want_hessian, t)
 
     inner = part.block_sums(sig * egrad)
     radial = inner / (np.sqrt(part.sizes) * np.sqrt(part.N))
@@ -373,11 +372,9 @@ def local_data(instance: HamiltonianInstance, sigma,
                      curvature=curvature, rhess=rhess, reflectors=refl)
 
 
-def energy(instance: HamiltonianInstance, sigma, degree_weights=None) -> float:
-    """H(sigma) alone, without the Hessian."""
-    sig = _as_sigma(sigma)
-    check_on_manifold(instance.partition, sig)
-    return _contract(instance, sig, False, degree_weights)[0]
+def energy(instance: HamiltonianInstance, sigma) -> float:
+    """H(sigma): the value of local_data, without the Hessian."""
+    return local_data(instance, sigma).value
 
 
 def g1_overlap(instance: HamiltonianInstance, sigma) -> np.ndarray:

@@ -15,7 +15,8 @@ import numpy as np
 from .errors import LostTrack, MaxIters, OffManifold, ValidationError
 from .hamiltonian import (HamiltonianInstance, StatePoint, _as_sigma,
                           check_on_manifold, g1_overlap, local_data, retract)
-from .mixture import all_sign_patterns, classify_solvability, ideal_stats
+from .mixture import (all_sign_patterns, as_signs, classify_solvability,
+                      ideal_stats)
 
 UNCLASSIFIED = "unclassified"
 NEWTON_TOL = 1e-10
@@ -73,7 +74,7 @@ def _ambient(refl, partition, red):
     return out - X @ (V.T @ out)
 
 
-def _try_step(instance, sig, ld, h, gn, degree_weights, halvings):
+def _try_step(instance, sig, ld, h, gn, t, halvings):
     """Backtracking search along the reduced step h from sig.
 
     The step is capped at 0.5 sqrt(N) and halved until the gradient norm
@@ -89,8 +90,7 @@ def _try_step(instance, sig, ld, h, gn, degree_weights, halvings):
     alpha = 1.0
     for _ in range(halvings):
         cand = retract(part, sig + alpha * step).sigma
-        trial = local_data(instance, cand, want_hessian=alpha == 1.0,
-                           degree_weights=degree_weights)
+        trial = local_data(instance, cand, want_hessian=alpha == 1.0, t=t)
         gn2 = float(np.linalg.norm(trial.rgrad)) / np.sqrt(part.N)
         if np.isfinite(gn2) and gn2 <= (1.0 - 0.1 * alpha) * gn:
             return cand, trial
@@ -98,11 +98,10 @@ def _try_step(instance, sig, ld, h, gn, degree_weights, halvings):
     return None
 
 
-def _newton(instance, sig, max_iters, tol, degree_weights, raise_on_fail,
-            ld=None):
-    """The Newton loop of newton_refine on an on-manifold sig.
+def _newton(instance, sig, max_iters, tol, t, raise_on_fail, ld=None):
+    """The Newton loop of newton_refine on an on-manifold sig, for H_t.
 
-    ld, if given, is the LocalData with Hessian at sig and degree_weights.
+    ld, if given, is the LocalData with Hessian at sig and t.
     Returns (sigma, LocalData with Hessian, grad_norm history, iterations,
     singular), singular meaning the eigh ladder dropped a soft mode.
     """
@@ -112,8 +111,7 @@ def _newton(instance, sig, max_iters, tol, degree_weights, raise_on_fail,
     singular = False
     iterations = 0
     if ld is None:
-        ld = local_data(instance, sig, want_hessian=True,
-                        degree_weights=degree_weights)
+        ld = local_data(instance, sig, want_hessian=True, t=t)
     while True:
         gn = float(np.linalg.norm(ld.rgrad)) / sqrt_n
         if not np.isfinite(gn):
@@ -133,7 +131,7 @@ def _newton(instance, sig, max_iters, tol, degree_weights, raise_on_fail,
         except np.linalg.LinAlgError:
             h = None
         if h is not None and np.all(np.isfinite(h)):
-            accepted = _try_step(instance, sig, ld, h, gn, degree_weights, 1)
+            accepted = _try_step(instance, sig, ld, h, gn, t, 1)
         if accepted is None:
             eigs, vecs = np.linalg.eigh(ld.rhess)
             scale_w = float(np.max(np.abs(eigs)))
@@ -151,8 +149,7 @@ def _newton(instance, sig, max_iters, tol, degree_weights, raise_on_fail,
                     h = -(vecs[:, keep] @ (coef[keep] / eigs[keep]))
                 else:
                     h = -(vecs @ (coef * eigs / (eigs ** 2 + mu ** 2)))
-                accepted = _try_step(instance, sig, ld, h, gn,
-                                     degree_weights, 20)
+                accepted = _try_step(instance, sig, ld, h, gn, t, 20)
                 if accepted is not None:
                     break
         if accepted is None:
@@ -161,14 +158,13 @@ def _newton(instance, sig, max_iters, tol, degree_weights, raise_on_fail,
             break
         sig, ld = accepted
         if ld.rhess is None:
-            ld = local_data(instance, sig, want_hessian=True,
-                            degree_weights=degree_weights)
+            ld = local_data(instance, sig, want_hessian=True, t=t)
         iterations += 1
     return sig, ld, history, iterations, singular
 
 
 def newton_refine(instance: HamiltonianInstance, sigma0, max_iters: int = 50,
-                  tol: float = NEWTON_TOL, degree_weights=None,
+                  tol: float = NEWTON_TOL,
                   raise_on_fail: bool = True) -> CriticalPointResult:
     """Tangent-space Newton for the Riemannian gradient.
 
@@ -197,8 +193,8 @@ def newton_refine(instance: HamiltonianInstance, sigma0, max_iters: int = 50,
         check_on_manifold(part, sig)
     except OffManifold:
         sig = retract(part, sig).sigma
-    return _result(instance, *_newton(instance, sig, max_iters, tol,
-                                      degree_weights, raise_on_fail))
+    return _result(instance, *_newton(instance, sig, max_iters, tol, 1.0,
+                                      raise_on_fail))
 
 
 def _result(instance, sig, ld, history, iterations, singular):
@@ -262,10 +258,7 @@ def follow_critical_points(instance: HamiltonianInstance, delta,
     it; if none passes, LostTrack.
     """
     part = instance.partition
-    arr = np.asarray(delta, dtype=float)
-    if arr.shape != (part.r,) or not np.all(np.abs(arr) == 1.0):
-        raise ValidationError(
-            f"delta must be a vector of +-1 of length {part.r}")
+    arr = as_signs(delta, part.r)
     ints = tuple(int(v) for v in arr)
     if steps < 1:
         raise ValidationError("steps must be >= 1")
@@ -276,21 +269,21 @@ def follow_critical_points(instance: HamiltonianInstance, delta,
     if label != "strictly_super_solvable":
         warnings.warn("mixture is not strictly super-solvable; the homotopy "
                       "path is not guaranteed to stay on one branch")
-    degrees = sorted(instance.tensors)
     up = np.repeat(arr < 0, part.sizes - 1)
     predictions = [ideal_stats(instance.mixture, d)
                    for d in all_sign_patterns(part.r)]
 
     def is_type_delta(res):
+        dists = [np.max(np.abs(res.radial - p.radial)) for p in predictions]
         return (res.grad_norm <= NEWTON_TOL and res.index == up.sum()
-                and _assign_delta(predictions, res.radial, np.inf) == ints)
+                and np.array_equal(predictions[np.argmin(dists)].delta, arr))
 
     sigma = retract(part, arr[part.labels] * instance.tensors[1]).sigma
     tangent = None
     k, m = 0, 1
     while k < steps:
         m = min(m, steps - k)
-        wts = {j: (1.0 if j == 1 else (k + m) / steps) for j in degrees}
+        t = (k + m) / steps
         pred = sigma
         if tangent is not None:
             pred = retract(part, sigma + tangent * m / steps).sigma
@@ -298,9 +291,9 @@ def follow_critical_points(instance: HamiltonianInstance, delta,
             # a fold can briefly swallow the branch mid-path, so stalls
             # carry the best iterate forward; only the endpoint is judged
             sigma, ld, history, iters, _ = _newton(instance, pred, 40,
-                                                   STEP_TOL, wts, False)
+                                                   STEP_TOL, t, False)
         else:
-            step = _long_step(instance, pred, wts, up)
+            step = _long_step(instance, pred, t, up)
             if step is None:
                 m //= 2
                 continue
@@ -316,8 +309,8 @@ def follow_critical_points(instance: HamiltonianInstance, delta,
             # the next step needs only the tangent, so this point's Hessian
             # is freed before the next corrector builds its own
             ld = step = None
-    # the last corrector ran at the full weights: its LocalData starts polish
-    res = _result(instance, *_newton(instance, sigma, 40, NEWTON_TOL, wts,
+    # the last corrector ran at t = 1: its LocalData starts the polish
+    res = _result(instance, *_newton(instance, sigma, 40, NEWTON_TOL, t,
                                      False, ld))
     if not is_type_delta(res):
         res = _soft_hop(instance, res.sigma_star.sigma, is_type_delta)
@@ -327,7 +320,7 @@ def follow_critical_points(instance: HamiltonianInstance, delta,
     return replace(res, delta=ints)
 
 
-def _long_step(instance, pred, wts, up):
+def _long_step(instance, pred, t, up):
     """Correct a homotopy step longer than one grid unit, if it is safe.
 
     Returns (sigma, LocalData, grad_norm history, iterations) when Newton
@@ -337,7 +330,7 @@ def _long_step(instance, pred, wts, up):
     """
     try:
         sig, ld, history, iters, _ = _newton(instance, pred, LONG_STEP_ITERS,
-                                             STEP_TOL, wts, True)
+                                             STEP_TOL, t, True)
     except MaxIters:
         return None
     jump = np.linalg.norm(sig - pred) / np.sqrt(instance.partition.N)
@@ -418,11 +411,3 @@ def _soft_hop(instance, sigma, accept):
             if accept(cand):
                 return cand
     return None
-
-
-def _assign_delta(predictions, radial, eps: float):
-    dists = [float(np.max(np.abs(radial - p.radial))) for p in predictions]
-    best = int(np.argmin(dists))
-    if dists[best] <= eps:
-        return tuple(int(v) for v in predictions[best].delta)
-    return UNCLASSIFIED

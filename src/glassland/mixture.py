@@ -33,6 +33,24 @@ __all__ = [
 ]
 
 
+def as_vector(x, r: int, name: str = "x", dtype=float) -> np.ndarray:
+    """x as a finite array of shape (r,), else ValidationError."""
+    x = np.asarray(x, dtype=dtype)
+    if x.shape != (r,):
+        raise ValidationError(f"{name} must have shape ({r},)")
+    if not np.all(np.isfinite(x)):
+        raise ValidationError(f"{name} must be finite")
+    return x
+
+
+def as_signs(delta, r: int) -> np.ndarray:
+    """delta as a float vector of +-1 of length r, else ValidationError."""
+    delta = np.asarray(delta, dtype=float)
+    if delta.shape != (r,) or not np.all(np.abs(delta) == 1.0):
+        raise ValidationError(f"delta must be a vector of +-1 of length {r}")
+    return delta
+
+
 @dataclass(frozen=True, eq=False)
 class MixtureSpec:
     """Mixture function data.
@@ -171,12 +189,7 @@ def eval_xi(spec: MixtureSpec, x):
     The clip at 0 only touches exponents whose coefficient is already 0, so
     no negative power of a zero coordinate is ever formed.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.r,):
-        raise ValidationError(f"x must have shape ({spec.r},)")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("x must be finite")
-    y = spec.lam * x
+    y = spec.lam * as_vector(x, spec.r)
     E, w = spec._exponents, spec._weights
     eye = np.eye(spec.r, dtype=int)
     lower = E[:, None, :] - eye                          # [t, s, v] = E_tv - d_sv
@@ -197,27 +210,23 @@ class MixtureStats:
     xi_prime: np.ndarray
     xi_dprime: np.ndarray
     xi_species: np.ndarray
-    Lambda: np.ndarray
+    lam: np.ndarray
     A: np.ndarray
 
     @property
     def r(self) -> int:
         return self.xi_prime.shape[0]
 
-    @property
-    def lam(self) -> np.ndarray:
-        return np.diag(self.Lambda)
-
 
 def stats(spec: MixtureSpec) -> MixtureStats:
-    """Compute xi(1), xi', xi'', xi^s(1), Lambda, and A = diag(xi') + xi''."""
+    """Compute xi(1), xi', xi'', xi^s(1), lambda, and A = diag(xi') + xi''."""
     value, grad, hess = eval_xi(spec, np.ones(spec.r))
     return MixtureStats(
         xi_one=value,
         xi_prime=grad,
         xi_dprime=hess,
         xi_species=grad / spec.lam,
-        Lambda=np.diag(spec.lam),
+        lam=spec.lam.copy(),
         A=np.diag(grad) + hess,
     )
 
@@ -259,21 +268,24 @@ def ideal_stats(spec: MixtureSpec, delta) -> CriticalPrediction:
     The overlap uses the degree-1 coefficients; mixtures without a degree-1
     part get overlap 0.  Rejects mixtures with any xi'_s <= 0.
     """
-    delta = np.asarray(delta, dtype=float)
-    if delta.shape != (spec.r,) or not np.all(np.abs(delta) == 1.0):
-        raise ValidationError("delta must be a vector of +-1 of length r")
+    delta = as_signs(delta, spec.r)
     st = stats(spec)
-    if np.any(st.xi_prime <= 0):
-        raise ValidationError("ideal_stats requires xi'_s > 0 for every species")
+    radial = ideal_radial(st, delta)
     lam = spec.lam
-    sq = np.sqrt(st.xi_prime)
     energy = float(np.sum(delta * np.sqrt(lam * st.xi_prime)))
-    overlap = delta * spec.gamma1 / sq
-    radial = delta * sq + (st.xi_dprime @ (delta * np.sqrt(lam) / sq)) / np.sqrt(lam)
+    overlap = delta * spec.gamma1 / np.sqrt(st.xi_prime)
     v = np.sqrt(lam) * radial
     u = -delta / np.sqrt(st.xi_species)
     return CriticalPrediction(delta=delta, energy=energy, overlap=overlap,
                               radial=radial, v=v, u=u)
+
+
+def ideal_radial(st: MixtureStats, delta) -> np.ndarray:
+    """The radial derivative that ideal_stats predicts for signs delta."""
+    if np.any(st.xi_prime <= 0):
+        raise ValidationError("ideal points require xi'_s > 0 for every species")
+    sq, root_lam = np.sqrt(st.xi_prime), np.sqrt(st.lam)
+    return delta * sq + (st.xi_dprime @ (delta * root_lam / sq)) / root_lam
 
 
 def all_sign_patterns(r: int):
@@ -286,6 +298,8 @@ def species_sizes(lam, N: int) -> np.ndarray:
 
     Largest-remainder rounding of lam * N; deterministic, sums to N.
     """
+    if not isinstance(N, (int, np.integer)):
+        raise ValidationError(f"N must be an integer, not {N!r}")
     lam = np.asarray(lam, dtype=float)
     raw = lam * N
     sizes = np.floor(raw).astype(int)
@@ -302,9 +316,7 @@ def v_star(spec: MixtureSpec, phi_prime) -> np.ndarray:
 
     phi_prime must be positive with <lambda, phi_prime> = 1.
     """
-    phi = np.asarray(phi_prime, dtype=float)
-    if phi.shape != (spec.r,):
-        raise ValidationError("phi_prime must be an r-vector")
+    phi = as_vector(phi_prime, spec.r, "phi_prime")
     if np.any(phi <= 0):
         raise ValidationError("phi_prime must be positive")
     lam = spec.lam

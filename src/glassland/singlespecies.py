@@ -103,6 +103,8 @@ def _is_pure(th: ScalarThresholds) -> bool:
 def theta(s: float) -> float:
     """Theta(s): zero inside |s| < sqrt(2), nonpositive outside."""
     a = abs(float(s))
+    if not np.isfinite(a):
+        raise ValidationError("s must be finite")
     if a <= SQRT2:
         return 0.0
     root = np.sqrt(a * a - 2.0)
@@ -117,6 +119,8 @@ def F_sy(th: ScalarThresholds, s: float, y: float, tilde: bool = False) -> float
     s = y xi'/sqrt(2 xi'').
     """
     s, y = float(s), float(y)
+    if not np.isfinite([s, y]).all():
+        raise ValidationError("s and y must be finite")
     dev = s - y * th.xi_prime / np.sqrt(2 * th.xi_dprime)
     if _is_pure(th):
         if abs(dev) > 1e-9:
@@ -134,6 +138,8 @@ def ellipse(th: ScalarThresholds) -> EllipseParams:
     """Centered ellipse bounding {F-tilde >= 0}."""
     if _is_pure(th):
         raise DegenerateCase("pure mixture: the region degenerates to a segment")
+    if th.xi_dprime == th.xi_prime:
+        raise DegenerateCase("xi'' = xi': the region degenerates to a point")
     xp, xpp, a2 = th.xi_prime, th.xi_dprime, th.alpha_sq
     a_ss = 0.5 * (1.0 - 2 * xpp / a2)
     a_yy = -0.5 * (1.0 + xp * xp / a2)

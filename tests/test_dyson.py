@@ -832,9 +832,9 @@ def test_measure_mass_deficit():
 
 
 def test_measure_rejects_malformed_grid():
-    # the rule scan applies: lo < hi and at least 2 points
+    # the rule scan applies: finite lo < hi and an integer count of at least 2
     for grid_spec in ((2, -2, 101), (1.0, 1.0, 11), (-6, 6, 1), (-6, 6, 0),
-                      0, 1):
+                      0, 1, 101.0, (-6, 6, 5.5), (0.0, np.inf, 11)):
         with pytest.raises(ValidationError):
             dy.spectral_measure(SC, np.zeros(1), grid_spec=grid_spec)
 

@@ -164,23 +164,24 @@ def _contract_all_but(t, sig, free):
     return np.einsum(*operands, list(free))
 
 
-def _raw_terms(mixture, N, seed, weights=None):
-    # the raw draws, redrawn in sample's order, each scaled by its weight,
-    # N^{-(k-1)/2} and the gamma of every index's species
+def _raw_terms(mixture, N, seed, t=1.0):
+    # the raw draws, redrawn in sample's order, each degree >= 2 one scaled
+    # by the homotopy weight t, all by N^{-(k-1)/2} and the gamma of every
+    # index's species
     tabs = ham._gamma_tables(mixture)
     degrees = sorted(k for k, tab in tabs.items() if np.any(tab > 0))
     rng = np.random.default_rng(seed)
     raw = {k: rng.standard_normal((N,) * k) for k in degrees}
     labels = ham.make_partition(mixture, N).labels
-    return {k: ((weights or {}).get(k, 1.0) * N ** (-(k - 1) / 2)
+    return {k: ((1.0 if k == 1 else t) * N ** (-(k - 1) / 2)
                 * tabs[k][np.ix_(*[labels] * k)] * g) for k, g in raw.items()}
 
 
-def _raw_oracle(mixture, N, seed, sig, weights):
+def _raw_oracle(mixture, N, seed, sig, t):
     # H, its gradient and its Hessian from the raw draws, with every slot
     # of each term differentiated apart
     value, grad, hess = 0.0, np.zeros(N), np.zeros((N, N))
-    for k, term in _raw_terms(mixture, N, seed, weights).items():
+    for k, term in _raw_terms(mixture, N, seed, t).items():
         value += _contract_all_but(term, sig, ())
         for i in range(k):
             grad += _contract_all_but(term, sig, (i,))
@@ -191,13 +192,13 @@ def _raw_oracle(mixture, N, seed, sig, weights):
 
 
 @pytest.mark.parametrize("tile", [None, 64], ids=["one-tile", "tiled"])
-@pytest.mark.parametrize("weights", [None, {1: 0.7, 2: 0.3, 3: 1.9},
-                                     {2: 0.0, 3: 0.45}],
+# t = 0 is the field-only landscape: every degree >= 2 term is off, not only
+# degree 2 as its id says
+@pytest.mark.parametrize("t", [1.0, 0.3, 0.0],
                          ids=["plain", "weighted", "no-degree-2"])
 @pytest.mark.parametrize("mixture,N", [(CUBIC, 24), (TRIPLE, 25)],
                          ids=["cubic-pair", "three-species-cubic"])
-def test_hamiltonian_matches_raw_draws(monkeypatch, mixture, N, weights,
-                                       tile):
+def test_hamiltonian_matches_raw_draws(monkeypatch, mixture, N, t, tile):
     # the symmetrised couplings give the same function of sigma as the raw
     # Gaussian tensors; unequal blocks would expose a slab-weighting slip,
     # and small tiles send the build through orbits of distinct tiles
@@ -206,9 +207,9 @@ def test_hamiltonian_matches_raw_draws(monkeypatch, mixture, N, weights,
     inst = ham.sample(mixture, N, seed=8)
     for trial in range(3):
         sig = ham.random_state(inst.partition, (8, trial)).sigma
-        want = _raw_oracle(mixture, N, 8, sig, weights)
-        value, grad, hess = ham._contract(inst, sig, True, weights)
-        d = ham.local_data(inst, sig, degree_weights=weights)
+        want = _raw_oracle(mixture, N, 8, sig, t)
+        value, grad, hess = ham._contract(inst, sig, True, t)
+        d = ham.local_data(inst, sig, t=t)
         for got, ref in ((value, want[0]), (d.value, want[0]),
                          (grad, want[1]), (d.egrad, want[1]),
                          (hess, want[2])):

@@ -12,7 +12,7 @@ from glassland.mixture import (MixtureSpec, all_sign_patterns,
                                classify_solvability, ideal_stats, stats)
 from glassland.presets import get_preset
 
-from test_complexity import _relabel
+from test_complexity import _cubic_mixture, _relabel
 
 SYM = get_preset("symmetric-pair")
 N = 60
@@ -25,10 +25,6 @@ def _expected_index(inst, delta):
     return int(np.sum((inst.partition.sizes - 1)[np.asarray(delta) < 0]))
 
 
-def _weights(inst, t):
-    return {k: (1.0 if k == 1 else t) for k in inst.tensors}
-
-
 def _uniform_follow(inst, delta, steps=40):
     # oracle: the homotopy walk with every step one grid unit long, each
     # corrector run to its 40-iteration budget, then the t = 1 polish
@@ -37,15 +33,15 @@ def _uniform_follow(inst, delta, steps=40):
                         * inst.tensors[1]).sigma
     ld = None
     for i in range(1, steps + 1):
-        wts = _weights(inst, i / steps)
+        t = i / steps
         if ld is not None:
             d = ls._tangent(inst, sigma, ld, (i - 1) / steps)
             sigma = ham.retract(part, sigma + d / steps).sigma
         if i < steps:
-            sigma, ld, _, _, _ = ls._newton(inst, sigma, 40, ls.STEP_TOL, wts,
+            sigma, ld, _, _, _ = ls._newton(inst, sigma, 40, ls.STEP_TOL, t,
                                             False)
-    return ls.newton_refine(inst, sigma, max_iters=40, degree_weights=wts,
-                            raise_on_fail=False)
+    return ls._result(inst, *ls._newton(inst, sigma, 40, ls.NEWTON_TOL, t,
+                                        False))
 
 
 # an ascent stops at this scaled gradient |rgrad|/sqrt(N)
@@ -338,6 +334,16 @@ def test_follow_validation():
         ls.follow_critical_points(no_field, (1,))
 
 
+def test_follow_warns_off_strict_super_solvability():
+    # c = 1.2 < sqrt(3) is strictly sub-solvable: the follow warns that its
+    # path may change branch, and here it still ends on the all-plus point
+    inst = ham.sample(_cubic_mixture(1.2), N, seed=2)
+    with pytest.warns(UserWarning, match="not strictly super-solvable"):
+        res = ls.follow_critical_points(inst, (1, 1))
+    assert res.grad_norm <= ls.NEWTON_TOL
+    assert res.index == 0 and res.delta == (1, 1)
+
+
 def _homotopy_mixture(spec, t):
     # H_1 + t H_{>=2}, the Hamiltonian at weight t on the homotopy path, has
     # covariance xi_1 + t^2 xi_{>=2}: every coefficient of degree >= 2 times t
@@ -414,13 +420,12 @@ def test_tangent_is_difference_quotient():
     inst = ham.sample(SYM, N, seed=0)
     end = ls.follow_critical_points(inst, (1, -1)).sigma_star.sigma
     t, eps = 0.5, 1e-4
-    at_t = ls.newton_refine(inst, end, degree_weights=_weights(inst, t))
-    after = ls.newton_refine(inst, at_t.sigma_star,
-                             degree_weights=_weights(inst, t + eps))
-    assert not at_t.ill_conditioned
+    at_t = ls._result(inst, *ls._newton(inst, end, 50, ls.NEWTON_TOL, t, True))
     sig = at_t.sigma_star.sigma
-    ld = ham.local_data(inst, sig, want_hessian=True,
-                        degree_weights=_weights(inst, t))
+    after = ls._result(inst, *ls._newton(inst, sig, 50, ls.NEWTON_TOL,
+                                         t + eps, True))
+    assert not at_t.ill_conditioned
+    ld = ham.local_data(inst, sig, want_hessian=True, t=t)
     tangent = ls._tangent(inst, sig, ld, t)
     quotient = (after.sigma_star.sigma - sig) / eps
     # the O(eps) term |sigma''| eps/2 measured 0.92 eps |tangent| here

@@ -120,6 +120,18 @@ def test_ellipse_degenerate_pure():
         ss.classify_Einf_case(th)
 
 
+@pytest.mark.parametrize("xp", [1.75, 1.984453781512605, 1.5])
+def test_ellipse_degenerate_at_equal_derivatives(xp):
+    # xi'' = xi' zeroes the constant (1/2) log(xi''/xi'), so {F-tilde >= 0}
+    # is the single point E_inf^- = E_inf^+ although alpha^2 > 0
+    th = ss.thresholds(xp, xp)
+    assert th.alpha_sq > 0 and th.E_inf_minus == th.E_inf_plus
+    with pytest.raises(DegenerateCase):
+        ss.ellipse(th)
+    with pytest.raises(DegenerateCase):
+        ss.classify_Einf_case(th)
+
+
 def test_pure_floor_is_relative_in_F_and_ellipse():
     # alpha^2 = 0 up to rounding of terms of size xi'^2 ~ 9e3, computed as
     # +1.8e-12: F_sy and ellipse must both take the model as pure
@@ -152,6 +164,18 @@ def test_classify_is_deterministic():
     b = ss.classify_Einf_case(ss.thresholds(2.5, 4.0))
     assert a == b
     assert a in ("edge_bound_holds", "requires_GS_comparison")
+
+
+@pytest.mark.parametrize("gammas,slope,case", [
+    # xi = 0.9 t^2 + 0.1 t^4: xi' = 2.2, xi'' = 3.0
+    ([0.0, np.sqrt(0.9), 0.0, np.sqrt(0.1)], -8.527, "requires_GS_comparison"),
+    # xi = 0.5 t^2 + 0.5 t^4: xi' = 3, xi'' = 7
+    ([0.0, np.sqrt(0.5), 0.0, np.sqrt(0.5)], 3.334, "edge_bound_holds"),
+], ids=["falling", "rising"])
+def test_classify_follows_the_tangent_slope(gammas, slope, case):
+    th = ss.thresholds_from_mixture(single_species(gammas))
+    assert abs(ss.ellipse(th).tangent_slope_at_Eplus - slope) < 1e-3
+    assert ss.classify_Einf_case(th) == case
 
 
 def test_boundary_maximum_location():
