@@ -74,6 +74,17 @@ class HamiltonianInstance:
     seed: object
     gamma_tables: dict = field(repr=False, default=None)
 
+    @cached_property
+    def external_field(self) -> np.ndarray:
+        """The degree-1 coefficient field gamma_1[labels] G_1, read-only.
+
+        H_1(sigma) = external_field . sigma.  Only defined when tensors
+        holds a degree-1 draw.
+        """
+        out = self.gamma_tables[1][self.partition.labels] * self.tensors[1]
+        out.flags.writeable = False
+        return out
+
 
 @dataclass(frozen=True)
 class StatePoint:
@@ -309,7 +320,7 @@ def _contract(instance: HamiltonianInstance, sig: np.ndarray,
     ehess = None
     for k, J in instance.tensors.items():
         if k == 1:
-            c1 = instance.gamma_tables[1][instance.partition.labels] * J
+            c1 = instance.external_field
             value += float(c1 @ sig)
             egrad += c1
             continue

@@ -60,7 +60,8 @@ class MixtureSpec:
     r : int
         Number of species.
     lam : ndarray, shape (r,)
-        Species weights, positive, summing to 1.
+        Species weights, positive, summing to 1.  The spec keeps a read-only
+        copy, so a caller's array changed later cannot change it.
     coeffs : tuple of (degree, index, gamma)
         One entry per orbit representative.  ``index`` is a nondecreasing
         tuple of 0-based species labels of length ``degree``; ``gamma`` is
@@ -80,13 +81,14 @@ class MixtureSpec:
     _weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        lam = np.asarray(self.lam, dtype=float)
+        lam = np.array(self.lam, dtype=float)
         if lam.shape != (self.r,):
             raise BadMixture(f"lambda must have length r={self.r}")
         if not np.all(lam > 0):
             raise BadMixture("all species weights must be positive")
         if not abs(lam.sum() - 1.0) <= LAMBDA_SUM_TOL:
             raise BadMixture(f"species weights sum to {lam.sum()!r}, not 1")
+        lam.flags.writeable = False
         object.__setattr__(self, "lam", lam)
         seen = set()
         exponents = np.zeros((len(self.coeffs), self.r), dtype=int)
@@ -237,9 +239,12 @@ class SolvabilityReport:
     min_eig: float
 
 
-def classify_solvability(spec: MixtureSpec) -> SolvabilityReport:
-    """Classify by min_eig of diag(xi') - xi'', solvable within SOLVABLE_TOL."""
-    st = stats(spec)
+def classify_solvability(spec: MixtureSpec | MixtureStats) -> SolvabilityReport:
+    """Classify by min_eig of diag(xi') - xi'', solvable within SOLVABLE_TOL.
+
+    spec may also be the mixture's MixtureStats, for a caller that holds them.
+    """
+    st = spec if isinstance(spec, MixtureStats) else stats(spec)
     min_eig = float(np.linalg.eigvalsh(np.diag(st.xi_prime) - st.xi_dprime)[0])
     if min_eig > SOLVABLE_TOL:
         label = "strictly_super_solvable"

@@ -6,11 +6,12 @@ import pytest
 
 from glassland import hamiltonian as ham
 from glassland import landscape as ls
+from glassland import mixture as mx
 from glassland.dyson import spectral_measure
 from glassland.errors import LostTrack, MaxIters, ValidationError
 from glassland.mixture import (MixtureSpec, all_sign_patterns,
                                classify_solvability, ideal_stats, stats)
-from glassland.presets import get_preset
+from glassland.presets import PRESETS, get_preset
 
 from test_complexity import _cubic_mixture, _relabel
 
@@ -191,7 +192,7 @@ def test_long_steps_stay_on_branch(preset, n, seed, delta):
 
 
 def test_adaptive_step_halves_the_work(monkeypatch):
-    # 80 local_data calls against the uniform walk's 328 over the four
+    # 48 local_data calls against the uniform walk's 328 over the four
     # patterns; a step control that fell back to uniform steps would fail
     inst = ham.sample(SYM, N, seed=0)
     calls = []
@@ -208,6 +209,64 @@ def test_adaptive_step_halves_the_work(monkeypatch):
             follow(inst, delta)
         counts.append(len(calls))
     assert counts[0] <= counts[1] / 2
+
+
+# not every draw: some patterns halve the first step, on skew-pair at N=40,
+# 60, 150 and 200 and on cubic-pair N=40 seeds 0, 1, 10 and 18
+@pytest.mark.parametrize("preset,seed", [("symmetric-pair", 0),
+                                         ("symmetric-pair", 1),
+                                         ("symmetric-pair", 2),
+                                         ("three-species", 0)])
+def test_first_step_is_a_quarter_of_the_grid(monkeypatch, preset, seed):
+    # predicted along the exact t = 0 tangent, the first step reaches
+    # t = 1/4 at once: no corrector runs at a t in (0, 1/4)
+    inst = ham.sample(get_preset(preset), N, seed=seed)
+    weights = []
+
+    def recorded(*args, t=1.0, **kwargs):
+        weights.append(t)
+        return ham.local_data(*args, t=t, **kwargs)
+
+    monkeypatch.setattr(ls, "local_data", recorded)
+    for delta in all_sign_patterns(inst.mixture.r):
+        weights.clear()
+        ls.follow_critical_points(inst, delta)
+        assert ls.FIRST_STEP in weights
+        assert not any(0 < t < ls.FIRST_STEP for t in weights)
+
+
+def test_follow_computes_stats_once(monkeypatch):
+    # the solvability label and the 2^r radial predictions share one stats
+    inst = ham.sample(SYM, 20, seed=0)
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return stats(spec)
+
+    monkeypatch.setattr(ls, "stats", counted)
+    monkeypatch.setattr(mx, "stats", counted)
+    ls.follow_critical_points(inst, (1, -1))
+    assert calls == [inst.mixture]
+
+
+@pytest.mark.parametrize("preset", [name for name in PRESETS
+                                    if np.all(get_preset(name).gamma1 > 0)])
+def test_start_tangent_is_the_t0_solve(preset):
+    # at t = 0 the reduced Hessian is -theta_0 on each species, so the closed
+    # form must match the tangent equation rhess d = -P grad H_{>=2} solved
+    # with the t = 0 Hessian (they differed by at most 1.2e-15 here)
+    inst = ham.sample(get_preset(preset), 40, seed=0)
+    part = inst.partition
+    for delta in all_sign_patterns(part.r):
+        sig = ham.retract(part, delta[part.labels] * inst.tensors[1]).sigma
+        ld = ham.local_data(inst, sig, want_hessian=True, t=0.0)
+        rest = ham.local_data(inst, sig).egrad - inst.external_field
+        g_red = ls._reduced(ld.reflectors, part, rest)
+        solved = ls._ambient(ld.reflectors, part,
+                             np.linalg.solve(ld.rhess, -g_red))
+        assert (np.abs(ls._start_tangent(inst, sig) - solved).max()
+                <= 1e-13)
 
 
 def test_follow_evaluates_endpoint_once(monkeypatch):

@@ -127,6 +127,17 @@ def test_spec_compares_and_hashes_by_identity():
     assert len({a, a, b}) == 2
 
 
+def test_spec_keeps_its_own_lam():
+    # the spec copies lam: the caller's array changed afterwards must not
+    # change a validated spec, and the spec's own copy is read-only
+    lam = np.array([0.5, 0.5])
+    spec = mx.MixtureSpec(r=2, lam=lam, coeffs=((1, (0,), 1.0),))
+    lam[0] = 7.0
+    assert np.array_equal(spec.lam, [0.5, 0.5])
+    with pytest.raises(ValueError):
+        spec.lam[0] = 7.0
+
+
 def test_cubic_pair_stats():
     st = mx.stats(presets.cubic_pair())
     assert np.allclose(st.xi_prime, [1.56, 1.56], atol=1e-12)
@@ -190,6 +201,9 @@ def test_classify_solvability_labels():
     ]
     for spec, label in cases:
         assert mx.classify_solvability(spec).label == label
+        # a caller holding the stats passes them instead of the spec
+        assert mx.classify_solvability(mx.stats(spec)) == \
+            mx.classify_solvability(spec)
 
 
 def test_classify_solvable_boundary():
