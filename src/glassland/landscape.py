@@ -1,11 +1,11 @@
 """Finite-N critical points of sampled Hamiltonians.
 
-Homotopy following from the pure external-field landscape, with a first
-t-step of a quarter of the grid along the exact t = 0 tangent, a t-step
-that doubles after easy corrections and halves when a long step
-converges slowly, jumps or changes the predicted index, and each
-endpoint labelled by the paper's predicted index and radial derivative;
-damped tangent-space Newton refinement.
+Homotopy following from the pure external-field landscape: a first
+t-step of a quarter of the grid along the exact t = 0 tangent, inexact
+correctors whose last LU also gives the next tangent, a t-step that
+doubles after one-iteration corrections and halves when a long step
+converges slowly, jumps or changes the predicted index, and endpoints
+labelled by the paper's index and radial derivative; damped Newton.
 """
 
 import warnings
@@ -21,22 +21,25 @@ from .mixture import (all_sign_patterns, as_signs, classify_solvability,
 
 UNCLASSIFIED = "unclassified"
 NEWTON_TOL = 1e-10
-# intermediate homotopy points only seed the next prediction; at 1e-6 they
-# sit about 1e-6 sqrt(N)/gap off the branch, far inside DEDUP_RADIUS sqrt(N)
-STEP_TOL = 1e-6
+# a guarded long step's corrector need only land in the next predictor's
+# basin (a prediction is off by ~1e-2).  Over finite-n seeds 1-48 but 38,
+# local_data calls: 7471 at 1e-6 with EASY_ITERS 2, 6970 at 1e-5, 6327 at
+# 1e-4 and 6069 at 1e-3 (67 long steps rejected, not 52) with 1
+STEP_TOL = 1e-4
+# a one-unit step has no jump or index guard: at STEP_TOL, cubic-pair N=40
+# seed 5 delta = (-1, -1) drifted onto another branch near t = 0.55
+UNIT_STEP_TOL = 1e-6
 # homotopy steps longer than one grid unit (_long_step): a corrector that
 # needs more iterations than this means the branch bends within the step
 LONG_STEP_ITERS = 6
 # a jump beyond this times sqrt(N) from the Euler prediction can land on a
 # neighbouring critical point of the same index and radial label
 LONG_STEP_JUMP = 0.2
-# a step whose corrector converged this fast doubles the next one
-EASY_ITERS = 2
+# a step whose corrector converged this fast doubles the next one: 1 takes
+# an easy prediction to STEP_TOL (2 at 1e-5: 8906 calls, 322 rejected)
+EASY_ITERS = 1
 # the first step spans this share of the t-grid, predicted along the exact
-# t = 0 tangent.  Over the 96 follows of the finite-n benchmark's seeds 1-12
-# it made 2004 local_data calls (28 long steps rejected), against 2142 at
-# 1/8, 2804 (124 rejected) at 1/2, 2892 (155 rejected) at 1/4 with no t = 0
-# tangent, and 2652 for a first step of one grid unit with none
+# t = 0 tangent; the 6327 calls above were 9191 at 1/2 and 9485 at 1/8
 FIRST_STEP = 0.25
 SINGULAR_EIG = 1e-6
 ZERO_EIG = 1e-8
@@ -105,12 +108,15 @@ def _try_step(instance, sig, ld, h, gn, t, halvings):
     return None
 
 
-def _newton(instance, sig, max_iters, tol, t, raise_on_fail, ld=None):
+def _newton(instance, sig, max_iters, tol, t, raise_on_fail, ld=None,
+            tangent=None):
     """The Newton loop of newton_refine on an on-manifold sig, for H_t.
 
     ld, if given, is the LocalData with Hessian at sig and t.
     Returns (sigma, LocalData with Hessian, grad_norm history, iterations,
-    singular), singular meaning the eigh ladder dropped a soft mode.
+    singular, tangent), singular meaning the eigh ladder dropped a soft
+    mode.  Below t = 1 each plain step's LU also solves for d sigma/dt
+    (_tangent_rhs) at its iterate; tangent is the last, else the given one.
     """
     part = instance.partition
     sqrt_n = np.sqrt(part.N)
@@ -132,13 +138,16 @@ def _newton(instance, sig, max_iters, tol, t, raise_on_fail, ld=None):
                     f"no convergence in {max_iters} newton iterations")
             break
         g_red = _reduced(ld.reflectors, part, ld.rgrad)
+        cols = [-g_red] + ([_tangent_rhs(instance, ld, t)] if t < 1 else [])
         accepted = None
         try:
-            h = -np.linalg.solve(ld.rhess, g_red)
+            sol = np.linalg.solve(ld.rhess, np.column_stack(cols))
         except np.linalg.LinAlgError:
-            h = None
-        if h is not None and np.all(np.isfinite(h)):
-            accepted = _try_step(instance, sig, ld, h, gn, t, 1)
+            sol = None
+        if sol is not None and np.all(np.isfinite(sol)):
+            if t < 1:
+                tangent = _ambient(ld.reflectors, part, sol[:, 1])
+            accepted = _try_step(instance, sig, ld, sol[:, 0], gn, t, 1)
         if accepted is None:
             eigs, vecs = np.linalg.eigh(ld.rhess)
             scale_w = float(np.max(np.abs(eigs)))
@@ -167,7 +176,7 @@ def _newton(instance, sig, max_iters, tol, t, raise_on_fail, ld=None):
         if ld.rhess is None:
             ld = local_data(instance, sig, want_hessian=True, t=t)
         iterations += 1
-    return sig, ld, history, iterations, singular
+    return sig, ld, history, iterations, singular, tangent
 
 
 def newton_refine(instance: HamiltonianInstance, sigma0, max_iters: int = 50,
@@ -201,7 +210,7 @@ def newton_refine(instance: HamiltonianInstance, sigma0, max_iters: int = 50,
     except OffManifold:
         sig = retract(part, sig).sigma
     return _result(instance, *_newton(instance, sig, max_iters, tol, 1.0,
-                                      raise_on_fail))
+                                      raise_on_fail)[:5])
 
 
 def _result(instance, sig, ld, history, iterations, singular):
@@ -225,20 +234,15 @@ def _result(instance, sig, ld, history, iterations, singular):
     )
 
 
-def _tangent(instance, sig, ld, t):
-    """d sigma/dt of the homotopy branch through the critical point sig.
+def _tangent_rhs(instance, ld, t):
+    """-P_sigma grad H_{>=2}(sigma) in reduced coordinates, at ld and t > 0.
 
-    With the degree >= 2 parts weighted by t > 0, differentiating
-    rgrad(sigma(t), t) = 0 gives rhess d = -P_sigma grad H_{>=2}(sigma),
-    with ld the local data at sig and weights t.  Since ld.egrad is
-    grad H_1 + t grad H_{>=2}, the degree >= 2 gradient is read off it
-    without contracting the tensors again.  Returns the ambient vector;
-    raises LinAlgError when rhess is singular.
+    Differentiating rgrad(sigma(t), t) = 0 along the branch gives
+    rhess d sigma/dt = this.  ld.egrad is grad H_1 + t grad H_{>=2}, so
+    the degree >= 2 gradient is read off it, not contracted again.
     """
-    part = instance.partition
-    g_red = _reduced(ld.reflectors, part,
-                     (ld.egrad - instance.external_field) / t)
-    return _ambient(ld.reflectors, part, np.linalg.solve(ld.rhess, -g_red))
+    return _reduced(ld.reflectors, instance.partition,
+                    (instance.external_field - ld.egrad) / t)
 
 
 def follow_critical_points(instance: HamiltonianInstance, delta,
@@ -251,21 +255,22 @@ def follow_critical_points(instance: HamiltonianInstance, delta,
     resolution, and t = 1 is reached exactly.  The walk is an Euler-Newton
     predictor-corrector (Allgower-Georg, Numerical Continuation Methods,
     1990): each step of m grid units is predicted along the branch tangent,
-    in closed form at t = 0 (_start_tangent) and by one solve after it
-    (_tangent), and corrected by Newton to STEP_TOL.  The first step is
-    m = max(1, steps // 4) units (FIRST_STEP).  A one-unit step always
-    advances, with up to 40 corrector iterations and the best iterate
-    carried forward.  A longer step advances only if its corrector
-    converges within LONG_STEP_ITERS, lands within LONG_STEP_JUMP sqrt(N)
-    of the prediction and keeps the predicted index sum_{delta_s = -1}
-    (N_s - 1); otherwise m is halved and the step retried from the last
-    accepted point.  A step whose corrector converged within EASY_ITERS
-    iterations doubles m.  At t = 1 Newton
-    polishes to NEWTON_TOL, and the endpoint counts as the type-delta
-    point only if it converged, has the predicted index, and its radial
-    derivative lies nearest the ideal_stats prediction for delta.
-    Otherwise one soft-mode hop (_soft_hop) looks for such a point beside
-    it; if none passes, LostTrack.
+    in closed form at t = 0 (_start_tangent), after it as a second column
+    of the corrector's last plain LU (_newton), and corrected by Newton.
+    The first step is m = max(1, steps // 4) units (FIRST_STEP).  A
+    one-unit step always advances, corrected to UNIT_STEP_TOL within 40
+    iterations or carrying its best iterate forward.  A longer step's
+    corrector stops at STEP_TOL, inside the next predictor's basin, and
+    the step advances only if that takes at most LONG_STEP_ITERS
+    iterations, lands within LONG_STEP_JUMP sqrt(N) of the prediction and
+    keeps the predicted index sum_{delta_s = -1} (N_s - 1); otherwise m is
+    halved and the step retried from the last accepted point.  A step
+    whose corrector converged within EASY_ITERS iterations doubles m.  At
+    t = 1 Newton polishes to NEWTON_TOL, and the endpoint counts as the
+    type-delta point only if it converged, has the predicted index, and
+    its radial derivative lies nearest the ideal_stats prediction for
+    delta.  Otherwise one soft-mode hop (_soft_hop) looks for such a
+    point beside it; if none passes, LostTrack.
 
     One instance gives the same bits twice only with BLAS on one thread
     (OPENBLAS_NUM_THREADS=1 and the like): with two threads, two runs of
@@ -299,34 +304,28 @@ def follow_critical_points(instance: HamiltonianInstance, delta,
     while k < steps:
         m = min(m, steps - k)
         t = (k + m) / steps
-        pred = sigma
-        if tangent is not None:
-            pred = retract(part, sigma + tangent * m / steps).sigma
+        pred = retract(part, sigma + tangent * m / steps).sigma
         if m == 1:
             # a fold can briefly swallow the branch mid-path, so stalls
             # carry the best iterate forward; only the endpoint is judged
-            sigma, ld, history, iters, _ = _newton(instance, pred, 40,
-                                                   STEP_TOL, t, False)
+            step = _newton(instance, pred, 40, UNIT_STEP_TOL, t, False,
+                           None, tangent)
         else:
-            step = _long_step(instance, pred, t, up)
+            step = _long_step(instance, pred, t, up, tangent)
             if step is None:
                 m //= 2
                 continue
-            sigma, ld, history, iters = step
+        sigma, ld, history, iters, _, tangent = step
         k += m
         if iters <= EASY_ITERS and history[-1] <= STEP_TOL:
             m *= 2
         if k < steps:
-            try:
-                tangent = _tangent(instance, sigma, ld, k / steps)
-            except np.linalg.LinAlgError:
-                tangent = None
             # the next step needs only the tangent, so this point's Hessian
             # is freed before the next corrector builds its own
             ld = step = None
     # the last corrector ran at t = 1: its LocalData starts the polish
     res = _result(instance, *_newton(instance, sigma, 40, NEWTON_TOL, t,
-                                     False, ld))
+                                     False, ld)[:5])
     if not is_type_delta(res):
         res = _soft_hop(instance, res.sigma_star.sigma, is_type_delta)
         if res is None:
@@ -336,7 +335,7 @@ def follow_critical_points(instance: HamiltonianInstance, delta,
 
 
 def _start_tangent(instance, sig):
-    """_tangent at t = 0, where sig is a signed alignment with the field.
+    """d sigma/dt at t = 0, where sig is a signed alignment with the field.
 
     H_0 = H_1 is linear, so the reduced Hessian there is -theta_0 on each
     species' tangent space, theta_0 = <sig_s, g_1>/N_s its curvature with
@@ -349,23 +348,24 @@ def _start_tangent(instance, sig):
     return local_data(instance, sig).rgrad / theta[part.labels]
 
 
-def _long_step(instance, pred, t, up):
+def _long_step(instance, pred, t, up, tangent):
     """Correct a homotopy step longer than one grid unit, if it is safe.
 
-    Returns (sigma, LocalData, grad_norm history, iterations) when Newton
-    reaches STEP_TOL within LONG_STEP_ITERS, lands within LONG_STEP_JUMP
-    sqrt(N) of the prediction pred and the Hessian there has the index
-    up.sum(); otherwise None, and the caller shortens the step.
+    Returns _newton's tuple, tangent passed on to it, when Newton reaches
+    STEP_TOL within LONG_STEP_ITERS, lands within LONG_STEP_JUMP sqrt(N)
+    of the prediction pred and the Hessian there has the index up.sum();
+    otherwise None, and the caller shortens the step.
     """
     try:
-        sig, ld, history, iters, _ = _newton(instance, pred, LONG_STEP_ITERS,
-                                             STEP_TOL, t, True)
+        step = _newton(instance, pred, LONG_STEP_ITERS, STEP_TOL, t, True,
+                       None, tangent)
     except MaxIters:
         return None
+    sig, ld = step[:2]
     jump = np.linalg.norm(sig - pred) / np.sqrt(instance.partition.N)
     if jump > LONG_STEP_JUMP or not _has_index(ld.rhess, up):
         return None
-    return sig, ld, history, iters
+    return step
 
 
 def _has_index(rhess, up):
@@ -374,14 +374,14 @@ def _has_index(rhess, up):
     up marks the delta_s = -1 coordinates, which should carry them.  By
     Haynsworth, In(A) = In(A_pp) + In(A/A_pp) for A = rhess - ZERO_EIG I
     and a definite pivot block: Cholesky tests the delta_s = +1 block for
-    negative and its Schur complement for positive definiteness, else the
+    negative and its Schur complement for positive definiteness, or the
     delta_s = -1 block for positive and its complement for negative
-    definiteness; eigvalsh decides when neither block is definite.  Each
-    block is read in place, a slice where its coordinates are contiguous;
-    only the pivot and complement copies carry the ZERO_EIG shift.
+    definiteness, the smaller pivot block first (_pivots); eigvalsh
+    decides when neither block is definite.  Each block is read in place,
+    a slice where its coordinates are contiguous; only the pivot and
+    complement copies carry the ZERO_EIG shift.
     """
-    plus, minus = _coords(~up), _coords(up)
-    for sign, p, q in ((-1.0, plus, minus), (1.0, minus, plus)):
+    for sign, p, q in _pivots(up):
         try:
             L = np.linalg.cholesky(_shifted(rhess, p, sign))
         except np.linalg.LinAlgError:
@@ -396,6 +396,16 @@ def _has_index(rhess, up):
             return False
         return True
     return np.count_nonzero(np.linalg.eigvalsh(rhess) > ZERO_EIG) == up.sum()
+
+
+def _pivots(up):
+    """_has_index's (sign, pivot, complement) tries, smaller pivot first:
+    numpy has no triangular solve, so solve(L, A_pq) factors L again by LU
+    (59 rows, not 139, on skew N=200 delta = (-1, 1)).  Ties keep the
+    delta_s = +1 block first."""
+    plus, minus = _coords(~up), _coords(up)
+    tries = [(-1.0, plus, minus), (1.0, minus, plus)]
+    return tries[::-1] if 2 * np.count_nonzero(up) < up.size else tries
 
 
 def _coords(mask):

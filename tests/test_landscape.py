@@ -26,9 +26,19 @@ def _expected_index(inst, delta):
     return int(np.sum((inst.partition.sizes - 1)[np.asarray(delta) < 0]))
 
 
+def _tangent(inst, sig, ld, t):
+    # d sigma/dt at the point of ld, solved on its own from the walk's one
+    # right-hand side
+    return ls._ambient(ld.reflectors, inst.partition,
+                       np.linalg.solve(ld.rhess, ls._tangent_rhs(inst, ld, t)))
+
+
 def _uniform_follow(inst, delta, steps=40):
     # oracle: the homotopy walk with every step one grid unit long, each
-    # corrector run to its 40-iteration budget, then the t = 1 polish
+    # corrector run to 1e-6 within its 40-iteration budget and each tangent
+    # solved at the corrected point, then the t = 1 polish.  At the walk's
+    # STEP_TOL = 1e-4 this walk lost cubic-pair N=60 seed 0's delta = (1, -1)
+    # branch (its endpoint stalled at grad_norm 0.045)
     part = inst.partition
     sigma = ham.retract(part, np.asarray(delta)[part.labels]
                         * inst.tensors[1]).sigma
@@ -36,13 +46,12 @@ def _uniform_follow(inst, delta, steps=40):
     for i in range(1, steps + 1):
         t = i / steps
         if ld is not None:
-            d = ls._tangent(inst, sigma, ld, (i - 1) / steps)
+            d = _tangent(inst, sigma, ld, (i - 1) / steps)
             sigma = ham.retract(part, sigma + d / steps).sigma
         if i < steps:
-            sigma, ld, _, _, _ = ls._newton(inst, sigma, 40, ls.STEP_TOL, t,
-                                            False)
+            sigma, ld = ls._newton(inst, sigma, 40, 1e-6, t, False)[:2]
     return ls._result(inst, *ls._newton(inst, sigma, 40, ls.NEWTON_TOL, t,
-                                        False))
+                                        False)[:5])
 
 
 # an ascent stops at this scaled gradient |rgrad|/sqrt(N)
@@ -81,6 +90,28 @@ def _assert_same_point(res, oracle):
     assert oracle.grad_norm <= ls.NEWTON_TOL
     assert np.max(np.abs(res.sigma_star.sigma
                          - oracle.sigma_star.sigma)) <= 1e-8
+
+
+# unwrapped: both_pivot_orders wraps ls._has_index for the whole module
+_has_index = ls._has_index
+
+
+@pytest.fixture(scope="module", autouse=True)
+def both_pivot_orders():
+    # every index test made by a follow in this module must come out the
+    # same with the larger pivot block tried first
+    pivots = ls._pivots
+
+    def checked(rhess, up):
+        got = _has_index(rhess, up)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ls, "_pivots", lambda mask: pivots(mask)[::-1])
+            assert _has_index(rhess, up) == got
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ls, "_has_index", checked)
+        yield
 
 
 # cubic-pair seed 0 lost its delta=(1,-1) branch before the Euler predictor;
@@ -180,19 +211,44 @@ def test_ascents_find_many_maxima_without_field():
 # jump from its prediction took skew-pair N=60 seed 1 from index 17 to 16 and
 # then lost track (the index guard is needed); a step guarded only by the
 # index ended cubic-pair N=120 seed 3 at another critical point of the same
-# index and radial label, 3.65 away in max abs (the jump guard is needed)
+# index and radial label, 3.65 away in max abs (the jump guard is needed);
+# unguarded one-unit steps corrected only to STEP_TOL drifted off the
+# cubic-pair N=40 seed 5 branch near t = 0.55 and lost track (UNIT_STEP_TOL
+# is needed)
 @pytest.mark.parametrize("preset,n,seed,delta",
                          [("skew-pair", 60, 1, (-1, 1)),
-                          ("cubic-pair", 120, 3, (-1, -1))],
-                         ids=["skew-pair-60-1", "cubic-pair-120-3"])
+                          ("cubic-pair", 120, 3, (-1, -1)),
+                          ("cubic-pair", 40, 5, (-1, -1))],
+                         ids=["skew-pair-60-1", "cubic-pair-120-3",
+                              "cubic-pair-40-5"])
 def test_long_steps_stay_on_branch(preset, n, seed, delta):
     inst = ham.sample(get_preset(preset), n, seed=seed)
     _assert_same_point(ls.follow_critical_points(inst, delta),
                        _uniform_follow(inst, delta))
 
 
+@pytest.mark.parametrize("preset,seed", [("symmetric-pair", 0),
+                                         ("symmetric-pair", 1),
+                                         ("symmetric-pair", 2),
+                                         ("skew-pair", 1), ("cubic-pair", 0)])
+def test_loose_correctors_keep_the_endpoints(monkeypatch, preset, seed):
+    # intermediate correctors stop at STEP_TOL and a step doubles after one
+    # iteration; tight ones (1e-6, doubling after two) must end on the same
+    # critical points
+    inst = ham.sample(get_preset(preset), 40, seed=seed)
+    patterns = all_sign_patterns(inst.mixture.r)
+    loose = [ls.follow_critical_points(inst, delta) for delta in patterns]
+    monkeypatch.setattr(ls, "STEP_TOL", 1e-6)
+    monkeypatch.setattr(ls, "EASY_ITERS", 2)
+    for res, delta in zip(loose, patterns):
+        tight = ls.follow_critical_points(inst, delta)
+        assert np.max(np.abs(res.sigma_star.sigma
+                             - tight.sigma_star.sigma)) <= 1e-8
+        assert (res.index, res.delta) == (tight.index, tight.delta)
+
+
 def test_adaptive_step_halves_the_work(monkeypatch):
-    # 48 local_data calls against the uniform walk's 328 over the four
+    # 56 local_data calls against the uniform walk's 328 over the four
     # patterns; a step control that fell back to uniform steps would fail
     inst = ham.sample(SYM, N, seed=0)
     calls = []
@@ -284,7 +340,8 @@ def test_follow_evaluates_endpoint_once(monkeypatch):
     counts, points = [], []
     for handed in (True, False):
         if not handed:
-            monkeypatch.setattr(ls, "_newton", lambda *args: newton(*args[:6]))
+            monkeypatch.setattr(ls, "_newton", lambda *args: newton(
+                *args[:6], None, *args[7:]))
         for delta in all_sign_patterns(inst.mixture.r):
             calls.clear()
             points.append(ls.follow_critical_points(inst, delta))
@@ -293,6 +350,33 @@ def test_follow_evaluates_endpoint_once(monkeypatch):
     assert [c + 1 for c in counts[:half]] == counts[half:]
     for once, twice in zip(points[:half], points[half:]):
         assert np.array_equal(once.sigma_star.sigma, twice.sigma_star.sigma)
+
+
+def test_tangent_shares_the_newton_lu(monkeypatch):
+    # no tangent has an LU of its own: below t = 1 each plain Newton step
+    # solves its step and the branch tangent as two columns of one LU, so
+    # the (N - r)-sized solves pair off with the plain steps in order
+    inst = ham.sample(SYM, N, seed=0)
+    n = inst.N - inst.mixture.r
+    solve, try_step = np.linalg.solve, ls._try_step
+    solves, plain = [], []
+
+    def counted_solve(a, b):
+        if a.shape[0] == n:
+            solves.append(np.shape(b)[1:] == (2,))
+        return solve(a, b)
+
+    def counted_try(*args):
+        if args[6] == 1:
+            plain.append(args[5] < 1)
+        return try_step(*args)
+
+    monkeypatch.setattr(ls.np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(ls, "_try_step", counted_try)
+    for delta in all_sign_patterns(inst.mixture.r):
+        ls.follow_critical_points(inst, delta)
+    assert solves == plain
+    assert any(plain) and not all(plain)
 
 
 def test_followed_points_are_distinct(followed):
@@ -479,13 +563,14 @@ def test_tangent_is_difference_quotient():
     inst = ham.sample(SYM, N, seed=0)
     end = ls.follow_critical_points(inst, (1, -1)).sigma_star.sigma
     t, eps = 0.5, 1e-4
-    at_t = ls._result(inst, *ls._newton(inst, end, 50, ls.NEWTON_TOL, t, True))
+    at_t = ls._result(inst, *ls._newton(inst, end, 50, ls.NEWTON_TOL, t,
+                                        True)[:5])
     sig = at_t.sigma_star.sigma
     after = ls._result(inst, *ls._newton(inst, sig, 50, ls.NEWTON_TOL,
-                                         t + eps, True))
+                                         t + eps, True)[:5])
     assert not at_t.ill_conditioned
     ld = ham.local_data(inst, sig, want_hessian=True, t=t)
-    tangent = ls._tangent(inst, sig, ld, t)
+    tangent = _tangent(inst, sig, ld, t)
     quotient = (after.sigma_star.sigma - sig) / eps
     # the O(eps) term |sigma''| eps/2 measured 0.92 eps |tangent| here
     assert (np.linalg.norm(quotient - tangent)
@@ -552,12 +637,13 @@ def test_reflector_maps_are_the_tangent_projection():
 
 
 def _inertia_case(route, rng):
-    # species sizes (5, 8, 7) with delta = (1, -1, 1): the 8 "up" coordinates
-    # of species 1 should carry the positive eigenvalues.  The spectrum is
-    # put on nearly coordinate eigenvectors (a small random rotation), and
-    # 45-degree planes that pair an up and a down coordinate make a pivot
-    # block indefinite
-    up = np.repeat([False, True, False], [5, 8, 7])
+    # species sizes (5, 8, 7) with delta = (-1, 1, -1): the 12 "up"
+    # coordinates of species 0 and 2 should carry the positive eigenvalues,
+    # and the 8 others make the smaller pivot block, tried first.  The
+    # spectrum is put on nearly coordinate eigenvectors (a small random
+    # rotation), and 45-degree planes that pair an up and a down coordinate
+    # make a pivot block indefinite
+    up = np.repeat([True, False, True], [5, 8, 7])
     eig = np.where(up, 1.0, -1.0) * (1.0 + rng.random(up.shape[0]))
     down_idx, up_idx = np.flatnonzero(~up), np.flatnonzero(up)
     planes = []
@@ -607,7 +693,44 @@ def test_inertia_check_matches_eigvalsh(monkeypatch, route, factorizations):
     monkeypatch.setattr(ls.np.linalg, "cholesky", counted)
     monkeypatch.setattr(ls.np.linalg, "eigvalsh",
                         lambda a: calls.append("eigvalsh") or eigvalsh(a))
-    assert ls._has_index(A, up) == expect
+    assert _has_index(A, up) == expect
     fell_back = ["eigvalsh"] if route == "fallback" else []
     assert calls == factorizations + fell_back
     assert expect == (route not in ("wrong-index", "zero-below"))
+
+
+def test_smaller_pivot_block_first():
+    # skew-pair N=200, delta = (-1, 1): the delta_s = -1 block of 59
+    # coordinates is the pivot before the 139 others; ties keep +1 first
+    up = np.repeat([True, False], [59, 139])
+    assert [sign for sign, _, _ in ls._pivots(up)] == [1.0, -1.0]
+    assert [sign for sign, _, _ in ls._pivots(~up)] == [-1.0, 1.0]
+    tie = np.repeat([True, False], [59, 59])
+    assert [sign for sign, _, _ in ls._pivots(tie)] == [-1.0, 1.0]
+
+
+def test_pivot_orders_agree_on_planted_inertia(monkeypatch):
+    # random symmetric matrices with a planted inertia, some of it wrong by
+    # one eigenvalue, on eigenvectors rotated enough that a pivot block is
+    # sometimes indefinite: both pivot orders must match eigvalsh
+    rng = np.random.default_rng(11)
+    pivots, routes = ls._pivots, set()
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(ls.np.linalg, "eigvalsh",
+                        lambda a: routes.add("eigvalsh") or eigvalsh(a))
+    for _ in range(200):
+        up = np.repeat(rng.random(3) < 0.5, rng.integers(1, 12, size=3))
+        n = up.shape[0]
+        eig = np.where(up, 1.0, -1.0) * (0.05 + rng.random(n))
+        if rng.random() < 0.3:
+            eig[rng.integers(n)] *= -1.0
+        scale = rng.choice([0.05, 0.3, 1.0])
+        vecs = np.linalg.qr(np.eye(n) + scale * rng.standard_normal((n, n)))[0]
+        A = (vecs * eig) @ vecs.T
+        A = 0.5 * (A + A.T)
+        expect = np.count_nonzero(eigvalsh(A) > ls.ZERO_EIG) == up.sum()
+        routes.add(expect)
+        for order in (pivots, lambda mask: pivots(mask)[::-1]):
+            monkeypatch.setattr(ls, "_pivots", order)
+            assert _has_index(A, up) == expect
+    assert routes == {True, False, "eigvalsh"}
