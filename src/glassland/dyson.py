@@ -18,9 +18,10 @@ overhead.  Batches enter and leave as (n, r) rows through
 _boundary_batch.  Only rows where Newton stalls, and a real z (reached
 from a warm start), take the slower path of damped half-plane sweeps
 over their whole batch before Newton.  Boundary values u(v) at z -> 0
-come from two eta levels: a cold solve at ETA_LEVELS[0], where
-uniqueness makes a warm start unnecessary, and a warm solve at
-ETA_LEVELS[1], whose drift from the first is the Hoelder check.
+come from cold solves, where uniqueness makes a warm start unnecessary:
+an unpolished batch is solved once, at the last of ETA_LEVELS, and a
+polished one at ETA_LEVELS[0] and then warm at ETA_LEVELS[1], whose
+drift from the first is the Hoelder check before the real-root polish.
 Limiting spectral densities come from the imaginary parts, and boundary
 points are classified by feasibility conditions on the stability
 matrices and by multi-scale probes (edge vs cusp).
@@ -37,10 +38,11 @@ from .errors import (DegenerateU, InconsistentProbes, MassDeficit,
 from .mixture import MixtureStats, as_vector
 
 ETA_FLOOR = 1e-9
-# the cold level and the final level of every boundary solve
+# a polished boundary solve's cold level and final level; an unpolished
+# one solves the final level only, cold
 ETA_LEVELS = (1e-6, 1e-7)
-# m is 1/3-Hoelder in z, so the two levels may drift apart, and the
-# final level sit away from the eta -> 0 limit, by this much
+# m is 1/3-Hoelder in z, so a polished solve's two levels may drift apart,
+# and the final level sit away from the eta -> 0 limit, by this much
 HOLDER_ALLOW = 10.0 * ETA_LEVELS[-1] ** (1.0 / 3.0)
 REAL_TOL = 1e-5
 TAU_SUPP = 1e-4
@@ -384,38 +386,42 @@ def _polish_real(shift, K, wgt, m):
 
 
 def _boundary_batch(shift, K, wgt, polish=True):
-    """Boundary values for a batch of shifts from the two ETA_LEVELS.
+    """Boundary values for a batch of shifts, at one or both ETA_LEVELS.
 
-    Every row is solved cold at ETA_LEVELS[0], from the decoupled scalar
-    root (_scalar_start): for Im z > 0 the root with Im m >= 0 is unique,
-    so _solve_batch reaches it from any start in the upper half-plane,
-    and levels above it would buy only warm starts, which cost more than
-    they save.  The row is then solved at ETA_LEVELS[1] from that root.
+    A row's first solve starts cold, from the decoupled scalar root
+    (_scalar_start): for Im z > 0 the root with Im m >= 0 is unique, so
+    _solve_batch reaches it from any start in the upper half-plane, and
+    levels above it would buy only warm starts, which cost more than they
+    save.
 
     shift comes in and m goes out as (n, r), one row per point; the kernel
     works on their (r, n) transposes.  The (n, r) seam stays because the
     callers build and read points as rows, and the benchmark's tracer
     counts a call's rows as shift.shape[0].
 
-    With polish, a row whose two levels drift apart by more than
-    HOLDER_ALLOW raises NonConvergence, and the near-real rows go through
-    one _polish_real call, each with its own Newton iterations; a row that
+    Without polish every row is solved once, cold at ETA_LEVELS[-1], and
+    the continued values come back as they are.  With polish every row is
+    solved cold at ETA_LEVELS[0] and then warm at ETA_LEVELS[1] from that
+    root; a row whose two levels drift apart by more than HOLDER_ALLOW
+    raises NonConvergence, and the near-real rows go through one
+    _polish_real call, each with its own Newton iterations.  A row that
     passes its three gates (residual, Hoelder drift, stability) is replaced
     by its certified real root, and the others keep their continued value.
-    Without polish the continued values come back as they are.
     """
     shift = np.ascontiguousarray(shift.T)
+    if not polish:
+        m, _ = _solve_batch(shift, K, 1j * ETA_LEVELS[-1])
+        return np.ascontiguousarray(m.T)
     m_prev, _ = _solve_batch(shift, K, 1j * ETA_LEVELS[0])
     m, _ = _solve_batch(shift, K, 1j * ETA_LEVELS[1], warm=m_prev)
-    if polish:
-        drift = np.abs(m - m_prev).max(axis=0)
-        if (drift > HOLDER_ALLOW).any():
-            raise NonConvergence(
-                f"continuation unstable: level drift {drift.max():.3e} "
-                f"exceeds {HOLDER_ALLOW:.3e}")
-        near = np.flatnonzero(m.imag.max(axis=0) <= HOLDER_ALLOW)
-        roots, ok = _polish_real(shift[:, near], K, wgt, m[:, near])
-        m[:, near[ok]] = roots[:, ok]
+    drift = np.abs(m - m_prev).max(axis=0)
+    if (drift > HOLDER_ALLOW).any():
+        raise NonConvergence(
+            f"continuation unstable: level drift {drift.max():.3e} "
+            f"exceeds {HOLDER_ALLOW:.3e}")
+    near = np.flatnonzero(m.imag.max(axis=0) <= HOLDER_ALLOW)
+    roots, ok = _polish_real(shift[:, near], K, wgt, m[:, near])
+    m[:, near[ok]] = roots[:, ok]
     return np.ascontiguousarray(m.T)
 
 
@@ -443,9 +449,10 @@ def boundary_values(stats: MixtureStats, V, polish: bool = True) -> np.ndarray:
     """Boundary values u(v) for the rows v of an (n, r) array V.
 
     Each row solves the system with shift v_s/lambda_s, coupling
-    xi''_{s,t}/lambda_s and weights lambda_s.  polish=False skips the
-    Hoelder drift check and the real-root polish (see _boundary_batch),
-    for callers that need only the continued values.  u(-v) = -conj u(v)
+    xi''_{s,t}/lambda_s and weights lambda_s.  polish=False solves each
+    row once, at the last of ETA_LEVELS, and skips the Hoelder drift check
+    and the real-root polish (see _boundary_batch), for callers that need
+    only the continued values.  u(-v) = -conj u(v)
     bitwise, polished or not: the z = i eta system is invariant under
     (m, shift) -> (-conj m, -shift).
     """

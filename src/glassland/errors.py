@@ -62,7 +62,7 @@ class DegenerateVariance(NumericalError):
 
 
 class NegativeRadicand(NumericalError):
-    """Threshold formula radicand is negative."""
+    """A square root's radicand is not positive (mixture.v_star's f_s)."""
 
 
 class DegenerateCase(NumericalError):

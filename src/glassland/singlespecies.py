@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCase, NegativeRadicand, ValidationError
+from .errors import DegenerateCase, ValidationError
 from .mixture import MixtureSpec, stats
 
 SQRT2 = np.sqrt(2.0)
@@ -71,17 +71,31 @@ def thresholds(xi_prime: float, xi_dprime: float) -> ScalarThresholds:
         raise ValidationError(
             "alpha^2 < 0: parameters inconsistent with a normalized mixture")
     alpha_sq = max(alpha_sq, 0.0)
-    scale = 4 * xpp * xp * xp  # the radicand's terms cancel at this size
-    radicand = scale - (xpp + xp) * (2 * (xpp - xp + xp * xp)
-                                     - alpha_sq * np.log(xpp / xp))
-    if radicand < -1e-12 * scale:
-        raise NegativeRadicand(f"threshold radicand {radicand} < 0")
-    root = np.sqrt(max(radicand, 0.0))
+    # the radicand is >= 0 in exact arithmetic, so a negative one is rounding
+    root = np.sqrt(max(_radicand(xp, xpp, alpha_sq), 0.0))
     base = 2 * xp * np.sqrt(xpp)
     denom = xp + xpp
     return ScalarThresholds(
         xi_prime=xp, xi_dprime=xpp, alpha_sq=alpha_sq,
         E_inf_minus=(base - root) / denom, E_inf_plus=(base + root) / denom)
+
+
+def _radicand(xp, xpp, alpha_sq):
+    """4 xi'' xi'^2 - (xi'' + xi')(2 (xi'' - xi' + xi'^2) - alpha^2 log(xi''/xi')).
+
+    It is >= 0 wherever thresholds accepts its input.  With
+    xi'^2 = xi'' + xi' - alpha^2 it equals alpha^2 xi' h(t), where
+    t = xi''/xi' >= 1 and h(t) = 2 - 2t + (1 + t) log t: h(1) = h'(1) = 0
+    and h''(t) = (t - 1)/t^2 >= 0, so h >= 0, with radicand 0 at
+    xi'' = xi'.  Where a rounding residue alpha^2 = -e < 0 was clamped to
+    0, the same algebra gives 2 e (xi'' - xi') >= 0.  Its terms cancel at
+    the size 4 xi'' xi'^2, and log(xi''/xi') is off by about an ulp in
+    absolute terms, so rounding can leave it a few ulps of
+    4 xi'' xi'^2 + (xi'' + xi') alpha^2 below 0: near xi'' = xi' with a
+    small xi', far more than an ulp of 4 xi'' xi'^2.
+    """
+    return 4 * xpp * xp * xp - (xpp + xp) * (2 * (xpp - xp + xp * xp)
+                                             - alpha_sq * np.log(xpp / xp))
 
 
 def thresholds_from_mixture(spec: MixtureSpec) -> ScalarThresholds:

@@ -451,6 +451,27 @@ def test_census_skips_patterns_without_admissible_root(monkeypatch):
     assert rootless == [True] * 8 + [False] * 3
 
 
+@pytest.mark.xfail(strict=True, reason="_census_b's Newton stalls on the "
+                   "all-imag mask at max|g| ~ 0.1 and returns None")
+def test_census_lists_the_origin():
+    # F is even, so v = 0 is stationary, and u(0) = -conj u(0) is
+    # imaginary: in the bulk, v = 0 is the all-imag pattern's point, whose
+    # b solves lambda_s / b_s = (xi'' b)_s.  The root exists whenever every
+    # xi''_ss > 0 (in y = log b the system is the gradient of a coercive
+    # convex function), yet on this quadratic pair, as on 67 of 2000
+    # random mixtures, the census drops it
+    spec = mx.MixtureSpec(r=2, lam=np.array([0.75, 0.25]), coeffs=(
+        (1, (0,), 1.0), (1, (1,), 0.1), (2, (0, 0), 0.9), (2, (0, 1), 1.3),
+        (2, (1, 1), 0.2)))
+    stats = mx.stats(spec)
+    u0 = dy.boundary_u(stats, np.zeros(2))
+    b = u0.imag
+    # the boundary value at eta = 1e-7 is O(eta) off the limit
+    assert np.all(u0.real == 0.0) and np.all(b > 0.0)
+    assert np.abs(stats.lam / b - stats.xi_dprime @ b).max() <= 1e-6
+    assert any(np.all(p.v == 0.0) for p in cx.find_stationary_points(stats))
+
+
 @hst.composite
 def _random_mixtures(draw):
     r = draw(hst.integers(1, 3))

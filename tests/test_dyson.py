@@ -294,12 +294,14 @@ def test_polished_batch_makes_one_polish_call(monkeypatch):
 DENSE_LADDER = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 
 
-def _dense_ladder_values(shift, K, wgt):
-    # _boundary_batch with polish, down DENSE_LADDER; (n, r) rows in and out
+def _dense_ladder_values(shift, K, wgt, polish=True):
+    # _boundary_batch down DENSE_LADDER; (n, r) rows in and out
     sh = np.ascontiguousarray(shift.T)
     m = None
     for eta in DENSE_LADDER:
         prev, (m, _) = m, dy._solve_batch(sh, K, 1j * eta, warm=m)
+    if not polish:
+        return m.T
     assert np.abs(m - prev).max() <= dy.HOLDER_ALLOW
     near = np.flatnonzero(m.imag.max(axis=0) <= dy.HOLDER_ALLOW)
     roots, ok = dy._polish_real(sh[:, near], K, wgt, m[:, near])
@@ -371,6 +373,33 @@ def test_two_levels_match_dense_ladder(case, monkeypatch):
     assert np.array_equal(s_ref, s_got) and np.array_equal(ok_ref, ok_got)
     assert ok_got.any()
     # no more rows restarted in _sweep_first than down the dense ladder
+    assert sum(fallbacks) <= ref_fallbacks
+
+
+# two solves that each stop somewhere below SOLVER_TOL in residual differ by
+# up to the inverse Jacobian times that: near band edges the Jacobian is
+# close to singular, and on _hard_rows the gap reached 1.4e-11 (lambda=1e-3)
+ONE_LEVEL_TOL = 50.0 * dy.SOLVER_TOL
+
+
+@pytest.mark.parametrize("case", ["three-species", "skew-pair", "r=6",
+                                  "lambda=1e-3"])
+def test_one_level_matches_dense_ladder(case, monkeypatch):
+    # unpolished, the rows are solved once, cold at the last level, and
+    # reach the root that the dense continuation reaches at that level
+    st, V = _hard_rows(case)
+    sweep_first, fallbacks = dy._sweep_first, []
+
+    def sweep_first_counted(m, *args):
+        fallbacks.append(m.shape[1])
+        return sweep_first(m, *args)
+
+    monkeypatch.setattr(dy, "_sweep_first", sweep_first_counted)
+    ref = _dense_ladder_values(V / st.lam, dy._coupling(st), st.lam,
+                               polish=False)
+    ref_fallbacks, fallbacks[:] = sum(fallbacks), []
+    got = dy.boundary_values(st, V, polish=False)
+    assert np.abs(got - ref).max() <= ONE_LEVEL_TOL
     assert sum(fallbacks) <= ref_fallbacks
 
 
@@ -615,9 +644,11 @@ def test_stalled_cold_rows_restart_from_i_and_converge(monkeypatch):
     V = _rays_through_the_edge(st, seed=5)
     sweep_first = dy._sweep_first
     restarted = []
+    # each path's cold level: the one level unpolished, the first polished
+    cold = {False: dy.ETA_LEVELS[-1], True: dy.ETA_LEVELS[0]}
 
     def counted(m, shift, K, z):
-        assert np.all(m == 1j) and z == 1j * dy.ETA_LEVELS[0]
+        assert np.all(m == 1j) and z == 1j * cold[polish]
         out, work = sweep_first(m, shift, K, z)
         restarted.append((m.shape[1], dy._resid(out, shift, K, z).max()))
         return out, work
@@ -745,6 +776,30 @@ def test_support_refinement_matches_bisection(lo, first):
     assert np.allclose(support, ((first, -1.0), (0.5, 2.5)), rtol=0, atol=1e-6)
     # a work count: 5 batched calls whatever the number of endpoints
     assert len(calls) <= 5
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_support_search_needs_only_continued_values(name):
+    # spectral_measure bisects on the unpolished density: at TAU_SUPP the
+    # bulk's Im m is far above the continued values' O(eta) outside the
+    # support, so the real-root polish cannot move an endpoint
+    stats = mx.stats(get_preset(name))
+    rng = np.random.default_rng(sorted(PRESETS).index(name))
+    K, lam = dy._coupling(stats), stats.lam
+    for x in rng.uniform(-1.0, 1.0, size=(4, stats.r)):
+        grid, _, agg, _, density_at = dy._measure_on_grid(stats, x)
+        shift = x / np.sqrt(lam)
+        real = []
+
+        def polished_at(g):
+            m = dy._boundary_batch(g[:, None] + shift, K, lam)
+            real.append(int((m.imag.max(axis=1) == 0.0).sum()))
+            return m.imag @ lam / np.pi
+
+        support = dy._detect_support(grid, agg, polished_at)
+        assert dy._detect_support(grid, agg, density_at) == support
+        # the search ran, and the polish made some of its abscissae real
+        assert sum(real) > 0
 
 
 def test_measure_semicircle():

@@ -50,6 +50,46 @@ def test_thresholds_alpha_floor_is_relative():
     assert t.E_inf_minus <= t.E_inf_plus
 
 
+# the radicand's terms cancel at the size 4 xi'' xi'^2, and its log carries an
+# absolute error of an ulp, weighted by (xi'' + xi') alpha^2: rounding leaves
+# it a few ulps of the sum of the two from its exact value.  1.6 M
+# log-uniform samples, xi' in [1e-8, 1e4], reached -4.4e-16 of that sum
+RADICAND_ULPS = 4 * np.finfo(float).eps
+
+
+def test_threshold_radicand_is_nonnegative_on_the_domain():
+    # alpha^2 xi' h(xi''/xi') with h(t) = 2 - 2t + (1 + t) log t >= 0, on a
+    # dense grid of the domain xi'' >= xi' > 0, alpha^2 >= 0, edges included
+    xp = np.geomspace(1e-3, 1e3, 241)[:, None]
+    edge = np.maximum(xp, xp * xp - xp)  # xi'' = xi', or alpha^2 = 0
+    xpp = edge * np.r_[1.0, np.geomspace(1.0 + 1e-9, 1e4, 400)]
+    xp = np.broadcast_to(xp, xpp.shape)
+    alpha_sq = np.maximum(xpp + xp - xp * xp, 0.0)
+    rad = ss._radicand(xp, xpp, alpha_sq)
+    scale = 4 * xpp * xp * xp
+    assert np.all(rad >= -RADICAND_ULPS * (scale + (xpp + xp) * alpha_sq))
+    assert np.all(rad[xpp == xp] == 0.0) and (xpp == xp).sum() > 100
+    t = xpp / xp
+    closed = alpha_sq * xp * (2 - 2 * t + (1 + t) * np.log(t))
+    terms = scale + (xpp + xp) * (2 * (xpp - xp + xp * xp)
+                                  + alpha_sq * np.log(t))
+    assert np.all(np.abs(rad - closed) <= 1e-13 * terms)
+    # thresholds takes the root of the clamped radicand, and never raises
+    for a, b in zip(xp[::20, ::40].ravel(), xpp[::20, ::40].ravel()):
+        th = ss.thresholds(a, b)
+        assert th.E_inf_minus <= th.E_inf_plus
+
+
+def test_thresholds_at_a_rounded_negative_radicand():
+    # the radicand rounds to -2.3e-26, below -1e-12 of 4 xi'' xi'^2: the
+    # exact one is about alpha^2 xi' (t - 1)^3 / 6 ~ 3e-46, so the
+    # thresholds meet at sqrt(xi')
+    th = ss.thresholds(1e-5, 1.0000000000020001e-05)
+    assert ss._radicand(th.xi_prime, th.xi_dprime, th.alpha_sq) < 0.0
+    assert th.E_inf_minus == th.E_inf_plus
+    assert abs(th.E_inf_plus - np.sqrt(1e-5)) <= 1e-12 * np.sqrt(1e-5)
+
+
 def test_thresholds_from_mixture():
     spec = single_species([0.0, np.sqrt(0.5), np.sqrt(0.5)])
     th = ss.thresholds_from_mixture(spec)
