@@ -8,7 +8,7 @@ from itertools import product
 import numpy as np
 
 from . import dyson
-from .errors import DegenerateU, DegenerateVariance, NonConvergence, ValidationError
+from .errors import DegenerateVariance, NonConvergence, ValidationError
 from .mixture import MixtureStats, as_vector, ideal_radial
 
 DEDUP_TOL = 1e-6
@@ -98,9 +98,7 @@ def F_point(stats: MixtureStats, x) -> ComplexityPoint:
     x = as_vector(x, stats.r)
     _require_positive_xi_prime(stats)
     v = np.sqrt(stats.lam) * x
-    u = dyson.boundary_u(stats, v)
-    if np.abs(u).min() < 1e-8:
-        raise DegenerateU("some |u_s| < 1e-8; log|u_s| is unstable")
+    u = dyson.boundary_u(stats, v, log_safe=True)
     values, grads = _F_rows(stats, v[None, :], u[None, :])
     return ComplexityPoint(
         x=x, v=v, F=float(values[0]),
@@ -127,10 +125,12 @@ def _census_b(stats: MixtureStats, imag_mask, target=1e-12, max_iter=200):
 
     Unknown b = Im u.  Species outside imag_mask carry a pinned modulus,
     so their rows read xi'_s b_s - (xi'' b)_s; imag species contribute
-    lambda_s / b_s - (xi'' b)_s.  Returns None when Newton fails, and
-    without Newton when the pattern provably has no admissible root
-    (b_s > 0 on imag species, b_s >= 0 on the others).  Neither reads the
-    plus/minus tags: every pattern with this imag_mask shares one b.
+    lambda_s / b_s - (xi'' b)_s.  Newton halves each step until max|g|
+    falls; only the imag diagonal of its Jacobian moves with b, so the
+    rest is built once.  Returns None when Newton fails, and without
+    Newton when the pattern provably has no admissible root (b_s > 0 on
+    imag species, b_s >= 0 on the others).  Neither reads the plus/minus
+    tags: every pattern with this imag_mask shares one b.
 
     The proof: the pinned species S have rows M b_S = xi''_SI b_I, with
     M = diag(xi'_S) - xi''_SS.  xi'' is entrywise nonnegative for every
@@ -150,40 +150,42 @@ def _census_b(stats: MixtureStats, imag_mask, target=1e-12, max_iter=200):
         M = np.diag(xp[sign]) - xpp[np.ix_(sign, sign)]
         if np.linalg.eigvalsh(M)[0] <= 0:
             return None
-    diag_pp = np.diag(xpp)
-    seed = np.where(diag_pp > 0, diag_pp, xp)
-    b[imag_mask] = np.sqrt(lam[imag_mask] / seed[imag_mask])
+    imag = np.flatnonzero(imag_mask)
+    lam_i = lam[imag]
+    seed = np.where(np.diag(xpp) > 0, np.diag(xpp), xp)
+    b[imag] = np.sqrt(lam_i / seed[imag])
+    base = np.diag(xp) - xpp
+    base[imag] = -xpp[imag]
 
     def residual(bv):
-        g = xp * bv - xpp @ bv
-        g[imag_mask] = (lam[imag_mask] / bv[imag_mask]
-                        - (xpp @ bv)[imag_mask])
-        return g
+        pb = xpp @ bv
+        g = xp * bv - pb
+        g[imag] = lam_i / bv[imag] - pb[imag]
+        return g, np.abs(g).max()
 
-    g = residual(b)
+    g, g_max = residual(b)
     for _ in range(max_iter):
-        if np.abs(g).max() <= target:
+        if g_max <= target:
             return b
-        jac = np.diag(xp) - xpp
-        for s in np.where(imag_mask)[0]:
-            jac[s] = -xpp[s]
-            jac[s, s] -= lam[s] / b[s] ** 2
+        jac = base.copy()
+        # C pow, as b_s ** 2 on a scalar: the last bits of b decide sup_F's ties
+        jac[imag, imag] -= lam_i / np.float_power(b[imag], 2)
         try:
             step = np.linalg.solve(jac, -g)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(jac, -g, rcond=None)[0]
-        t, advanced = 1.0, False
+        t = 1.0
         for _ in range(60):
             bn = b + t * step
-            if np.all(bn[imag_mask] > 1e-12) and np.all(bn[~imag_mask] >= 0):
-                gn = residual(bn)
-                if np.abs(gn).max() < np.abs(g).max():
-                    b, g, advanced = bn, gn, True
+            if (bn[imag] > 1e-12).all() and (bn[sign] >= 0).all():
+                gn, gn_max = residual(bn)
+                if gn_max < g_max:
+                    b, g, g_max = bn, gn, gn_max
                     break
             t *= 0.5
-        if not advanced:
+        else:
             return None
-    return b if np.abs(residual(b)).max() <= target else None
+    return b if g_max <= target else None
 
 
 def find_stationary_points(stats: MixtureStats) -> list[StationaryPoint]:
@@ -193,52 +195,49 @@ def find_stationary_points(stats: MixtureStats) -> list[StationaryPoint]:
     with |u_s| pinned at sqrt(lambda_s/xi'_s), or Re(u_s) = 0.  The real
     part of the stationarity identity then holds automatically and only
     Im v(u) = 0 is solved, once per imag mask (it reads no sign).  Patterns
-    violating the modulus cap or attainability are dropped without error.
+    violating the modulus cap, or attainability by one stacked feasibility
+    call, are dropped without error, as is a v within DEDUP_TOL of one kept.
     """
     if stats.r > 6:
         raise ValidationError("stationary enumeration supports r <= 6")
     _require_positive_xi_prime(stats)
     rho = np.sqrt(stats.lam / stats.xi_prime)
-    masks = product((False, True), repeat=stats.r)
-    solved = {m: _census_b(stats, np.array(m)) for m in masks}
-    raw = []
-    for pattern in product(("plus", "minus", "imag"), repeat=stats.r):
-        tags = np.array(pattern)
-        imag_mask = tags == "imag"
-        b = solved[tuple(imag_mask)]
-        if b is None:
-            continue
-        sign_mask = ~imag_mask
-        if np.any(rho[sign_mask] - b[sign_mask] <= 1e-9):
-            continue
-        re = np.zeros(stats.r)
-        sgn = np.where(tags == "plus", -1.0, 1.0)
-        re[sign_mask] = sgn[sign_mask] * np.sqrt(
-            rho[sign_mask] ** 2 - b[sign_mask] ** 2)
-        u = re + 1j * b
-        if dyson.feasibility(stats, u).case == "infeasible":
-            continue
-        raw.append((pattern, u, -stats.A @ re))
+    solved = [_census_b(stats, np.array(m))
+              for m in product((False, True), repeat=stats.r)]
+    # each pattern as tag codes (0, 1, 2 for plus, minus, imag) and the b
+    # of its imag mask, at the mask's binary index in product order
+    codes = np.array(list(product(range(3), repeat=stats.r)))
+    key = (codes == 2) @ 2 ** np.arange(stats.r)[::-1]
+    found = np.array([b is not None for b in solved])[key]
+    B = np.array([np.zeros_like(rho) if b is None else b for b in solved])[key]
+    sign = codes < 2
+    cand = np.flatnonzero(found & ~np.any(sign & (rho - B <= 1e-9), axis=1))
+    if not cand.size:
+        return []
+    B, sign = B[cand], sign[cand]
+    re = np.array([-1.0, 1.0, 0.0])[codes[cand]] * np.sqrt(
+        np.where(sign, rho ** 2 - B ** 2, 0.0))
+    U, V = re + 1j * B, (-stats.A @ re[:, :, None])[:, :, 0]
     kept = []
-    for pattern, u, v in raw:
-        if any(np.abs(v - other[2]).max() <= DEDUP_TOL for other in kept):
-            continue
-        kept.append((pattern, u, v))
+    for i in np.flatnonzero(dyson.feasibility(stats, U).case != "infeasible"):
+        if not (np.abs(V[kept] - V[i]).max(axis=1) <= DEDUP_TOL).any():
+            kept.append(i)
     if not kept:
         return []
-    V = np.array([v for _, _, v in kept])
+    U, V = U[kept], V[kept]
+    patterns = list(product(("plus", "minus", "imag"), repeat=stats.r))
     # independent stationarity residual through the Dyson solve
     _, grad = _F_rows(stats, V, dyson.boundary_values(stats, V))
     # one row at a time: the maxima tie to within rounding, and the last
     # bits of F pick sup_F's maximiser through the sort below
     values = [float(_F_rows(stats, v[None, :], u[None, :])[0][0])
-              for _, u, v in kept]
+              for u, v in zip(U, V)]
     fmax = max(values)
     points = [
-        StationaryPoint(v=v, pattern=pattern, F=value,
+        StationaryPoint(v=V[i], pattern=patterns[cand[k]], F=value,
                         is_global_max=value >= fmax - MAXIMALITY_TOL,
                         residual=float(np.abs(grad[i]).max()))
-        for i, ((pattern, _, v), value) in enumerate(zip(kept, values))
+        for i, (k, value) in enumerate(zip(kept, values))
     ]
     points.sort(key=lambda p: (-p.F, tuple(p.v)))
     return points

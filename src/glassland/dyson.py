@@ -99,10 +99,10 @@ class StabilityMatrices:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    case: str
-    min_eig_Mbar: float
+    case: str | np.ndarray
+    min_eig_Mbar: float | np.ndarray
     Mbar_times_Im_u: np.ndarray
-    min_eig_M_real: float | None
+    min_eig_M_real: float | np.ndarray | None
 
 
 def _coupling(stats: MixtureStats) -> np.ndarray:
@@ -456,17 +456,19 @@ def boundary_values(stats: MixtureStats, V, polish: bool = True) -> np.ndarray:
     bitwise, polished or not: the z = i eta system is invariant under
     (m, shift) -> (-conj m, -shift).
     """
-    V = np.asarray(V, dtype=float)
-    if V.ndim != 2 or V.shape[1] != stats.r:
-        raise ValidationError(f"V must have shape (n, {stats.r})")
-    if not np.all(np.isfinite(V)):
-        raise ValidationError("v must be finite")
+    V = as_vector(V, stats.r, "V", rows=True)
     return _boundary_batch(V / stats.lam, _coupling(stats), stats.lam, polish)
 
 
-def boundary_u(stats: MixtureStats, v) -> np.ndarray:
-    """Boundary value u(v) = lim m(i eta; Lambda^{-1/2} v) as eta drops to 0."""
-    return boundary_values(stats, as_vector(v, stats.r, "v")[None, :])[0]
+def boundary_u(stats: MixtureStats, v, log_safe: bool = False) -> np.ndarray:
+    """Boundary value u(v) = lim m(i eta; Lambda^{-1/2} v) as eta drops to 0.
+
+    log_safe raises DegenerateU where some |u_s| < 1e-8, unstable in log|u_s|.
+    """
+    u = boundary_values(stats, as_vector(v, stats.r, "v")[None, :])[0]
+    if log_safe and np.abs(u).min() < 1e-8:
+        raise DegenerateU("some |u_s| < 1e-8; log|u_s| is unstable")
+    return u
 
 
 def grid_range(grid_spec, radius: float) -> tuple:
@@ -630,9 +632,7 @@ def psi(stats: MixtureStats, x, mode: str = "closed_form") -> float:
     """
     x = as_vector(x, stats.r)
     if mode == "closed_form":
-        u = boundary_u(stats, np.sqrt(stats.lam) * x)
-        if np.abs(u).min() < 1e-8:
-            raise DegenerateU("some |u_s| < 1e-8; log|u_s| is unstable")
+        u = boundary_u(stats, np.sqrt(stats.lam) * x, log_safe=True)
         return psi_of_u(stats, u)
     if mode == "quadrature":
         grid, _, agg, _, _ = _measure_on_grid(stats, x)
@@ -667,47 +667,47 @@ def _log_integral(grid, density):
 
 
 def stability_matrices(stats: MixtureStats, u) -> StabilityMatrices:
-    """M, Mbar, Mhat at a candidate boundary value u."""
-    u = as_vector(u, stats.r, "u", complex)
+    """M, Mbar, Mhat at a candidate boundary value u; stacked for rows u."""
+    u = as_vector(u, stats.r, "u", complex, rows=np.ndim(u) == 2)
     if np.abs(u).min() < 1e-13:
         raise ZeroComponent("u has a vanishing component")
-    lam = stats.lam
-    M = np.diag(lam / u ** 2) - stats.xi_dprime.astype(complex)
-    Mbar = np.diag(lam / np.abs(u) ** 2) - stats.xi_dprime
-    Mhat = np.diag(lam / np.abs(u) ** 2) + stats.xi_dprime
-    return StabilityMatrices(M=M, Mbar=Mbar, Mhat=Mhat)
+    eye, xpp = np.eye(stats.r, dtype=bool), stats.xi_dprime
+    M = np.where(eye, (stats.lam / u ** 2)[..., None], 0.0) - xpp
+    Mbar = np.where(eye, (stats.lam / np.abs(u) ** 2)[..., None], 0.0)
+    return StabilityMatrices(M=M, Mbar=Mbar - xpp, Mhat=Mbar + xpp)
 
 
 def feasibility(stats: MixtureStats, u) -> FeasibilityReport:
-    """Classify u against the attainability conditions.
+    """Classify u, of shape (r,) or an (n, r) stack, against attainability.
 
     boundary_real and boundary_imag are the two ways u can arise as the
     boundary value at a real v; interior means attainable from the open
-    upper half-plane only; infeasible means not attainable at all.
+    upper half-plane only; infeasible means not attainable at all.  A
+    stack is classified at once, its report's fields gain a row axis, and
+    a nonreal row's min_eig_M_real is NaN; one bad row raises for all.
     """
     tol = FEASIBILITY_TOL
     u = np.asarray(u, dtype=complex)
     if np.any(u.imag < -tol):
         raise ValidationError("u must have nonnegative imaginary parts")
-    mats = stability_matrices(stats, u)
-    min_eig_mbar = float(np.linalg.eigvalsh(mats.Mbar)[0])
-    mb_imu = mats.Mbar @ u.imag
-    u_real = np.abs(u.imag).max() <= REAL_TOL
-    min_eig_m_real = None
-    if u_real:
-        min_eig_m_real = float(np.linalg.eigvalsh(np.real(mats.M))[0])
-        case = "boundary_real" if min_eig_m_real >= -tol else "infeasible"
-    elif min_eig_mbar >= -tol and np.all(mb_imu >= -tol):
-        all_open = np.all(u.imag > tol)
-        if all_open and np.abs(mb_imu).max() <= tol * max(1.0, np.abs(u.imag).max()):
-            case = "boundary_imag"
-        else:
-            case = "interior"
-    else:
-        case = "infeasible"
-    return FeasibilityReport(case=case, min_eig_Mbar=min_eig_mbar,
-                             Mbar_times_Im_u=mb_imu,
-                             min_eig_M_real=min_eig_m_real)
+    mats, shape = stability_matrices(stats, u), (-1, stats.r, stats.r)
+    mbar, im = mats.Mbar.reshape(shape), u.imag.reshape(shape[:2])
+    min_eig_mbar = np.linalg.eigvalsh(mbar)[:, 0]
+    mb_imu = (mbar @ im[:, :, None])[:, :, 0]
+    im_max = np.abs(im).max(axis=1)
+    u_real = im_max <= REAL_TOL
+    min_eig_m = np.where(
+        u_real, np.linalg.eigvalsh(mats.M.real.reshape(shape))[:, 0], np.nan)
+    cone = (min_eig_mbar >= -tol) & np.all(mb_imu >= -tol, axis=1)
+    tight = np.all(im > tol, axis=1) & (
+        np.abs(mb_imu).max(axis=1) <= tol * np.maximum(1.0, im_max))
+    case = np.select(
+        [u_real & (min_eig_m >= -tol), u_real, cone & tight, cone],
+        ["boundary_real", "infeasible", "boundary_imag", "interior"], "infeasible")
+    if u.ndim == 2:
+        return FeasibilityReport(case, min_eig_mbar, mb_imu, min_eig_m)
+    return FeasibilityReport(str(case[0]), float(min_eig_mbar[0]), mb_imu[0],
+                             float(min_eig_m[0]) if u_real[0] else None)
 
 
 def _probe_verdict(plus_real, minus_real):
@@ -744,8 +744,7 @@ def classify_boundary_point(stats: MixtureStats, x, chi, chi2=None) -> str:
     u0 = boundary_u(stats, v)
     if np.abs(u0.imag).max() > REAL_TOL:
         return "nonsingular"
-    m_eigs = np.linalg.eigvals(np.diag(stats.lam / u0.real ** 2)
-                               - stats.xi_dprime)
+    m_eigs = np.linalg.eigvals(stability_matrices(stats, u0.real).M.real)
     if np.abs(m_eigs).min() > SINGULAR_M_TOL:
         return "nonsingular"
     gamma0 = 1e-2

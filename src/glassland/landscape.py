@@ -395,7 +395,7 @@ def _has_index(rhess, up):
         except np.linalg.LinAlgError:
             return False
         return True
-    return np.count_nonzero(np.linalg.eigvalsh(rhess) > ZERO_EIG) == up.sum()
+    return bool(np.count_nonzero(np.linalg.eigvalsh(rhess) > ZERO_EIG) == up.sum())
 
 
 def _pivots(up):

@@ -33,11 +33,13 @@ __all__ = [
 ]
 
 
-def as_vector(x, r: int, name: str = "x", dtype=float) -> np.ndarray:
-    """x as a finite array of shape (r,), else ValidationError."""
+def as_vector(x, r: int, name: str = "x", dtype=float,
+              rows: bool = False) -> np.ndarray:
+    """x as a finite (r,) array, or (n, r) with rows, else ValidationError."""
     x = np.asarray(x, dtype=dtype)
-    if x.shape != (r,):
-        raise ValidationError(f"{name} must have shape ({r},)")
+    if x.shape[rows:] != (r,):
+        shape = f"(n, {r})" if rows else f"({r},)"
+        raise ValidationError(f"{name} must have shape {shape}")
     if not np.all(np.isfinite(x)):
         raise ValidationError(f"{name} must be finite")
     return x

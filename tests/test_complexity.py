@@ -272,11 +272,19 @@ def _per_pattern_census(stats):
     return kept
 
 
-@pytest.mark.parametrize("stats", [P3, FB, TS], ids=["pure3", "symmetric-pair",
-                                                     "three-species"])
-def test_census_solves_each_imag_mask_once(stats, monkeypatch):
+def _census_key(points):
+    return sorted((p.pattern, p.v.tobytes(), p.F) for p in points)
+
+
+def _oracle_key(oracle):
+    return sorted((pattern, v.tobytes(), F) for pattern, v, F in oracle)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_census_solves_each_imag_mask_once(name, monkeypatch):
     # the imaginary-part system reads no plus/minus tag, so the 3^r patterns
     # share 2^r solves, and the census is bitwise the per-pattern one
+    stats = mx.stats(get_preset(name))
     oracle = _per_pattern_census(stats)
     solve = cx._census_b
     masks = []
@@ -288,8 +296,56 @@ def test_census_solves_each_imag_mask_once(stats, monkeypatch):
     monkeypatch.setattr(cx, "_census_b", counted)
     pts = cx.find_stationary_points(stats)
     assert len(masks) == len(set(masks)) == 2 ** stats.r
-    assert sorted((p.pattern, p.v.tobytes(), p.F) for p in pts) == sorted(
-        (pattern, v.tobytes(), F) for pattern, v, F in oracle)
+    assert _census_key(pts) == _oracle_key(oracle)
+
+
+def _seeded_mixtures(count, seed):
+    """count random mixtures: r = 1-3, degree 2-3, every coupling present."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        r, degree = rng.integers(1, 4), rng.integers(2, 4)
+        weights = rng.uniform(0.2, 1.0, r)
+        coeffs = [(1, (s,), rng.uniform(0.0, 2.0)) for s in range(r)]
+        coeffs += [(p, idx, rng.uniform(0.1, 1.5)) for p in range(2, degree + 1)
+                   for idx in itertools.combinations_with_replacement(range(r), p)]
+        yield mx.MixtureSpec(r=int(r), lam=weights / weights.sum(),
+                             coeffs=tuple(coeffs))
+
+
+def test_census_matches_per_pattern_oracle_on_random_mixtures():
+    # the batched census (one stacked feasibility call, deduplication
+    # against the kept rows) lists bitwise the per-pattern census
+    sizes = []
+    for spec in _seeded_mixtures(40, 17):
+        stats = mx.stats(spec)
+        pts = cx.find_stationary_points(stats)
+        assert _census_key(pts) == _oracle_key(_per_pattern_census(stats))
+        sizes.append((stats.r, len(pts)))
+    # every species count occurs, and the censuses are not all trivial
+    assert {r for r, _ in sizes} == {1, 2, 3}
+    assert sum(n for _, n in sizes) > 3 * len(sizes)
+
+
+@pytest.mark.parametrize("name, tol", [("three-species", 0.3),
+                                       ("cubic-pair", 1.0)])
+def test_census_keeps_the_first_of_close_points(name, tol, monkeypatch):
+    # no two preset candidates come within DEDUP_TOL, so widen it until
+    # some do: the census still keeps, in pattern order, the first of each
+    stats = mx.stats(get_preset(name))
+    full = len(cx.find_stationary_points(stats))
+    monkeypatch.setattr(cx, "DEDUP_TOL", tol)
+    pts = cx.find_stationary_points(stats)
+    assert len(pts) < full
+    assert _census_key(pts) == _oracle_key(_per_pattern_census(stats))
+
+
+def test_F_point_and_psi_raise_degenerate_u():
+    # far out, u(v) ~ -1/v: log|u_s| is unstable and both callers say so
+    x = np.array([1e9])
+    with pytest.raises(DegenerateU):
+        cx.F_point(SC, x)
+    with pytest.raises(DegenerateU):
+        dy.psi(SC, x)
 
 
 def test_census_rejects_large_r():

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import fsolve
 
 from glassland import dyson as dy
 from glassland import mixture as mx
@@ -995,6 +996,54 @@ def test_feasibility_cases():
     assert abs(rep.Mbar_times_Im_u[0] - 1.5) < 1e-12
     # sub-solvable sign-pattern point is not attainable
     assert dy.feasibility(P3, np.array([-1 / np.sqrt(3) + 0j])).case == "infeasible"
+
+
+def _feasibility_rows(stats, rng):
+    """Seeded u rows for every feasibility case: real rows (boundary_real
+    or infeasible), small complex ones (interior), large complex ones
+    (mostly infeasible), and the imaginary root of lambda_s / b_s =
+    (xi'' b)_s (boundary_imag)."""
+    r = stats.r
+    re, im = rng.normal(size=(2, 24, r))
+    b = fsolve(lambda b: stats.lam / b - stats.xi_dprime @ b, np.ones(r),
+               xtol=1e-14)
+    return np.concatenate([re[:8], 0.2 * (re[8:16] + 1j * np.abs(im[8:16])),
+                           re[16:] + 1j * np.abs(im[16:]), [1j * b]])
+
+
+def test_stacked_feasibility_matches_single_rows():
+    # one stacked call is its rows' one-u calls, field by field and bitwise
+    rng = np.random.default_rng(4)
+    cases = set()
+    for stats in (SC, P3, FB, FC, T3):
+        U = _feasibility_rows(stats, rng)
+        stack = dy.feasibility(stats, U)
+        for i, u in enumerate(U):
+            one = dy.feasibility(stats, u)
+            assert stack.case[i] == one.case
+            assert stack.min_eig_Mbar[i] == one.min_eig_Mbar
+            assert np.array_equal(stack.Mbar_times_Im_u[i], one.Mbar_times_Im_u)
+            if one.min_eig_M_real is None:
+                assert np.isnan(stack.min_eig_M_real[i])
+            else:
+                assert stack.min_eig_M_real[i] == one.min_eig_M_real
+        assert stack.case[-1] == "boundary_imag"
+        cases.update(stack.case.tolist())
+    assert cases == {"boundary_real", "boundary_imag", "interior", "infeasible"}
+
+
+def test_stacked_feasibility_raises_for_one_bad_row():
+    U = _feasibility_rows(FB, np.random.default_rng(5))
+    for row, error in (([0.3, -1e-6j], ValidationError),
+                       ([0.3, 0.0], ZeroComponent),
+                       ([0.3, np.nan], ValidationError)):
+        bad = np.concatenate([U[:5], [row], U[5:]])
+        with pytest.raises(error):
+            dy.feasibility(FB, row)
+        with pytest.raises(error):
+            dy.feasibility(FB, bad)
+    with pytest.raises(ValidationError, match=r"u must have shape \(n, 2\)"):
+        dy.feasibility(FB, U[:, :1])
 
 
 def test_classify_edges_one_species():

@@ -699,6 +699,16 @@ def test_inertia_check_matches_eigvalsh(monkeypatch, route, factorizations):
     assert expect == (route not in ("wrong-index", "zero-below"))
 
 
+def test_inertia_fallback_returns_a_bool():
+    # neither pivot block of diag(1, -1, 1, -1) is definite, so eigvalsh
+    # decides, and its count comparison comes back as a Python bool
+    A = np.diag([1.0, -1.0, 1.0, -1.0])
+    for up, expect in (([False, False, True, True], True),
+                       ([False, True, True, True], False)):
+        got = _has_index(A, np.array(up))
+        assert type(got) is bool and got is expect
+
+
 def test_smaller_pivot_block_first():
     # skew-pair N=200, delta = (-1, 1): the delta_s = -1 block of 59
     # coordinates is the pivot before the 139 others; ties keep +1 first
