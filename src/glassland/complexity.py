@@ -9,7 +9,8 @@ import numpy as np
 
 from . import dyson
 from .errors import DegenerateVariance, NonConvergence, ValidationError
-from .mixture import MixtureStats, as_vector, ideal_radial
+from .mixture import (MixtureStats, as_vector, ideal_radial,
+                      require_positive_xi_prime)
 
 DEDUP_TOL = 1e-6
 MAXIMALITY_TOL = 1e-9
@@ -35,6 +36,9 @@ class ComplexityPoint:
 
 @dataclass(frozen=True)
 class StationaryPoint:
+    """is_global_max: F is within MAXIMALITY_TOL of the census maximum.
+    residual: max |grad_v F| at v through an independent Dyson solve."""
+
     v: np.ndarray
     pattern: tuple[str, ...]
     F: float
@@ -66,12 +70,6 @@ class ScanResult:
                    fmt=["%.10g"] * (r + 1) + ["%d"])
 
 
-def _require_positive_xi_prime(stats: MixtureStats) -> None:
-    if np.any(stats.xi_prime <= 0):
-        raise ValidationError("complexity functionals require xi'_s > 0 "
-                              "for every species")
-
-
 def _quad_const(stats: MixtureStats) -> float:
     return 0.5 * (1.0 - float(stats.lam @ np.log(stats.xi_species)))
 
@@ -96,7 +94,7 @@ def _F_rows(stats: MixtureStats, V, U):
 def F_point(stats: MixtureStats, x) -> ComplexityPoint:
     """Evaluate F(x) and its closed-form gradient."""
     x = as_vector(x, stats.r)
-    _require_positive_xi_prime(stats)
+    require_positive_xi_prime(stats)
     v = np.sqrt(stats.lam) * x
     u = dyson.boundary_u(stats, v, log_safe=True)
     values, grads = _F_rows(stats, v[None, :], u[None, :])
@@ -168,8 +166,7 @@ def _census_b(stats: MixtureStats, imag_mask, target=1e-12, max_iter=200):
         if g_max <= target:
             return b
         jac = base.copy()
-        # C pow, as b_s ** 2 on a scalar: the last bits of b decide sup_F's ties
-        jac[imag, imag] -= lam_i / np.float_power(b[imag], 2)
+        jac[imag, imag] -= lam_i / b[imag] ** 2
         try:
             step = np.linalg.solve(jac, -g)
         except np.linalg.LinAlgError:
@@ -197,10 +194,13 @@ def find_stationary_points(stats: MixtureStats) -> list[StationaryPoint]:
     Im v(u) = 0 is solved, once per imag mask (it reads no sign).  Patterns
     violating the modulus cap, or attainability by one stacked feasibility
     call, are dropped without error, as is a v within DEDUP_TOL of one kept.
+    The global maxima come first in tuple(v) order, as they may tie to
+    within rounding (all 2^r ideal points of the trivial regime), then the
+    rest by decreasing F, ties by tuple(v).
     """
     if stats.r > 6:
         raise ValidationError("stationary enumeration supports r <= 6")
-    _require_positive_xi_prime(stats)
+    require_positive_xi_prime(stats)
     rho = np.sqrt(stats.lam / stats.xi_prime)
     solved = [_census_b(stats, np.array(m))
               for m in product((False, True), repeat=stats.r)]
@@ -228,18 +228,16 @@ def find_stationary_points(stats: MixtureStats) -> list[StationaryPoint]:
     patterns = list(product(("plus", "minus", "imag"), repeat=stats.r))
     # independent stationarity residual through the Dyson solve
     _, grad = _F_rows(stats, V, dyson.boundary_values(stats, V))
-    # one row at a time: the maxima tie to within rounding, and the last
-    # bits of F pick sup_F's maximiser through the sort below
-    values = [float(_F_rows(stats, v[None, :], u[None, :])[0][0])
-              for u, v in zip(U, V)]
-    fmax = max(values)
+    values = _F_rows(stats, V, U)[0]
+    top = values >= values.max() - MAXIMALITY_TOL
     points = [
-        StationaryPoint(v=V[i], pattern=patterns[cand[k]], F=value,
-                        is_global_max=value >= fmax - MAXIMALITY_TOL,
+        StationaryPoint(v=V[i], pattern=patterns[k], F=float(values[i]),
+                        is_global_max=bool(top[i]),
                         residual=float(np.abs(grad[i]).max()))
-        for i, (k, value) in enumerate(zip(kept, values))
+        for i, k in enumerate(cand[kept])
     ]
-    points.sort(key=lambda p: (-p.F, tuple(p.v)))
+    points.sort(key=lambda p: (0, tuple(p.v)) if p.is_global_max
+                else (1, -p.F, tuple(p.v)))
     return points
 
 
@@ -262,8 +260,10 @@ def sup_F(stats: MixtureStats, multistart: int = 32):
 
     F -> -inf as |x| grows, so sup F is attained at a stationary point, and
     find_stationary_points gives every one in closed form through the
-    per-species dichotomy: the largest census value is sup F, with no
-    ascent or polish.  The census caps r at 6 (ValidationError).
+    per-species dichotomy, with no ascent or polish.  sup_F returns the
+    first census point, of those within MAXIMALITY_TOL of the largest F
+    the least in tuple(v) order, and its F.  The census caps r at 6
+    (ValidationError).
     NonConvergence means an empty census, or a maximiser whose stationarity
     residual, checked independently through the Dyson solve, exceeds
     SUP_RESIDUAL_TOL.

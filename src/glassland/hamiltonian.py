@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial
@@ -27,11 +27,14 @@ class Partition:
     """Contiguous species index ranges I_s covering 0..N-1."""
 
     sizes: np.ndarray
-    N: int
 
     @property
     def r(self) -> int:
         return self.sizes.shape[0]
+
+    @cached_property
+    def N(self) -> int:
+        return int(self.sizes.sum())
 
     @cached_property
     def offsets(self) -> np.ndarray:
@@ -65,14 +68,21 @@ class HamiltonianInstance:
     symmetric coupling J_2 (see sample).  tensors[3] holds the (i <= j)
     rows of the symmetric J_3 as an (N(N+1)/2, N) array, row p(i, j) =
     iN + j - i(i+1)/2 being J_3[i, j, :].  A degree-3 instance thus holds
-    N^2(N+1)/2 float64 entries, 257 MB at MAX_N_DEGREE3."""
+    N^2(N+1)/2 float64 entries, 257 MB at MAX_N_DEGREE3.  The partition
+    and the gamma tables are derived from mixture and N, not stored."""
 
     mixture: MixtureSpec
     N: int
-    partition: Partition
     tensors: dict
     seed: object
-    gamma_tables: dict = field(repr=False, default=None)
+
+    @cached_property
+    def partition(self) -> Partition:
+        return make_partition(self.mixture, self.N)
+
+    @cached_property
+    def gamma_tables(self) -> dict:
+        return _gamma_tables(self.mixture)
 
     @cached_property
     def external_field(self) -> np.ndarray:
@@ -116,7 +126,7 @@ def _gamma_tables(mixture: MixtureSpec) -> dict:
 
 
 def make_partition(mixture: MixtureSpec, N: int) -> Partition:
-    return Partition(sizes=species_sizes(mixture.lam, N), N=int(N))
+    return Partition(sizes=species_sizes(mixture.lam, N))
 
 
 def _couple(g, partition: Partition, table: np.ndarray):
@@ -218,9 +228,7 @@ def _sampler(mixture: MixtureSpec, N: int):
             if k == 3:
                 _pack(g)
             g.flags.writeable = False
-        return HamiltonianInstance(mixture=mixture, N=N, partition=partition,
-                                   tensors=tensors, seed=seed,
-                                   gamma_tables=tables)
+        return HamiltonianInstance(mixture, N, tensors, seed)
     return draw
 
 
@@ -433,6 +441,8 @@ def load_instance(path) -> HamiltonianInstance:
         header = json.loads(fh.read(size).decode())
         mixture = mixture_from_dict(header["mixture"])
         N = int(header["N"])
+        if not np.array_equal(header["sizes"], species_sizes(mixture.lam, N)):
+            raise ValidationError(f"species sizes in {path} do not fit N={N}")
         tensors = {}
         for k in header["degrees"]:
             k = int(k)
@@ -444,13 +454,10 @@ def load_instance(path) -> HamiltonianInstance:
             g = np.frombuffer(buf, dtype=np.float64).reshape(shape).copy()
             g.flags.writeable = False
             tensors[k] = g
-    partition = Partition(sizes=np.asarray(header["sizes"], dtype=int), N=N)
     seed = header["seed"]
     if isinstance(seed, list):
         seed = tuple(seed)
-    return HamiltonianInstance(mixture=mixture, N=N, partition=partition,
-                               tensors=tensors, seed=seed,
-                               gamma_tables=_gamma_tables(mixture))
+    return HamiltonianInstance(mixture, N, tensors, seed)
 
 
 def save_state(sigma, path) -> None:

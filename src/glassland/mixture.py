@@ -287,10 +287,15 @@ def ideal_stats(spec: MixtureSpec, delta) -> CriticalPrediction:
                               radial=radial, v=v, u=u)
 
 
+def require_positive_xi_prime(st: MixtureStats) -> None:
+    """ValidationError unless xi'_s > 0: the ideal points and F need it."""
+    if np.any(st.xi_prime <= 0):
+        raise ValidationError("xi'_s must be > 0 for every species")
+
+
 def ideal_radial(st: MixtureStats, delta) -> np.ndarray:
     """The radial derivative that ideal_stats predicts for signs delta."""
-    if np.any(st.xi_prime <= 0):
-        raise ValidationError("ideal points require xi'_s > 0 for every species")
+    require_positive_xi_prime(st)
     sq, root_lam = np.sqrt(st.xi_prime), np.sqrt(st.lam)
     return delta * sq + (st.xi_dprime @ (delta * root_lam / sq)) / root_lam
 

@@ -10,8 +10,8 @@ from scipy.optimize import minimize
 from glassland import complexity as cx
 from glassland import dyson as dy
 from glassland import mixture as mx
-from glassland.errors import (DegenerateU, DegenerateVariance, NumericalError,
-                              ValidationError)
+from glassland.errors import (DegenerateU, DegenerateVariance, NonConvergence,
+                              NumericalError, ValidationError)
 from glassland.presets import PRESETS, get_preset, single_species
 
 SC = mx.stats(get_preset("one-species-quadratic"))
@@ -98,10 +98,23 @@ def test_F_point_fields_consistent():
 def test_F_point_validation():
     with pytest.raises(ValidationError):
         cx.F_point(FB, np.zeros(3))
-    bare = mx.MixtureSpec(r=2, lam=np.array([0.5, 0.5]),
-                          coeffs=((2, (0, 0), 1.0),))
-    with pytest.raises(ValidationError):
-        cx.F_point(mx.stats(bare), np.zeros(2))
+
+
+def test_species_without_xi_prime_is_rejected_alike():
+    # xi'_2 = 0: F, the census, the scan (through its radius) and the ideal
+    # points all stop at the one check, with one message
+    bare = mx.stats(mx.MixtureSpec(r=2, lam=np.array([0.5, 0.5]),
+                                   coeffs=((2, (0, 0), 1.0),)))
+    calls = [lambda: cx.F_point(bare, np.zeros(2)),
+             lambda: cx.find_stationary_points(bare),
+             lambda: cx.scan(bare, 5),
+             lambda: mx.ideal_radial(bare, np.ones(2))]
+    messages = set()
+    for call in calls:
+        with pytest.raises(ValidationError) as err:
+            call()
+        messages.add(str(err.value))
+    assert len(messages) == 1
 
 
 def test_gradient_matches_finite_differences():
@@ -250,7 +263,11 @@ def test_census_is_label_invariant(name, perm):
 
 
 def _per_pattern_census(stats):
-    """(pattern, v, F) of the census, solving _census_b for every pattern."""
+    """(pattern, v, F) of the census, solving _census_b for every pattern.
+
+    F comes from one batched _F_rows call over the kept rows, as in the
+    census: batched and one-row F differ in the last bits.
+    """
     rho = np.sqrt(stats.lam / stats.xi_prime)
     kept = []
     for pattern in itertools.product(("plus", "minus", "imag"), repeat=stats.r):
@@ -267,9 +284,12 @@ def _per_pattern_census(stats):
         if (dy.feasibility(stats, u).case == "infeasible"
                 or any(np.abs(v - w).max() <= cx.DEDUP_TOL for _, w, _ in kept)):
             continue
-        F = float(cx._F_rows(stats, v[None, :], u[None, :])[0][0])
-        kept.append((pattern, v, F))
-    return kept
+        kept.append((pattern, v, u))
+    if not kept:
+        return []
+    patterns, V, U = zip(*kept)
+    F = cx._F_rows(stats, np.array(V), np.array(U))[0]
+    return list(zip(patterns, V, map(float, F)))
 
 
 def _census_key(points):
@@ -569,9 +589,33 @@ def test_sup_vanishes_linearly_at_the_solvable_boundary():
     assert max(ratios) - min(ratios) < 0.01 * min(ratios)
 
 
-def test_sup_typed_errors():
+def test_sup_typed_errors(monkeypatch):
     with pytest.raises(ValidationError):
         cx.sup_F(uncoupled(7))
+    # no imag mask solved: no candidate, an empty census
+    monkeypatch.setattr(cx, "_census_b", lambda *args: None)
+    assert cx.find_stationary_points(FB) == []
+    with pytest.raises(NonConvergence):
+        cx.sup_F(FB)
+
+
+@pytest.mark.parametrize("name", ["three-species", "symmetric-pair"])
+def test_sup_maximiser_does_not_read_the_last_bits_of_F(name, monkeypatch):
+    # sup F = 0 is reached at all 2^r ideal points, which tie to within
+    # rounding: nudging every F by 2 ulp, up where v_1 > 0 and down
+    # elsewhere, then the other way round, must not move the maximiser
+    stats = mx.stats(get_preset(name))
+    rows = cx._F_rows
+    args = []
+    for up in (True, False):
+        def nudged(st, V, U, up=up):
+            values, grads = rows(st, V, U)
+            toward = np.where((V[:, 0] > 0) == up, np.inf, -np.inf)
+            return np.nextafter(np.nextafter(values, toward), toward), grads
+
+        monkeypatch.setattr(cx, "_F_rows", nudged)
+        args.append(cx.sup_F(stats)[1])
+    assert np.array_equal(args[0], args[1])
 
 
 def test_F_point_is_quadratic_part_plus_psi():

@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import tracemalloc
 
@@ -109,7 +110,7 @@ def random_tangent(partition, sigma, seed):
 
 def test_partition_layout():
     part = ham.make_partition(get_preset("three-species"), 47)
-    assert part.sizes.sum() == 47
+    assert part.N == part.sizes.sum() == 47
     assert np.array_equal(part.offsets, np.concatenate([[0], np.cumsum(part.sizes)]))
     labels = part.labels
     for s, sl in enumerate(part.slices()):
@@ -598,10 +599,47 @@ def test_instance_round_trip(tmp_path, inst):
     assert ham.local_data(back, sig).value == ham.local_data(inst, sig).value
 
 
-def test_instance_rejects_bad_file(tmp_path):
+def test_instance_derives_partition_and_tables(inst):
+    # an instance is its mixture, N, tensors and seed: the rest is derived
+    bare = ham.HamiltonianInstance(mixture=inst.mixture, N=inst.N,
+                                   tensors=inst.tensors, seed=None)
+    assert np.array_equal(bare.partition.sizes, inst.partition.sizes)
+    for k, table in inst.gamma_tables.items():
+        assert np.array_equal(bare.gamma_tables[k], table)
+    sig = ham.random_state(inst.partition, 52)
+    assert ham.local_data(bare, sig).value == ham.local_data(inst, sig).value
+
+
+def test_instance_round_trips_a_tuple_seed(tmp_path):
+    inst = ham.sample(CUBIC, 20, seed=(4, 2))
+    path = tmp_path / "instance.bin"
+    ham.save_instance(inst, path)
+    back = ham.load_instance(path)
+    assert back.seed == (4, 2)
+    again = ham.sample(CUBIC, 20, seed=back.seed)
+    for k in inst.tensors:
+        assert np.array_equal(again.tensors[k], back.tensors[k])
+
+
+def test_instance_rejects_bad_file(tmp_path, inst):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"not an instance")
     with pytest.raises(ValidationError):
+        ham.load_instance(path)
+    ham.save_instance(inst, path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-8])
+    with pytest.raises(ValidationError, match="truncated"):
+        ham.load_instance(path)
+    # a header whose sizes are not those of its mixture at its N
+    size = int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16:16 + size])
+    header["sizes"][0] += 1
+    header["sizes"][1] -= 1
+    head = json.dumps(header).encode()
+    path.write_bytes(blob[:8] + len(head).to_bytes(8, "little") + head
+                     + blob[16 + size:])
+    with pytest.raises(ValidationError, match="sizes"):
         ham.load_instance(path)
 
 

@@ -8,7 +8,7 @@ from glassland import hamiltonian as ham
 from glassland import landscape as ls
 from glassland import mixture as mx
 from glassland.dyson import spectral_measure
-from glassland.errors import LostTrack, MaxIters, ValidationError
+from glassland.errors import LostTrack, MaxIters, OffManifold, ValidationError
 from glassland.mixture import (MixtureSpec, all_sign_patterns,
                                classify_solvability, ideal_stats, stats)
 from glassland.presets import PRESETS, get_preset
@@ -453,10 +453,9 @@ def test_follow_permutes_with_the_species():
     relabelled = _relabel(spec, perm)
     moved = ham.HamiltonianInstance(
         mixture=relabelled, N=inst.N,
-        partition=ham.make_partition(relabelled, inst.N),
         tensors={1: inst.tensors[1][idx],
                  2: inst.tensors[2][np.ix_(idx, idx)]},
-        seed=inst.seed, gamma_tables=ham._gamma_tables(relabelled))
+        seed=inst.seed)
     assert np.array_equal(moved.partition.sizes, inst.partition.sizes[perm])
     for delta in all_sign_patterns(2):
         res = ls.follow_critical_points(inst, delta)
@@ -595,6 +594,18 @@ def test_ladder_fallback_reaches_same_point(monkeypatch):
     assert ladder.grad_norm <= ls.NEWTON_TOL
     assert np.max(np.abs(ladder.sigma_star.sigma
                          - direct.sigma_star.sigma)) <= 1e-12
+
+
+def test_newton_refine_retracts_an_off_manifold_start():
+    inst = ham.sample(SYM, N, seed=1)
+    end = ls.follow_critical_points(inst, (1, 1)).sigma_star.sigma
+    start = end + 0.05 * np.random.default_rng(0).standard_normal(inst.N)
+    with pytest.raises(OffManifold):
+        ham.check_on_manifold(inst.partition, start)
+    res = ls.newton_refine(inst, start)
+    on = ls.newton_refine(inst, ham.retract(inst.partition, start))
+    assert res.grad_norm <= ls.NEWTON_TOL
+    assert np.array_equal(res.sigma_star.sigma, on.sigma_star.sigma)
 
 
 def test_converged_point_returns_unchanged():

@@ -320,6 +320,10 @@ def test_loader_rejections(tmp_path):
     reject(lambda d: d["gammas"][0].__setitem__("gamma", math.nan))
     reject(lambda d: d["gammas"][0].__setitem__("gamma", math.inf))
     reject(lambda d: d.__setitem__("gammas", None))
+    reject(lambda d: d.__setitem__("r", 0))
+    reject(lambda d: d["gammas"].append(None))
+    reject(lambda d: d["gammas"][0].pop("gamma"))
+    reject(lambda d: d["gammas"][0].__setitem__("degree", "one"))
     reject(lambda d: d["gammas"].append(dict(d["gammas"][0])))
     reject(lambda d: d["gammas"][0].__setitem__("index", [2, 1]))
     reject(lambda d: d["gammas"][0].__setitem__("index", [1, 3]))
@@ -329,6 +333,16 @@ def test_loader_rejections(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(BadMixture):
         mx.load_mixture(str(bad))
+
+
+def test_spec_rejections():
+    lam = np.array([0.5, 0.5])
+    for r, coeffs in [(3, ()),                        # lambda of length 2
+                      (2, ((1, (2,), 1.0),)),         # no species 3
+                      (2, ((1, (-1,), 1.0),)),
+                      (2, ((2, (1, 0), 1.0),))]:      # index decreasing
+        with pytest.raises(BadMixture):
+            mx.MixtureSpec(r=r, lam=lam, coeffs=coeffs)
 
 
 def test_all_sign_patterns():
