@@ -196,6 +196,12 @@ def find_stationary_points(stats: MixtureStats) -> list[StationaryPoint]:
     The global maxima come first in tuple(v) order, as they may tie to
     within rounding (all 2^r ideal points of the trivial regime), then the
     rest by decreasing F, ties by tuple(v).
+
+    Each point's residual is |grad_v F| at the polished Dyson boundary
+    value u(v), an independent check.  The census decides per row: a row
+    whose z = 0 certificate fails keeps its continued value at z = i ETA,
+    the point stays listed, and its residual reports the failure; sup_F
+    raises only when its maximiser fails.
     """
     if stats.r > 6:
         raise ValidationError("stationary enumeration supports r <= 6")

@@ -18,10 +18,9 @@ overhead.  Batches enter and leave as (n, r) rows through
 _boundary_batch.  Only rows where Newton stalls, and a real z (reached
 from a warm start), take the slower path of damped half-plane sweeps
 over their whole batch before Newton.  Boundary values u(v) at z -> 0
-come from cold solves, where uniqueness makes a warm start unnecessary:
-an unpolished batch is solved once, at the last of ETA_LEVELS, and a
-polished one at ETA_LEVELS[0] and then warm at ETA_LEVELS[1], whose
-drift from the first is the Hoelder check before the real-root polish.
+come from one cold solve at z = i ETA, where uniqueness makes a warm
+start unnecessary; a polished batch then certifies each row at z = 0,
+by the real-root polish or by complex Newton from the continued value.
 Limiting spectral densities come from the imaginary parts, and boundary
 points are classified by feasibility conditions on the stability
 matrices and by multi-scale probes (edge vs cusp).
@@ -38,12 +37,14 @@ from .errors import (DegenerateU, InconsistentProbes, MassDeficit,
 from .mixture import MixtureStats, as_vector
 
 ETA_FLOOR = 1e-9
-# a polished boundary solve's cold level and final level; an unpolished
-# one solves the final level only, cold
-ETA_LEVELS = (1e-6, 1e-7)
-# m is 1/3-Hoelder in z, so a polished solve's two levels may drift apart,
-# and the final level sit away from the eta -> 0 limit, by this much
-HOLDER_ALLOW = 10.0 * ETA_LEVELS[-1] ** (1.0 / 3.0)
+# the one level of every boundary solve, each row cold at z = i ETA
+ETA = 1e-7
+# m is 1/3-Hoelder in z, so the continued value sits within this of the
+# z = 0 root: the distance gate of a polished row's z = 0 certificate
+HOLDER_ALLOW = 10.0 * ETA ** (1.0 / 3.0)
+# a certified z = 0 root may have Im down to minus this, the rounding at a
+# species whose Im u is 0: at most 8.5e-22 over 240 mixtures at r = 4-6
+IMAG_ROUNDING = 1e-14
 REAL_TOL = 1e-5
 TAU_SUPP = 1e-4
 # per-species mass of a spectral measure's grid quadrature
@@ -386,42 +387,36 @@ def _polish_real(shift, K, wgt, m):
 
 
 def _boundary_batch(shift, K, wgt, polish=True):
-    """Boundary values for a batch of shifts, at one or both ETA_LEVELS.
+    """Boundary values for a batch of shifts, from one cold solve at z = i ETA.
 
-    A row's first solve starts cold, from the decoupled scalar root
-    (_scalar_start): for Im z > 0 the root with Im m >= 0 is unique, so
-    _solve_batch reaches it from any start in the upper half-plane, and
-    levels above it would buy only warm starts, which cost more than they
-    save.
+    Each row starts at the decoupled scalar root (_scalar_start): for
+    Im z > 0 the root with Im m >= 0 is unique, so no warm start from a
+    higher level is needed.  shift comes in and m goes out as (n, r), one
+    row per point, as the callers build and read points and as the
+    benchmark's tracer counts a call's rows, shift.shape[0]; the kernel
+    works on their (r, n) transposes.
 
-    shift comes in and m goes out as (n, r), one row per point; the kernel
-    works on their (r, n) transposes.  The (n, r) seam stays because the
-    callers build and read points as rows, and the benchmark's tracer
-    counts a call's rows as shift.shape[0].
-
-    Without polish every row is solved once, cold at ETA_LEVELS[-1], and
-    the continued values come back as they are.  With polish every row is
-    solved cold at ETA_LEVELS[0] and then warm at ETA_LEVELS[1] from that
-    root; a row whose two levels drift apart by more than HOLDER_ALLOW
-    raises NonConvergence, and the near-real rows go through one
-    _polish_real call, each with its own Newton iterations.  A row that
-    passes its three gates (residual, Hoelder drift, stability) is replaced
-    by its certified real root, and the others keep their continued value.
+    Without polish a row keeps its continued value, with its O(ETA) bias.
+    With polish each row is certified at z = 0: the near-real rows go
+    through one _polish_real call, and every row it does not accept runs
+    _newton_rounds at z = 0 in complex arithmetic, 20 rounds to 1e-14.  A
+    row takes that root when its residual is <= 1e-12, it lies within
+    HOLDER_ALLOW of the continued value and its Im is >= -IMAG_ROUNDING,
+    then clamped to 0; otherwise it keeps its continued value.
     """
     shift = np.ascontiguousarray(shift.T)
-    if not polish:
-        m, _ = _solve_batch(shift, K, 1j * ETA_LEVELS[-1])
-        return np.ascontiguousarray(m.T)
-    m_prev, _ = _solve_batch(shift, K, 1j * ETA_LEVELS[0])
-    m, _ = _solve_batch(shift, K, 1j * ETA_LEVELS[1], warm=m_prev)
-    drift = np.abs(m - m_prev).max(axis=0)
-    if (drift > HOLDER_ALLOW).any():
-        raise NonConvergence(
-            f"continuation unstable: level drift {drift.max():.3e} "
-            f"exceeds {HOLDER_ALLOW:.3e}")
-    near = np.flatnonzero(m.imag.max(axis=0) <= HOLDER_ALLOW)
-    roots, ok = _polish_real(shift[:, near], K, wgt, m[:, near])
-    m[:, near[ok]] = roots[:, ok]
+    m, _ = _solve_batch(shift, K, 1j * ETA)
+    if polish:
+        real = m.imag.max(axis=0) <= HOLDER_ALLOW
+        near = np.flatnonzero(real)
+        roots, ok = _polish_real(shift[:, near], K, wgt, m[:, near])
+        m[:, near[ok]], real[near] = roots[:, ok], ok
+        rest = np.flatnonzero(~real)
+        w, res, _ = _newton_rounds(m[:, rest], shift[:, rest], K, 0.0, 1e-14, 20)
+        keep = ((res <= 1e-12) & (w.imag.min(axis=0) >= -IMAG_ROUNDING)
+                & (np.abs(w - m[:, rest]).max(axis=0) <= HOLDER_ALLOW))
+        np.maximum(w.imag, 0.0, out=w.imag)
+        m[:, rest[keep]] = w[:, keep]
     return np.ascontiguousarray(m.T)
 
 
@@ -449,12 +444,11 @@ def boundary_values(stats: MixtureStats, V, polish: bool = True) -> np.ndarray:
     """Boundary values u(v) for the rows v of an (n, r) array V.
 
     Each row solves the system with shift v_s/lambda_s, coupling
-    xi''_{s,t}/lambda_s and weights lambda_s.  polish=False solves each
-    row once, at the last of ETA_LEVELS, and skips the Hoelder drift check
-    and the real-root polish (see _boundary_batch), for callers that need
-    only the continued values.  u(-v) = -conj u(v)
-    bitwise, polished or not: the z = i eta system is invariant under
-    (m, shift) -> (-conj m, -shift).
+    xi''_{s,t}/lambda_s and weights lambda_s, once, cold at z = i ETA.
+    polish=False skips the z = 0 certificate (see _boundary_batch), for
+    callers that need only the continued values.  u(-v) = -conj u(v)
+    bitwise, polished or not: the system at z = i eta and at z = 0 is
+    invariant under (m, shift) -> (-conj m, -shift).
     """
     V = as_vector(V, stats.r, "V", rows=True)
     return _boundary_batch(V / stats.lam, _coupling(stats), stats.lam, polish)

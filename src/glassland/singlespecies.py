@@ -128,7 +128,9 @@ def theta(s: float) -> float:
 def F_sy(th: ScalarThresholds, s: float, y: float, tilde: bool = False) -> float:
     """Complexity surface F(s, y), or the quadratic bound F-tilde.
 
-    In the pure case the squared-deviation term follows the explicit
+    F = F-tilde + Theta(s), Theta at full weight, as in the pure p-spin
+    total complexity of Auffinger-Ben Arous-Cerny (CPAM 2013).  In the
+    pure case the squared-deviation term follows the explicit
     -0/0 = 0 and -x/0 = -inf convention on the constraint line
     s = y xi'/sqrt(2 xi'').
     """
@@ -142,10 +144,8 @@ def F_sy(th: ScalarThresholds, s: float, y: float, tilde: bool = False) -> float
         penalty = 0.0
     else:
         penalty = 2 * th.xi_dprime / th.alpha_sq * dev * dev
-    base = np.log(th.xi_dprime / th.xi_prime) + s * s - y * y - penalty
-    if not tilde:
-        base += theta(s)
-    return float(base / 2.0)
+    bound = (np.log(th.xi_dprime / th.xi_prime) + s * s - y * y - penalty) / 2.0
+    return float(bound if tilde else bound + theta(s))
 
 
 def ellipse(th: ScalarThresholds) -> EllipseParams:

@@ -120,7 +120,7 @@ def test_theta_shape():
     assert np.allclose(vals, [ss.theta(-s) for s in grid])
 
 
-def test_F_minus_Ftilde_is_half_theta():
+def test_F_minus_Ftilde_is_theta():
     rng = np.random.default_rng(2)
     for _ in range(50):
         s = rng.uniform(-3, 3)
@@ -128,7 +128,35 @@ def test_F_minus_Ftilde_is_half_theta():
         f = ss.F_sy(MIXED, s, y)
         ft = ss.F_sy(MIXED, s, y, tilde=True)
         assert f <= ft + 1e-15
-        assert abs((f - ft) - ss.theta(s) / 2) < 1e-12
+        assert abs((f - ft) - ss.theta(s)) < 1e-12
+
+
+def _abc_total_complexity(p, u):
+    """Theta_p(u) for u <= 0: the pure p-spin total complexity.
+
+    1/2 log(p-1) - (p-2)/(4(p-1)) u^2, less the large-deviation rate
+    I_1(u) of the top GOE eigenvalue below -E_inf, where
+    E_inf = 2 sqrt((p-1)/p) (Auffinger-Ben Arous-Cerny, CPAM 2013).
+    """
+    e_inf = 2.0 * np.sqrt((p - 1) / p)
+    value = 0.5 * np.log(p - 1) - (p - 2) / (4.0 * (p - 1)) * u * u
+    if u < -e_inf:
+        root = np.sqrt(u * u - e_inf * e_inf)
+        value -= (-u * root / e_inf ** 2 - np.log(-u + root)
+                  + np.log(e_inf))
+    return value
+
+
+@pytest.mark.parametrize("p", [3, 4, 6])
+def test_F_is_the_pure_p_spin_total_complexity(p):
+    # xi' = p and xi'' = p(p-1): on F's constraint line y = |u| and
+    # s = |u| sqrt(p / (2(p-1))), so that s = sqrt 2 at u = -E_inf
+    th = ss.thresholds(float(p), float(p * (p - 1)))
+    e_inf = 2.0 * np.sqrt((p - 1) / p)
+    for ratio in (0.3, 0.8, 1.0, 1.05, 1.2, 1.5):
+        u = -ratio * e_inf
+        s = -u * np.sqrt(p / (2.0 * (p - 1)))
+        assert abs(ss.F_sy(th, s, -u) - _abc_total_complexity(p, u)) <= 1e-12
 
 
 def test_F_pure_conventions():
