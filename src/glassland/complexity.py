@@ -58,17 +58,6 @@ class ScanResult:
     F_values: np.ndarray
     boundary_mask: np.ndarray
 
-    def to_csv(self, path) -> None:
-        r = len(self.grid)
-        mesh = np.meshgrid(*self.grid, indexing="ij")
-        cols = [m.ravel() for m in mesh]
-        cols.append(self.F_values.ravel())
-        cols.append(self.boundary_mask.ravel().astype(float))
-        data = np.column_stack(cols)
-        header = ",".join([f"x_{s + 1}" for s in range(r)] + ["F", "nonreal"])
-        np.savetxt(path, data, delimiter=",", header=header, comments="",
-                   fmt=["%.10g"] * (r + 1) + ["%d"])
-
 
 def _quad_const(stats: MixtureStats) -> float:
     return 0.5 * (1.0 - float(stats.lam @ np.log(stats.xi_species)))

@@ -15,15 +15,15 @@ by LAPACK for larger r.  The solver keeps a batch species-major, as
 reduces over the short species axis, and the r <= 3 step is elementwise
 on rows, where an (n, r) layout spent most of its time in numpy
 overhead.  Batches enter and leave as (n, r) rows through
-_boundary_batch.  Only rows where Newton stalls, and a real z (reached
-from a warm start), take the slower path of damped half-plane sweeps
-over their whole batch before Newton.  Boundary values u(v) at z -> 0
-come from one cold solve at z = i ETA, where uniqueness makes a warm
-start unnecessary; a polished batch then certifies each row at z = 0,
-by the real-root polish or by complex Newton from the continued value.
-Limiting spectral densities come from the imaginary parts, and boundary
-points are classified by feasibility conditions on the stability
-matrices and by multi-scale probes (edge vs cusp).
+_boundary_batch.  Only rows where Newton stalls take the slower path of
+damped half-plane sweeps over their whole batch before Newton.
+Boundary values u(v) at z -> 0 come from one cold solve at z = i ETA,
+where uniqueness makes a warm start unnecessary; a polished batch then
+certifies each row at z = 0, by the real-root polish or by complex
+Newton from the continued value.  Limiting spectral densities come from
+the imaginary parts, and boundary points are classified by feasibility
+conditions on the stability matrices and by multi-scale probes (edge vs
+cusp).
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ def _damped_sweeps(m, shift, K, z, tol, sweeps):
     Every sweep steps the whole batch, and a row takes its step only while
     it is above tol and the step does not raise its residual, so a row's
     residual never increases and a row at or below tol is final.  The
-    batch is small: sweeps run only on Newton's stalled rows and at real z.
+    batch is small: sweeps run only on Newton's stalled rows.
     """
     res = _resid(m, shift, K, z)
     alpha = np.full(m.shape[1], 0.5)
@@ -216,11 +216,11 @@ def _solve_batch(shift, K, z, warm=None):
     residual-lowering step exists.  A cold solve starts Newton at
     _scalar_start, exact for r = 1, and the rows it leaves above
     SOLVER_TOL restart _sweep_first from m = i; a warm solve restarts them
-    from warm.  On the real axis the uniqueness argument is gone and
-    _sweep_first solves every row, from warm or m = i.  Newton carries
-    only the live rows; see _newton_rounds and _newton_step for how each
-    step is solved.  Returns m and the work done, sweeps plus Newton
-    rounds.
+    from warm.  A real z, which only a warm start reaches, takes the same
+    path; there the root need not be unique, and warm picks it.  Newton
+    carries only the live rows; see _newton_rounds and _newton_step for
+    how each step is solved.  Returns m and the work done, sweeps plus
+    Newton rounds.
     """
     if warm is not None:
         m0 = np.array(warm, dtype=complex).reshape(shift.shape)
@@ -228,8 +228,6 @@ def _solve_batch(shift, K, z, warm=None):
             np.maximum(m0.imag, 0.0, out=m0.imag)
     else:
         m0 = np.full(shift.shape, 1j, dtype=complex)
-    if z.imag == 0:
-        return _sweep_first(m0, shift, K, z)
     m, res, work = _newton_rounds(
         m0.copy() if warm is not None else _scalar_start(shift, K, z),
         shift, K, z)

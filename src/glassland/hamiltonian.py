@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, permutations, product
@@ -11,13 +10,11 @@ from math import factorial
 import numpy as np
 
 from .errors import DegreeTooHigh, OffManifold, TooLarge, ValidationError
-from .mixture import (MixtureSpec, mixture_from_dict, mixture_to_dict,
-                      species_sizes)
+from .mixture import MixtureSpec, species_sizes
 
 MAX_N_DEGREE3 = 400
 MAX_N = 4000
 MANIFOLD_RTOL = 1e-8
-MAGIC = b"GLHAM03\n"
 # entries per tile of the in-place coupling build (256 KB)
 TILE_ENTRIES = 32768
 
@@ -69,7 +66,8 @@ class HamiltonianInstance:
     rows of the symmetric J_3 as an (N(N+1)/2, N) array, row p(i, j) =
     iN + j - i(i+1)/2 being J_3[i, j, :].  A degree-3 instance thus holds
     N^2(N+1)/2 float64 entries, 257 MB at MAX_N_DEGREE3.  The partition
-    and the gamma tables are derived from mixture and N, not stored."""
+    and the gamma tables are derived from mixture and N, not stored, and
+    the instance itself is fixed by (mixture, N, seed) through sample."""
 
     mixture: MixtureSpec
     N: int
@@ -166,7 +164,8 @@ def _couple(g, partition: Partition, table: np.ndarray):
 
 
 def _pack(g):
-    """Shrink the symmetric N^3 coupling g in place to its (i <= j) rows.
+    """Shrink the symmetric N^3 coupling g in place to the (N(N+1)/2, N)
+    array of its (i <= j) rows.
 
     Row p(i, j) = iN + j - i(i+1)/2 of the result is g[i, j, :].  It lies
     at or before its source row iN + j, so moving the rows in increasing
@@ -179,12 +178,7 @@ def _pack(g):
         p = i * N - i * (i - 1) // 2
         rows[p:p + N - i] = rows[i * N + i:(i + 1) * N]
     del rows
-    g.resize(_stored_shape(3, N), refcheck=False)
-
-
-def _stored_shape(k: int, N: int) -> tuple:
-    """Shape of tensors[k]: (N,) * k, and J_3's packed rows for k = 3."""
-    return (N * (N + 1) // 2, N) if k == 3 else (N,) * k
+    g.resize((N * (N + 1) // 2, N), refcheck=False)
 
 
 @lru_cache(maxsize=8)
@@ -408,61 +402,3 @@ def g1_overlap(instance: HamiltonianInstance, sigma) -> np.ndarray:
     part = instance.partition
     raw = overlap(instance.tensors[1], sigma, part)
     return raw / np.sqrt(part.lam_N)
-
-
-def save_instance(instance: HamiltonianInstance, path) -> None:
-    """MAGIC, header length (8 bytes, little-endian), JSON header, then
-    instance.tensors as float64 by degree: G_1 (N), J_2 (N^2) and J_3's
-    packed (i <= j) rows (N^2(N+1)/2, see HamiltonianInstance).
-    load_instance rejects other magics: GLHAM01 files hold the raw draws
-    and GLHAM02 files the full N^3 J_3."""
-    header = {
-        "mixture": mixture_to_dict(instance.mixture),
-        "N": instance.N,
-        "sizes": [int(v) for v in instance.partition.sizes],
-        "seed": instance.seed if isinstance(instance.seed, (int, list, type(None)))
-        else list(instance.seed),
-        "degrees": sorted(instance.tensors),
-    }
-    blob = json.dumps(header).encode()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(len(blob).to_bytes(8, "little"))
-        fh.write(blob)
-        for k in sorted(instance.tensors):
-            fh.write(np.ascontiguousarray(instance.tensors[k]).tobytes())
-
-
-def load_instance(path) -> HamiltonianInstance:
-    with open(path, "rb") as fh:
-        if fh.read(len(MAGIC)) != MAGIC:
-            raise ValidationError(f"{path} is not an instance file")
-        size = int.from_bytes(fh.read(8), "little")
-        header = json.loads(fh.read(size).decode())
-        mixture = mixture_from_dict(header["mixture"])
-        N = int(header["N"])
-        if not np.array_equal(header["sizes"], species_sizes(mixture.lam, N)):
-            raise ValidationError(f"species sizes in {path} do not fit N={N}")
-        tensors = {}
-        for k in header["degrees"]:
-            k = int(k)
-            shape = _stored_shape(k, N)
-            count = int(np.prod(shape))
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise ValidationError(f"truncated tensor data in {path}")
-            g = np.frombuffer(buf, dtype=np.float64).reshape(shape).copy()
-            g.flags.writeable = False
-            tensors[k] = g
-    seed = header["seed"]
-    if isinstance(seed, list):
-        seed = tuple(seed)
-    return HamiltonianInstance(mixture, N, tensors, seed)
-
-
-def save_state(sigma, path) -> None:
-    np.save(path, _as_sigma(sigma))
-
-
-def load_state(path) -> StatePoint:
-    return StatePoint(sigma=np.load(path))

@@ -30,13 +30,12 @@ ORACLE_TOL = 1e-6
 ORACLE_STARTS = 8
 
 
-def ascent_oracle(spec):
+def ascent_oracle(stats):
     """Maximise F by multistart L-BFGS-B in the box of radius _r_auto.
 
     The starts are the origin, the ideal points of every sign pattern (when
     there are few enough) and uniform draws; no census value is used.
     """
-    stats = mx.stats(spec)
     r = stats.r
     radius = cx._r_auto(stats)
     rng = np.random.default_rng(0)
@@ -50,7 +49,7 @@ def ascent_oracle(spec):
 
     starts = [np.zeros(r)]
     if 2 ** r <= ORACLE_STARTS:
-        starts += [np.clip(mx.ideal_stats(spec, d).radial, -radius, radius)
+        starts += [np.clip(mx.ideal_radial(stats, d), -radius, radius)
                    for d in mx.all_sign_patterns(r)]
     while len(starts) < ORACLE_STARTS:
         starts.append(rng.uniform(-radius, radius, r))
@@ -424,16 +423,23 @@ SPARSE_TRIPLE = mx.MixtureSpec(r=3, lam=np.array([0.506, 0.322, 0.172]), coeffs=
     (3, (1, 2, 2), 0.31), (3, (2, 2, 2), 0.47)))
 
 
+# survey mixtures at r = 4: sub-solvable, super-solvable, and sparse
+# (sub-solvable, with some xi''_ss = 0)
+ORACLE_SURVEY = {"survey-8-sub": 8, "survey-4-super": 4,
+                 "survey-81-sparse": 81}
+
+
 @pytest.mark.parametrize("spec", [
     get_preset("one-species-quadratic"), get_preset("pure3"),
     single_species([2.0, 1.0, 1.0]), get_preset("symmetric-pair"),
-    SPARSE_TRIPLE,
+    SPARSE_TRIPLE, *ORACLE_SURVEY.values(),
 ], ids=["one-species-quadratic", "pure3", "cubic-single", "symmetric-pair",
-        "sparse-triple"])
+        "sparse-triple", *ORACLE_SURVEY])
 def test_sup_matches_ascent_oracle(spec):
-    st = mx.stats(spec)
+    # an int spec is the index of a survey mixture
+    st = _survey()[spec][0] if isinstance(spec, int) else mx.stats(spec)
     value, arg = cx.sup_F(st)
-    oracle, _ = ascent_oracle(spec)
+    oracle, _ = ascent_oracle(st)
     # the ascent reaches the census value ...
     assert value - oracle < ORACLE_TOL
     # ... and finds nothing higher, which a stationary point the census
@@ -912,16 +918,3 @@ def test_scan_validation():
         cx.scan(FB, (-2.0, 2.0, 1))
     with pytest.raises(ValidationError):
         cx.scan(uncoupled(4))
-
-
-def test_scan_csv_round_trip(tmp_path):
-    sc = cx.scan(SC, (-2.0, 2.0, 21))
-    path = tmp_path / "scan.csv"
-    sc.to_csv(path)
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape == (21, 3)
-    assert np.allclose(data[:, 0], sc.grid[0])
-    assert np.allclose(data[:, 1], sc.F_values)
-    assert np.array_equal(data[:, 2].astype(bool), sc.boundary_mask)
-    with open(path) as fh:
-        assert fh.readline().strip() == "x_1,F,nonreal"

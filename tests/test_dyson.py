@@ -89,7 +89,7 @@ def test_solve_dyson_validation():
 
 def test_solve_dyson_on_real_axis():
     # outside the semicircle support m is real: the root of 1 + (3 + m) m
-    # nearer zero, reached by sweeps from a warm start
+    # nearer zero, reached by Newton from a warm start
     sol = dy.solve_dyson(SC, np.array([3.0]), 0.0, warm=[-0.4])
     assert abs(sol.m[0] - (np.sqrt(5) - 3) / 2) < 1e-12
     assert sol.residual <= 1e-12

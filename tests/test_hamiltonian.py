@@ -1,6 +1,4 @@
 import itertools
-import json
-import os
 import tracemalloc
 
 import numpy as np
@@ -118,12 +116,15 @@ def test_partition_layout():
 
 
 def test_sample_deterministic():
-    a = ham.sample(CUBIC, 24, seed=3)
-    b = ham.sample(CUBIC, 24, seed=3)
+    # an int seed and a tuple seed each fix the draws
     c = ham.sample(CUBIC, 24, seed=4)
-    for k in a.tensors:
-        assert np.array_equal(a.tensors[k], b.tensors[k])
-    assert any(not np.array_equal(a.tensors[k], c.tensors[k]) for k in a.tensors)
+    for seed in (3, (4, 2)):
+        a = ham.sample(CUBIC, 24, seed=seed)
+        b = ham.sample(CUBIC, 24, seed=seed)
+        for k in a.tensors:
+            assert np.array_equal(a.tensors[k], b.tensors[k])
+        assert any(not np.array_equal(a.tensors[k], c.tensors[k])
+                   for k in a.tensors)
 
 
 def test_sample_tensors_frozen():
@@ -587,17 +588,6 @@ def test_spectrum_perturbation():
             assert np.abs(e0 - e1).max() <= 3.0 * dist
 
 
-def test_instance_round_trip(tmp_path, inst):
-    path = tmp_path / "instance.bin"
-    ham.save_instance(inst, path)
-    back = ham.load_instance(path)
-    assert back.N == inst.N
-    assert np.array_equal(back.partition.sizes, inst.partition.sizes)
-    for k in inst.tensors:
-        assert np.array_equal(back.tensors[k], inst.tensors[k])
-    sig = ham.random_state(inst.partition, 50)
-    assert ham.local_data(back, sig).value == ham.local_data(inst, sig).value
-
 
 def test_instance_derives_partition_and_tables(inst):
     # an instance is its mixture, N, tensors and seed: the rest is derived
@@ -608,56 +598,3 @@ def test_instance_derives_partition_and_tables(inst):
         assert np.array_equal(bare.gamma_tables[k], table)
     sig = ham.random_state(inst.partition, 52)
     assert ham.local_data(bare, sig).value == ham.local_data(inst, sig).value
-
-
-def test_instance_round_trips_a_tuple_seed(tmp_path):
-    inst = ham.sample(CUBIC, 20, seed=(4, 2))
-    path = tmp_path / "instance.bin"
-    ham.save_instance(inst, path)
-    back = ham.load_instance(path)
-    assert back.seed == (4, 2)
-    again = ham.sample(CUBIC, 20, seed=back.seed)
-    for k in inst.tensors:
-        assert np.array_equal(again.tensors[k], back.tensors[k])
-
-
-def test_instance_rejects_bad_file(tmp_path, inst):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"not an instance")
-    with pytest.raises(ValidationError):
-        ham.load_instance(path)
-    ham.save_instance(inst, path)
-    blob = path.read_bytes()
-    path.write_bytes(blob[:-8])
-    with pytest.raises(ValidationError, match="truncated"):
-        ham.load_instance(path)
-    # a header whose sizes are not those of its mixture at its N
-    size = int.from_bytes(blob[8:16], "little")
-    header = json.loads(blob[16:16 + size])
-    header["sizes"][0] += 1
-    header["sizes"][1] -= 1
-    head = json.dumps(header).encode()
-    path.write_bytes(blob[:8] + len(head).to_bytes(8, "little") + head
-                     + blob[16 + size:])
-    with pytest.raises(ValidationError, match="sizes"):
-        ham.load_instance(path)
-
-
-def test_instance_rejects_raw_draw_format(tmp_path, inst):
-    # GLHAM01 files hold the raw draws and GLHAM02 files the full N^3 J_3,
-    # not the packed couplings
-    path = tmp_path / "instance.bin"
-    ham.save_instance(inst, path)
-    blob = path.read_bytes()
-    assert blob.startswith(b"GLHAM03\n")
-    for magic in (b"GLHAM01\n", b"GLHAM02\n"):
-        path.write_bytes(magic + blob[8:])
-        with pytest.raises(ValidationError):
-            ham.load_instance(path)
-
-
-def test_state_round_trip(tmp_path, inst):
-    sig = ham.random_state(inst.partition, 51)
-    path = os.path.join(tmp_path, "state.npy")
-    ham.save_state(sig, path)
-    assert np.array_equal(ham.load_state(path).sigma, sig.sigma)

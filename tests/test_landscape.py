@@ -421,26 +421,21 @@ def test_hessian_spectrum_approaches_dyson_measure():
     assert large.max() <= 0.07
 
 
-def test_follow_is_seed_deterministic(tmp_path):
+def test_follow_is_seed_deterministic():
     # two draws from one seed, the second made while other buffers hold the
-    # heap, and a save/load copy: the in-place pack must not depend on where
-    # the allocator puts the draw
+    # heap: the in-place pack must not depend on where the allocator puts
+    # the draw
     preset = get_preset("cubic-pair")
     first = ham.sample(preset, 40, seed=0)
     held = [np.ones(n) for n in (3, 1000, 40 ** 3 + 5)]
     second = ham.sample(preset, 40, seed=0)
-    ham.save_instance(first, tmp_path / "instance.bin")
-    loaded = ham.load_instance(tmp_path / "instance.bin")
     del held
-    copies = (first, second, loaded)
-    for inst in copies[1:]:
-        for k in first.tensors:
-            assert np.array_equal(inst.tensors[k], first.tensors[k])
+    for k in first.tensors:
+        assert np.array_equal(second.tensors[k], first.tensors[k])
     for delta in all_sign_patterns(2):
         ends = [ls.follow_critical_points(inst, delta).sigma_star.sigma
-                for inst in copies]
-        for end in ends[1:]:
-            assert np.max(np.abs(end - ends[0])) <= 1e-14
+                for inst in (first, second)]
+        assert np.max(np.abs(ends[1] - ends[0])) <= 1e-14
 
 
 def test_follow_permutes_with_the_species():
