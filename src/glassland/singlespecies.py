@@ -2,10 +2,10 @@
 
 Everything here assumes the normalization xi(1) = 1, so the inputs are
 just the two scalars xi'(1) and xi''(1).  The module provides the
-annealed thresholds E_inf^-, E_inf^+, the exponential correction
-Theta(s), the complexity surfaces F(s, y) and its quadratic upper bound,
-the centered ellipse bounding the positive-complexity region, and the
-rescaled semicircle quantile.
+annealed thresholds E_inf^-, E_inf^+, the centered ellipse bounding the
+region where the quadratic bound F-tilde of the complexity is
+nonnegative, and the geometric case split of the upper annealed bound.
+The complexity F itself is the r = 1 case of complexity.F_extended.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ ALPHA_SQ_REL_FLOOR = 1e-12
 
 __all__ = [
     "ScalarThresholds", "EllipseParams", "thresholds",
-    "thresholds_from_mixture", "theta", "F_sy", "ellipse",
-    "classify_Einf_case", "semicircle_quantile",
+    "thresholds_from_mixture", "ellipse", "classify_Einf_case",
 ]
 
 
@@ -50,15 +49,6 @@ class EllipseParams:
     discriminant: float
     major_axis_angle: float
     tangent_slope_at_Eplus: float
-
-    def boundary_points(self, n: int = 64) -> np.ndarray:
-        """n points (s, y) on the zero level set of F-tilde."""
-        Q = np.array([[self.a_ss, self.a_sy / 2], [self.a_sy / 2, self.a_yy]])
-        evals, evecs = np.linalg.eigh(Q)
-        semi = np.sqrt(self.constant / -evals)
-        th = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
-        pts = evecs @ (semi[:, None] * np.vstack([np.cos(th), np.sin(th)]))
-        return pts.T
 
 
 def thresholds(xi_prime: float, xi_dprime: float) -> ScalarThresholds:
@@ -114,40 +104,6 @@ def _is_pure(th: ScalarThresholds) -> bool:
     return th.alpha_sq <= ALPHA_SQ_REL_FLOOR * th.xi_prime * th.xi_prime
 
 
-def theta(s: float) -> float:
-    """Theta(s): zero inside |s| < sqrt(2), nonpositive outside."""
-    a = abs(float(s))
-    if not np.isfinite(a):
-        raise ValidationError("s must be finite")
-    if a <= SQRT2:
-        return 0.0
-    root = np.sqrt(a * a - 2.0)
-    return float(-a * root / 2.0 + np.log((a + root) / SQRT2))
-
-
-def F_sy(th: ScalarThresholds, s: float, y: float, tilde: bool = False) -> float:
-    """Complexity surface F(s, y), or the quadratic bound F-tilde.
-
-    F = F-tilde + Theta(s), Theta at full weight, as in the pure p-spin
-    total complexity of Auffinger-Ben Arous-Cerny (CPAM 2013).  In the
-    pure case the squared-deviation term follows the explicit
-    -0/0 = 0 and -x/0 = -inf convention on the constraint line
-    s = y xi'/sqrt(2 xi'').
-    """
-    s, y = float(s), float(y)
-    if not np.isfinite([s, y]).all():
-        raise ValidationError("s and y must be finite")
-    dev = s - y * th.xi_prime / np.sqrt(2 * th.xi_dprime)
-    if _is_pure(th):
-        if abs(dev) > 1e-9:
-            return float("-inf")
-        penalty = 0.0
-    else:
-        penalty = 2 * th.xi_dprime / th.alpha_sq * dev * dev
-    bound = (np.log(th.xi_dprime / th.xi_prime) + s * s - y * y - penalty) / 2.0
-    return float(bound if tilde else bound + theta(s))
-
-
 def ellipse(th: ScalarThresholds) -> EllipseParams:
     """Centered ellipse bounding {F-tilde >= 0}."""
     if _is_pure(th):
@@ -183,26 +139,3 @@ def classify_Einf_case(th: ScalarThresholds) -> str:
     if ell.tangent_slope_at_Eplus >= 0:
         return "edge_bound_holds"
     return "requires_GS_comparison"
-
-
-def _semicircle_cdf_tail(s: float) -> float:
-    # (1/pi) * integral of sqrt(2 - x^2) over [-sqrt2, -s]
-    s = min(max(s, -SQRT2), SQRT2)
-    return float((np.pi / 2 - s * np.sqrt(2 - s * s) / 2
-                  - np.arcsin(s / SQRT2)) / np.pi)
-
-
-def semicircle_quantile(gamma: float) -> float:
-    """s in (-sqrt2, sqrt2) with mass gamma below -s, by bisection."""
-    gamma = float(gamma)
-    if not 0.0 < gamma < 1.0:
-        raise ValidationError("gamma must lie in (0, 1)")
-    lo, hi = -SQRT2, SQRT2
-    # tail mass decreases in s
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if _semicircle_cdf_tail(mid) > gamma:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

@@ -15,6 +15,7 @@ from glassland import singlespecies as ss
 from glassland.errors import (DegenerateU, DegenerateVariance, NonConvergence,
                               NumericalError, ValidationError)
 from glassland.presets import PRESETS, get_preset, single_species
+from test_singlespecies import F_sy
 
 SC = mx.stats(get_preset("one-species-quadratic"))
 P3 = mx.stats(get_preset("pure3"))
@@ -635,7 +636,7 @@ def _one_species_gap(gamma_sq, s, E):
     stats = mx.stats(spec)
     x = s * np.sqrt(2.0 * stats.xi_dprime[0, 0])
     return (cx.F_extended(stats, [x], E)
-            - ss.F_sy(ss.thresholds_from_mixture(spec), s, E))
+            - F_sy(ss.thresholds_from_mixture(spec), s, E))
 
 
 @pytest.mark.parametrize("gamma_sq", ONE_SPECIES)
@@ -718,9 +719,11 @@ def _survey():
 # boundary solve took two eta levels and checked their drift; all four are
 # strictly super-solvable, with some xi''_ss = 0
 DRIFT_RAISED = (87, 173, 213, 237)
-# survey mixture 173's census holds 12 points with some |u_s| > 200, at a
-# species with xi''_ss = 0: their residual, up to 61, is above 1e-10
-ILL_CONDITIONED = {173: 12}
+# survey mixture 173's census holds 8 points with |u_3| near 241, at a
+# species with xi''_33 = 0: each u is a certified z = 0 root, yet with
+# Re u_3 = -7.2e-9 where the pattern pins 0, their residual reads 7.2e-9 to
+# 7.5e-9, above 1e-10
+ILL_CONDITIONED = {173: 8}
 
 
 @pytest.mark.parametrize("k", range(40))
@@ -742,7 +745,8 @@ def test_sup_vanishes_where_the_level_drift_raised(k):
 def test_census_residuals_at_r_4_to_6(k):
     # every census point's residual is at most 1e-10 through the Dyson
     # solve, apart from the named ill-conditioned ones, none a maximiser;
-    # each of those is a z = 0 root or kept its continued value
+    # each of those is a z = 0 root: the distance gate of the certificate
+    # is relative, so a root 300 from a continued |u_3| of 1.8e4 passes
     stats, _ = _survey()[k]
     points = cx.find_stationary_points(stats)
     high = [p for p in points if p.residual > 1e-10]
@@ -752,10 +756,8 @@ def test_census_residuals_at_r_4_to_6(k):
         V = np.array([p.v for p in high])
         U = dy.boundary_values(stats, V)
         assert np.all(np.abs(U).max(axis=1) > 200.0)
-        root = dy._resid(U.T, V.T / stats.lam[:, None], dy._coupling(stats),
-                         0.0) <= 1e-12
-        kept = (U == dy.boundary_values(stats, V, polish=False)).all(axis=1)
-        assert root.any() and kept.any() and (root | kept).all()
+        assert dy._resid(U.T, V.T / stats.lam[:, None], dy._coupling(stats),
+                         0.0).max() <= 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))

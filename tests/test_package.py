@@ -7,7 +7,7 @@ import pytest
 
 import glassland
 from glassland import (complexity, dyson, errors, hamiltonian, mixture,
-                       presets, singlespecies)
+                       presets)
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(glassland.__path__))
 
@@ -46,9 +46,6 @@ NAN = float("nan")
 # bad input must raise ValidationError, not return a number or another error
 BAD_INPUT = {
     "F_extended-E": lambda: complexity.F_extended(ST, [0.1, 0.2], NAN),
-    "theta": lambda: singlespecies.theta(NAN),
-    "F_sy": lambda: singlespecies.F_sy(singlespecies.thresholds(3.0, 7.0),
-                                       NAN, 0.0),
     "measure-sizes": lambda: dyson.spectral_measure(ST, [0.1, 0.2],
                                                     sizes=[3.7, 5]),
     "sample-N": lambda: hamiltonian.sample(SKEW, 20.5, seed=0),

@@ -5,6 +5,74 @@ from glassland import singlespecies as ss
 from glassland.errors import DegenerateCase, ValidationError
 from glassland.presets import pure, single_species
 
+SQRT2 = np.sqrt(2.0)
+
+
+# one-species closed forms, the r = 1 oracles of the general functional
+
+
+def theta(s: float) -> float:
+    """Theta(s): zero inside |s| < sqrt(2), nonpositive outside."""
+    a = abs(float(s))
+    if a <= SQRT2:
+        return 0.0
+    root = np.sqrt(a * a - 2.0)
+    return float(-a * root / 2.0 + np.log((a + root) / SQRT2))
+
+
+def F_sy(th, s: float, y: float, tilde: bool = False) -> float:
+    """Complexity surface F(s, y), or the quadratic bound F-tilde.
+
+    F = F-tilde + Theta(s), Theta at full weight, as in the pure p-spin
+    total complexity of Auffinger-Ben Arous-Cerny (CPAM 2013).  In the
+    pure case the squared-deviation term follows the explicit
+    -0/0 = 0 and -x/0 = -inf convention on the constraint line
+    s = y xi'/sqrt(2 xi'').
+    """
+    dev = s - y * th.xi_prime / np.sqrt(2 * th.xi_dprime)
+    if ss._is_pure(th):
+        if abs(dev) > 1e-9:
+            return float("-inf")
+        penalty = 0.0
+    else:
+        penalty = 2 * th.xi_dprime / th.alpha_sq * dev * dev
+    bound = (np.log(th.xi_dprime / th.xi_prime) + s * s - y * y - penalty) / 2.0
+    return float(bound if tilde else bound + theta(s))
+
+
+def boundary_points(ell, n: int = 64) -> np.ndarray:
+    """n points (s, y) on the zero level set of F-tilde."""
+    Q = np.array([[ell.a_ss, ell.a_sy / 2], [ell.a_sy / 2, ell.a_yy]])
+    evals, evecs = np.linalg.eigh(Q)
+    semi = np.sqrt(ell.constant / -evals)
+    th = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+    pts = evecs @ (semi[:, None] * np.vstack([np.cos(th), np.sin(th)]))
+    return pts.T
+
+
+def _semicircle_cdf_tail(s: float) -> float:
+    # (1/pi) * integral of sqrt(2 - x^2) over [-sqrt2, -s]
+    s = min(max(s, -SQRT2), SQRT2)
+    return float((np.pi / 2 - s * np.sqrt(2 - s * s) / 2
+                  - np.arcsin(s / SQRT2)) / np.pi)
+
+
+def semicircle_quantile(gamma: float) -> float:
+    """s in (-sqrt2, sqrt2) with mass gamma below -s, by bisection."""
+    gamma = float(gamma)
+    if not 0.0 < gamma < 1.0:
+        raise ValidationError("gamma must lie in (0, 1)")
+    lo, hi = -SQRT2, SQRT2
+    # tail mass decreases in s
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if _semicircle_cdf_tail(mid) > gamma:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 MIXED = ss.thresholds(2.5, 4.0)  # xi(t) = t^2/2 + t^3/2
 
 
@@ -22,7 +90,7 @@ def test_thresholds_mixed_cubic():
     assert MIXED.E_inf_minus < MIXED.E_inf_plus
     # both roots of F-tilde(sqrt2, .) = 0
     for e in (MIXED.E_inf_minus, MIXED.E_inf_plus):
-        assert abs(ss.F_sy(MIXED, np.sqrt(2), e, tilde=True)) < 1e-8
+        assert abs(F_sy(MIXED, np.sqrt(2), e, tilde=True)) < 1e-8
 
 
 def test_thresholds_validation():
@@ -103,21 +171,21 @@ def test_thresholds_from_mixture():
 
 
 def test_theta_values():
-    assert ss.theta(np.sqrt(2)) == 0.0
-    assert ss.theta(0.0) == 0.0
+    assert theta(np.sqrt(2)) == 0.0
+    assert theta(0.0) == 0.0
     ref = -np.sqrt(2) + np.log(1 + np.sqrt(2))
-    assert abs(ss.theta(2.0) - ref) < 1e-10
-    assert abs(ss.theta(-2.0) - ref) < 1e-10
+    assert abs(theta(2.0) - ref) < 1e-10
+    assert abs(theta(-2.0) - ref) < 1e-10
 
 
 def test_theta_shape():
     grid = np.linspace(0, 5, 2001)
-    vals = np.array([ss.theta(s) for s in grid])
+    vals = np.array([theta(s) for s in grid])
     assert np.all(vals <= 0)
     assert np.all(np.diff(vals) <= 1e-12)
     # continuity at the indicator boundary
-    assert abs(ss.theta(np.sqrt(2) + 1e-8)) < 1e-3
-    assert np.allclose(vals, [ss.theta(-s) for s in grid])
+    assert abs(theta(np.sqrt(2) + 1e-8)) < 1e-3
+    assert np.allclose(vals, [theta(-s) for s in grid])
 
 
 def test_F_minus_Ftilde_is_theta():
@@ -125,10 +193,10 @@ def test_F_minus_Ftilde_is_theta():
     for _ in range(50):
         s = rng.uniform(-3, 3)
         y = rng.uniform(-3, 3)
-        f = ss.F_sy(MIXED, s, y)
-        ft = ss.F_sy(MIXED, s, y, tilde=True)
+        f = F_sy(MIXED, s, y)
+        ft = F_sy(MIXED, s, y, tilde=True)
         assert f <= ft + 1e-15
-        assert abs((f - ft) - ss.theta(s)) < 1e-12
+        assert abs((f - ft) - theta(s)) < 1e-12
 
 
 def _abc_total_complexity(p, u):
@@ -156,16 +224,16 @@ def test_F_is_the_pure_p_spin_total_complexity(p):
     for ratio in (0.3, 0.8, 1.0, 1.05, 1.2, 1.5):
         u = -ratio * e_inf
         s = -u * np.sqrt(p / (2.0 * (p - 1)))
-        assert abs(ss.F_sy(th, s, -u) - _abc_total_complexity(p, u)) <= 1e-12
+        assert abs(F_sy(th, s, -u) - _abc_total_complexity(p, u)) <= 1e-12
 
 
 def test_F_pure_conventions():
     th = ss.thresholds(3.0, 6.0)
     y = 1.2
     s_line = y * th.xi_prime / np.sqrt(2 * th.xi_dprime)
-    on_line = ss.F_sy(th, s_line, y)
+    on_line = F_sy(th, s_line, y)
     assert np.isfinite(on_line)
-    assert ss.F_sy(th, s_line + 0.1, y) == float("-inf")
+    assert F_sy(th, s_line + 0.1, y) == float("-inf")
 
 
 def test_ellipse_geometry():
@@ -176,8 +244,8 @@ def test_ellipse_geometry():
         (MIXED.xi_prime ** 2 + MIXED.alpha_sq)
     assert ineq > 2 * MIXED.xi_dprime * MIXED.xi_prime ** 2
     assert 0 <= ell.major_axis_angle <= np.pi / 2
-    for s, y in ell.boundary_points(128):
-        assert abs(ss.F_sy(MIXED, s, y, tilde=True)) < 1e-10
+    for s, y in boundary_points(ell, 128):
+        assert abs(F_sy(MIXED, s, y, tilde=True)) < 1e-10
 
 
 def test_ellipse_degenerate_pure():
@@ -207,8 +275,8 @@ def test_pure_floor_is_relative_in_F_and_ellipse():
     assert 0.0 < th.alpha_sq < 1e-11
     y = 1.0
     s_line = y * th.xi_prime / np.sqrt(2 * th.xi_dprime)
-    assert np.isfinite(ss.F_sy(th, s_line, y))
-    assert ss.F_sy(th, s_line + 1e-3, y) == float("-inf")
+    assert np.isfinite(F_sy(th, s_line, y))
+    assert F_sy(th, s_line + 1e-3, y) == float("-inf")
     with pytest.raises(DegenerateCase):
         ss.ellipse(th)
 
@@ -250,8 +318,8 @@ def test_boundary_maximum_location():
     # F vanishes on the |s| <= sqrt2 part of the boundary and is negative
     # on the strictly outside part
     ell = ss.ellipse(MIXED)
-    for s, y in ell.boundary_points(256):
-        f = ss.F_sy(MIXED, s, y)
+    for s, y in boundary_points(ell, 256):
+        f = F_sy(MIXED, s, y)
         if abs(s) <= np.sqrt(2):
             assert abs(f) < 1e-10
         else:
@@ -259,12 +327,12 @@ def test_boundary_maximum_location():
 
 
 def test_semicircle_quantile():
-    assert abs(ss.semicircle_quantile(0.5)) < 1e-9
+    assert abs(semicircle_quantile(0.5)) < 1e-9
     gamma_at_1 = (np.pi / 2 - 0.5 - np.arcsin(1 / np.sqrt(2))) / np.pi
-    assert abs(ss.semicircle_quantile(gamma_at_1) - 1.0) < 1e-6
-    assert ss.semicircle_quantile(1e-6) > 1.4
-    assert ss.semicircle_quantile(1 - 1e-6) < -1.4
-    qs = [ss.semicircle_quantile(g) for g in np.linspace(0.05, 0.95, 19)]
+    assert abs(semicircle_quantile(gamma_at_1) - 1.0) < 1e-6
+    assert semicircle_quantile(1e-6) > 1.4
+    assert semicircle_quantile(1 - 1e-6) < -1.4
+    qs = [semicircle_quantile(g) for g in np.linspace(0.05, 0.95, 19)]
     assert np.all(np.diff(qs) < 0)
     with pytest.raises(ValidationError):
-        ss.semicircle_quantile(0.0)
+        semicircle_quantile(0.0)
