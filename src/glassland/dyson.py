@@ -7,25 +7,25 @@ The central object is the coupled fixed-point system
 on the closed upper half-plane.  For Im z > 0 it has a unique root with
 Im m >= 0, so each solve runs guarded Newton rounds first, a cold one
 from the root of the decoupled scalar system (every m_t set to m_s).  A
-round carries only the rows still above SOLVER_TOL and solves each step
-on K + diag(denom/m), the Jacobian with the row scaling diag(m) taken
-out: by Cramer's rule for r <= 3, where only the diagonal varies by row,
-by LAPACK for larger r.  The solver keeps a batch species-major, as
-(r, n) arrays with one contiguous length-n row per species: the residual
-reduces over the short species axis, and the r <= 3 step is elementwise
-on rows, where an (n, r) layout spent most of its time in numpy
-overhead.  Batches enter and leave as (n, r) rows through
-_boundary_batch.  Only rows where Newton stalls take the slower path of
-damped half-plane sweeps over their whole batch before Newton.
-Boundary values u(v) at z -> 0 come from one cold solve at z = i ETA,
-where uniqueness makes a warm start unnecessary; a polished batch then
-certifies each row at z = 0, by the real-root polish or by complex
-Newton from the continued value.  Limiting spectral densities are the
-imaginary parts of continued values at x + i ETA, uncertified: their
-O(ETA) bias moved masses and psi's quadrature by at most 5.3e-8 on the
-presets, far under MASS_TOL.  Boundary points are classified by
-feasibility conditions on the stability matrices and by multi-scale
-probes (edge vs cusp).
+round carries only the rows still above SOLVER_TOL, with the denom of
+their last residual, and solves each step on K + diag(denom/m), the
+Jacobian with the row scaling diag(m) taken out: by Cramer's rule for
+r <= 3, where only the diagonal varies by row, by LAPACK for larger r.
+The solver keeps a batch species-major, as (r, n) arrays with one
+contiguous length-n row per species: the residual reduces over the short
+species axis, and the r <= 3 step is elementwise on rows, where an
+(n, r) layout spent most of its time in numpy overhead.  Batches enter
+and leave as (n, r) rows through _boundary_batch.  Only rows where
+Newton stalls take the slower path of damped half-plane sweeps over
+their whole batch before Newton.  Boundary values u(v) at z -> 0 come
+from one cold solve at z = i ETA, where uniqueness makes a warm start
+unnecessary; a polished batch then certifies each row at z = 0, by the
+real-root polish or by complex Newton from the continued value.
+Limiting spectral densities are the imaginary parts of continued values
+at x + i ETA, uncertified: their O(ETA) bias moved masses and psi's
+quadrature by at most 5.3e-8 on the presets, far under MASS_TOL.
+Boundary points are classified by feasibility conditions on the
+stability matrices and by multi-scale probes (edge vs cusp).
 """
 
 from __future__ import annotations
@@ -115,7 +115,12 @@ def _coupling(stats: MixtureStats) -> np.ndarray:
 
 
 def _resid(m, shift, K, z):
-    return np.abs(1.0 + (z + shift + K @ m) * m).max(axis=0)
+    return _resid_denom(m, shift, K, z)[0]
+
+
+def _resid_denom(m, shift, K, z):
+    denom = z + shift + K @ m
+    return np.abs(1.0 + denom * m).max(axis=0), denom
 
 
 def _damped_sweeps(m, shift, K, z, tol, sweeps):
@@ -126,7 +131,7 @@ def _damped_sweeps(m, shift, K, z, tol, sweeps):
     residual never increases and a row at or below tol is final.  The
     batch is small: sweeps run only on Newton's stalled rows.
     """
-    res = _resid(m, shift, K, z)
+    res, denom = _resid_denom(m, shift, K, z)
     alpha = np.full(m.shape[1], 0.5)
     used = 0
     for _ in range(sweeps):
@@ -134,13 +139,12 @@ def _damped_sweeps(m, shift, K, z, tol, sweeps):
         if not live.any():
             break
         used += 1
-        step = -1.0 / (z + shift + K @ m)
-        cand = (1.0 - alpha) * m + alpha * step
+        cand = (1.0 - alpha) * m + alpha * (-1.0 / denom)
         np.maximum(cand.imag, 0.0, out=cand.imag)
-        rc = _resid(cand, shift, K, z)
+        rc, dc = _resid_denom(cand, shift, K, z)
         better = live & (rc <= res)
         worse = live & ~better
-        m[:, better] = cand[:, better]
+        m[:, better], denom[:, better] = cand[:, better], dc[:, better]
         res[better] = rc[better]
         alpha[better] = np.minimum(0.5, alpha[better] * 1.2)
         alpha[worse] = np.maximum(1e-3, alpha[worse] * 0.5)
@@ -150,34 +154,37 @@ def _damped_sweeps(m, shift, K, z, tol, sweeps):
 def _newton_rounds(m, shift, K, z, tol=SOLVER_TOL, rounds=40, halvings=10):
     """Guarded Newton rounds, at most rounds, on the rows above tol.
 
-    Each round takes _newton_step's step d, the least-squares one where
-    that has none, and then the first of up to halvings halvings of d
-    that lowers the residual, clamped to Im m >= 0 when Im z > 0.  A
-    row's residual never increases, so only the rows still above tol are
-    carried; each is written back to m and res when it leaves.  A row
-    whose line search fails stays carried and fails again, since its
-    step is the same.  The rounds stop when no carried row improves.
-    Returns m, res and the rounds used.
+    Each round takes _newton_step's step d, the least-squares one where that
+    has none, and then the first of up to halvings halvings of d that lowers
+    the residual, clamped to Im m >= 0 when Im z > 0.  A row's residual
+    never increases, so only the rows above tol are carried, with the denom
+    of their last residual, until they leave for m and res; a full step that
+    every row accepts is taken whole.  A row whose line search fails stays
+    carried and fails again, since its step is the same.  The rounds stop
+    when no carried row improves.  Returns m, res and the rounds used.
     """
-    res = _resid(m, shift, K, z)
+    res, denom = _resid_denom(m, shift, K, z)
     idx = np.flatnonzero(res > tol)
-    ml, sl, rl = m.take(idx, 1), shift.take(idx, 1), res[idx]
+    ml, sl, dl, rl = (a.take(idx, -1) for a in (m, shift, denom, res))
     used = 0
     while idx.size and used < rounds:
         used += 1
-        d = _newton_step(ml, sl, K, z, lstsq=True)
+        d = _newton_step(ml, dl, K, lstsq=True)
         # the full step on the carried arrays, halvings on the rows it failed
         cand, sp, rp, pend = ml + d, sl, rl, None
         for _bt in range(halvings):
             if z.imag > 0:
                 np.maximum(cand.imag, 0.0, out=cand.imag)
-            rc = _resid(cand, sp, K, z)
+            rc, dc = _resid_denom(cand, sp, K, z)
             ok = rc < rp
             if pend is None:
-                ml, rl = np.where(ok, cand, ml), np.where(ok, rc, rl)
-                pend = np.flatnonzero(~ok)
+                if not ok.all():
+                    cand, dc, rc = (np.where(ok, cand, ml), np.where(ok, dc, dl),
+                                    np.where(ok, rc, rl))
+                ml, dl, rl, pend = cand, dc, rc, np.flatnonzero(~ok)
             else:
-                ml[:, pend[ok]], rl[pend[ok]] = cand.compress(ok, 1), rc[ok]
+                ml[:, pend[ok]], dl[:, pend[ok]], rl[pend[ok]] = (
+                    cand.compress(ok, 1), dc.compress(ok, 1), rc[ok])
                 pend = pend[~ok]
             if not pend.size:
                 break
@@ -189,7 +196,7 @@ def _newton_rounds(m, shift, K, z, tol=SOLVER_TOL, rounds=40, halvings=10):
         if done.any():
             m[:, idx[done]], res[idx[done]] = ml.compress(done, 1), rl[done]
             idx, rl = idx[~done], rl[~done]
-            ml, sl = ml.compress(~done, 1), sl.compress(~done, 1)
+            ml, sl, dl = (a.compress(~done, 1) for a in (ml, sl, dl))
     m[:, idx] = ml
     res[idx] = rl
     return m, res, used
@@ -269,8 +276,8 @@ def _sweep_first(m, shift, K, z):
     return m, sweeps + rounds
 
 
-def _newton_step(m, shift, K, z, lstsq=False):
-    """Newton steps d at the columns of m.
+def _newton_step(m, denom, K, lstsq=False):
+    """Newton steps d at the columns of m, given their denom = z + shift + K m.
 
     J = diag(denom) + diag(m) K is diag(m) (K + diag(q)) with q = denom/m,
     so d solves (K + diag(q)) d = -F/m = -(1/m + denom): the real K is
@@ -282,7 +289,6 @@ def _newton_step(m, shift, K, z, lstsq=False):
     is unsolved and steps 0, or with lstsq takes the least-squares step on J.
     """
     r, n = m.shape
-    denom = z + shift + K @ m
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inv = 1.0 / m
         # q, and F/m = 1/m + denom: each solve folds the step's sign in
@@ -363,8 +369,8 @@ def _polish_real(shift, K, wgt, m):
             break
         wl, sl = w[:, live], shift[:, live]
         # an unsolved row steps 0, and a zero residual cannot descend
-        d = _newton_step(wl, sl, K, 0.0)
-        base = _resid(wl, sl, K, 0.0)
+        base, denom = _resid_denom(wl, sl, K, 0.0)
+        d = _newton_step(wl, denom, K)
         best, step = base.copy(), wl.copy()
         for mult in (3.0, 2.0, 1.0):
             cand = wl + mult * d
@@ -659,11 +665,10 @@ def psi_of_u(stats: MixtureStats, u):
     The pairing is bilinear (unconjugated).  u of shape (r,) gives a float,
     rows u of shape (n, r) an array of n values.
     """
-    u = np.asarray(u)
-    rows = u.reshape(-1, 1, stats.r)
-    quad = 0.5 * np.real(rows @ stats.xi_dprime @ rows.transpose(0, 2, 1))
-    values = quad[:, 0, 0] - np.log(np.abs(u)).reshape(-1, stats.r) @ stats.lam
-    return float(values[0]) if u.ndim == 1 else values
+    rows = np.asarray(u).reshape(-1, stats.r)
+    quad = 0.5 * np.einsum("ns,ns->n", rows @ stats.xi_dprime, rows).real
+    values = quad - np.log(np.abs(rows)) @ stats.lam
+    return float(values[0]) if np.ndim(u) == 1 else values
 
 
 def _log_integral(grid, density):

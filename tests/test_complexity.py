@@ -816,6 +816,39 @@ def test_F_point_is_quadratic_part_plus_psi():
         assert cx.F_point(FC, x).F == want
 
 
+def _mixture_r5():
+    # every coupling of degree 2 present, with random fields and weights
+    rng = np.random.default_rng(12)
+    weights = rng.uniform(0.2, 1.0, 5)
+    coeffs = [(1, (s,), rng.uniform(0.1, 2.0)) for s in range(5)]
+    coeffs += [(2, idx, rng.uniform(0.1, 1.5))
+               for idx in itertools.combinations_with_replacement(range(5), 2)]
+    return mx.MixtureSpec(r=5, lam=weights / weights.sum(),
+                          coeffs=tuple(coeffs))
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS) + ["r=5"])
+def test_F_and_psi_rows_match_their_one_row_definitions(name):
+    # _F_rows takes A^-1 v from one product with inv(A) and both quadratic
+    # forms by einsum; each row against np.linalg.solve and the one-row
+    # formula (1/2) Re(u xi'' u) - lambda . log|u|, relative to the terms
+    st = mx.stats(_mixture_r5() if name == "r=5" else get_preset(name))
+    V = np.random.default_rng(st.r).uniform(-3.0, 3.0, (40, st.r))
+    U = dy.boundary_values(st, V)
+    F, grad = cx._F_rows(st, V, U)
+    psi = dy.psi_of_u(st, U)
+    for v, u, f, g, p in zip(V, U, F, grad, psi):
+        ainv_v = np.linalg.solve(st.A, v)
+        quad = 0.5 * (u @ st.xi_dprime @ u).real
+        logs = st.lam @ np.log(np.abs(u))
+        assert abs(p - (quad - logs)) <= 1e-13 * (abs(quad) + abs(logs))
+        terms = [cx._quad_const(st), 0.5 * v @ ainv_v, quad, logs]
+        assert abs(f - (terms[0] - terms[1] + quad - logs)) <= (
+            1e-13 * sum(map(abs, terms)))
+        want = -ainv_v - u.real
+        assert np.abs(g - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_r_auto_is_twice_the_ideal_radial_plus_four():
     for name in PRESETS:
         spec = get_preset(name)
@@ -903,6 +936,25 @@ def test_scan_asymmetric_grid_matches_pointwise_F():
     for i, j in itertools.product((0, 2, 4, 6, 8), (0, 3, 5, 8)):
         x = np.array([sc.grid[0][i], sc.grid[1][j]])
         assert abs(sc.F_values[i, j] - cx.F_point(FB, x).F) < 1e-5
+
+
+@pytest.mark.parametrize("name, grid_spec, calls, solved", [
+    ("skew-pair", 101, 1, 5101), ("three-species", 21, 1, 4631),
+    ("symmetric-pair", None, 11, 45301),
+])
+def test_scan_solves_balanced_batches(name, grid_spec, calls, solved,
+                                      monkeypatch):
+    # round(h / SCAN_CHUNK) batches, at least one, of sizes within 1
+    rows, solve = [], dy.boundary_values
+
+    def counted(stats, V, polish=True):
+        rows.append(len(V))
+        return solve(stats, V, polish)
+
+    monkeypatch.setattr(cx.dyson, "boundary_values", counted)
+    cx.scan(mx.stats(get_preset(name)), grid_spec)
+    assert len(rows) == calls
+    assert max(rows) - min(rows) <= 1 and sum(rows) == solved
 
 
 def test_scan_chunking_consistent(monkeypatch):

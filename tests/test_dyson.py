@@ -570,6 +570,120 @@ def test_stalled_newton_rows_restart_sweep_first():
     assert np.abs(m - ref).max() <= 1e-10
 
 
+def _recomputing_newton_rounds(m, shift, K, z, counts):
+    # _newton_rounds as it was before it carried each row's denominator:
+    # every round recomputes z + shift + K m on the carried rows; counts
+    # the rows accepted at a halving of the step, and those that fail every
+    # halving in a round that goes on
+    tol = dy.SOLVER_TOL
+    res = dy._resid(m, shift, K, z)
+    idx = np.flatnonzero(res > tol)
+    ml, sl, rl = m.take(idx, 1), shift.take(idx, 1), res[idx]
+    used = 0
+    while idx.size and used < 40:
+        used += 1
+        d = dy._newton_step(ml, dy._resid_denom(ml, sl, K, z)[1], K,
+                            lstsq=True)
+        cand, sp, rp, pend = ml + d, sl, rl, None
+        for _ in range(10):
+            if z.imag > 0:
+                np.maximum(cand.imag, 0.0, out=cand.imag)
+            rc = dy._resid(cand, sp, K, z)
+            ok = rc < rp
+            if pend is None:
+                ml, rl = np.where(ok, cand, ml), np.where(ok, rc, rl)
+                pend = np.flatnonzero(~ok)
+            else:
+                counts["halved"] += int(ok.sum())
+                ml[:, pend[ok]], rl[pend[ok]] = cand.compress(ok, 1), rc[ok]
+                pend = pend[~ok]
+            if not pend.size:
+                break
+            d = 0.5 * d.compress(~ok, 1)
+            cand, sp, rp = ml.take(pend, 1) + d, sl.take(pend, 1), rl[pend]
+        if pend.size == idx.size:
+            break
+        counts["stuck"] += pend.size
+        done = rl <= tol
+        if done.any():
+            m[:, idx[done]], res[idx[done]] = ml.compress(done, 1), rl[done]
+            idx, rl = idx[~done], rl[~done]
+            ml, sl = ml.compress(~done, 1), sl.compress(~done, 1)
+    m[:, idx] = ml
+    res[idx] = rl
+    return m, res, used
+
+
+def test_carried_denominators_match_recomputed_ones(monkeypatch):
+    # numpy sends a one-column K @ m to BLAS gemv, whose last bits differ
+    # from gemm's on the same column, and a carried denominator can cross
+    # between the two when a halving or the carried set is one row wide;
+    # with every product through gemm the carried denominators are the
+    # recomputed ones, bit for bit
+    resid_denom = dy._resid_denom
+
+    def through_gemm(m, shift, K, z):
+        if m.shape[1] != 1:
+            return resid_denom(m, shift, K, z)
+        res, denom = resid_denom(np.repeat(m, 2, 1), np.repeat(shift, 2, 1),
+                                 K, z)
+        return res[:1], np.ascontiguousarray(denom[:, :1])
+
+    steps, newton_step = [], dy._newton_step
+
+    def recorded(m, denom, K, lstsq=False):
+        steps.append((m.copy(), denom.copy()))
+        return newton_step(m, denom, K, lstsq)
+
+    monkeypatch.setattr(dy, "_resid_denom", through_gemm)
+    monkeypatch.setattr(dy, "_newton_step", recorded)
+    rng = np.random.default_rng(17)
+    counts = {kind: {"halved": 0, "stuck": 0}
+              for kind in ("cold", "z=0", "stiff")}
+    for name in sorted(PRESETS):
+        st = mx.stats(get_preset(name))
+        K = dy._coupling(st)
+        V = rng.uniform(-4.0, 4.0, (300, st.r))
+        shift = np.ascontiguousarray((V / st.lam).T)
+        roots = dy.boundary_values(st, V).T
+        noise = rng.standard_normal((2,) + roots.shape)
+        starts = {
+            "cold": (1j * dy.ETA, dy._scalar_start(shift, K, 1j * dy.ETA)),
+            "z=0": (0.0, roots + 0.05 * (noise[0] + 1j * noise[1])),
+        }
+        for kind, (z, m0) in starts.items():
+            _assert_rounds_match(m0, shift, K, z, counts[kind], steps)
+    # the coupling of test_stalled_newton_rows_restart_sweep_first, cold
+    # from m = i: some rows fail a whole line search while others go on
+    lam = np.array([0.003, 0.2, 0.047, 0.75])
+    xi2 = np.array([[0.6, 1.1, 1.1, 1.3], [1.1, 2.0, 1.4, 0.8],
+                    [1.1, 1.4, 1.2, 1.7], [1.3, 0.8, 1.7, 2.0]])
+    shift = np.ones((4, 1)) * np.linspace(-100.0, 20.0, 25)
+    for z in (1e-2j, 1j * dy.ETA):
+        _assert_rounds_match(np.full(shift.shape, 1j), shift,
+                             xi2 / lam[:, None], z, counts["stiff"], steps)
+    # the where and compress branches carried some halved row's denominator,
+    # and a row that failed every halving kept its last accepted one
+    assert counts["cold"]["halved"] > 0 and counts["z=0"]["halved"] > 0
+    assert counts["stiff"]["stuck"] > 0
+
+
+def _assert_rounds_match(m0, shift, K, z, counts, steps):
+    # the same m, res and rounds, and every step taken from the same m and
+    # denominators; steps records each _newton_step call's m and denom
+    steps.clear()
+    want = _recomputing_newton_rounds(m0.copy(), shift, K, z, counts)
+    want_steps = steps[:]
+    steps.clear()
+    got = dy._newton_rounds(m0.copy(), shift, K, z)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
+    assert len(steps) == len(want_steps)
+    for (m, denom), (m_want, denom_want) in zip(steps, want_steps):
+        assert np.array_equal(m, m_want) and np.array_equal(denom, denom_want)
+
+
 def _step_case(rng, n, r, dtype):
     # a real coupling shared by the batch, and (r, n) rows m and shift
     K = rng.uniform(0.0, 1.5, (r, r))
@@ -595,7 +709,7 @@ def test_solve_rows_matches_lapack(r, dtype):
     # _newton_step's rows against LAPACK on J: r <= 3 solves K + diag(denom/m)
     # by Cramer's rule, r = 4 through LAPACK
     K, m, shift = _step_case(np.random.default_rng(r), 200, r, dtype)
-    d = dy._newton_step(m, shift, K, 0.0)
+    d = dy._newton_step(m, dy._resid_denom(m, shift, K, 0.0)[1], K)
     J, F = _jacobian(K, m, shift)
     want = np.linalg.solve(J, -F.T[..., None])[..., 0]
     assert d.dtype == want.dtype
@@ -613,7 +727,7 @@ def test_solve_rows_flags_only_the_singular_row(r):
     K[-1, :-1] = 0.0
     m[:, 4] = 1.0
     shift[-1, 4] = -2.0 * K[-1, -1]
-    d = dy._newton_step(m, shift, K, 0.0)
+    d = dy._newton_step(m, dy._resid_denom(m, shift, K, 0.0)[1], K)
     # an unsolved row steps 0
     keep = [0, 1, 3, 5]
     assert np.all(d[:, [2, 4]] == 0.0) and np.all(d[:, keep] != 0.0)
@@ -621,7 +735,8 @@ def test_solve_rows_flags_only_the_singular_row(r):
     assert np.allclose(d[:, keep].T,
                        np.linalg.solve(J[keep], -F.T[keep, :, None])[..., 0])
     # with lstsq the unsolved rows take the least-squares step on J
-    d_ls = dy._newton_step(m, shift, K, 0.0, lstsq=True)
+    d_ls = dy._newton_step(m, dy._resid_denom(m, shift, K, 0.0)[1], K,
+                           lstsq=True)
     for i in (2, 4):
         assert np.allclose(d_ls[:, i],
                            np.linalg.lstsq(J[i], -F[:, i], rcond=None)[0])
@@ -630,8 +745,8 @@ def test_solve_rows_flags_only_the_singular_row(r):
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_empty_batches_pass_through(r):
-    d = dy._newton_step(np.zeros((r, 0), complex), np.zeros((r, 0)),
-                        np.eye(r), 1j)
+    d = dy._newton_step(np.zeros((r, 0), complex), np.zeros((r, 0), complex),
+                        np.eye(r))
     assert d.shape == (r, 0)
     K = np.eye(r)
     roots, ok = dy._polish_real(np.zeros((r, 0)), K, np.ones(r) / r,
