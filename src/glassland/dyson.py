@@ -16,11 +16,12 @@ contiguous length-n row per species: the residual reduces over the short
 species axis, and the r <= 3 step is elementwise on rows, where an
 (n, r) layout spent most of its time in numpy overhead.  Batches enter
 and leave as (n, r) rows through _boundary_batch.  Only rows where
-Newton stalls take the slower path of damped half-plane sweeps over
-their whole batch before Newton.  Boundary values u(v) at z -> 0 come
-from one cold solve at z = i ETA, where uniqueness makes a warm start
-unnecessary; a polished batch then certifies each row at z = 0, by the
-real-root polish or by complex Newton from the continued value.
+Newton stalls take a slower path: the same Newton continued in eta,
+down from a level where the system contracts (_continue).  Boundary
+values u(v) at z -> 0 come from one cold solve at z = i ETA, where
+uniqueness makes a warm start unnecessary; a polished batch then
+certifies each row at z = 0, by the real-root polish or by complex
+Newton from the continued value.
 Limiting spectral densities are the imaginary parts of continued values
 at x + i ETA, uncertified: their O(ETA) bias moved masses and psi's
 quadrature by at most 5.3e-8 on the presets, far under MASS_TOL.
@@ -73,7 +74,7 @@ __all__ = [
 class DysonSolution:
     """One solved spectral parameter: m_s(z; x) with residual bookkeeping.
 
-    iterations is the solver's work: damped sweeps plus Newton rounds.
+    iterations is the solver's work: Newton rounds.
     """
 
     z: complex
@@ -121,34 +122,6 @@ def _resid(m, shift, K, z):
 def _resid_denom(m, shift, K, z):
     denom = z + shift + K @ m
     return np.abs(1.0 + denom * m).max(axis=0), denom
-
-
-def _damped_sweeps(m, shift, K, z, tol, sweeps):
-    """Damped half-plane iteration; the step map preserves Im m >= 0.
-
-    Every sweep steps the whole batch, and a row takes its step only while
-    it is above tol and the step does not raise its residual, so a row's
-    residual never increases and a row at or below tol is final.  The
-    batch is small: sweeps run only on Newton's stalled rows.
-    """
-    res, denom = _resid_denom(m, shift, K, z)
-    alpha = np.full(m.shape[1], 0.5)
-    used = 0
-    for _ in range(sweeps):
-        live = res > tol
-        if not live.any():
-            break
-        used += 1
-        cand = (1.0 - alpha) * m + alpha * (-1.0 / denom)
-        np.maximum(cand.imag, 0.0, out=cand.imag)
-        rc, dc = _resid_denom(cand, shift, K, z)
-        better = live & (rc <= res)
-        worse = live & ~better
-        m[:, better], denom[:, better] = cand[:, better], dc[:, better]
-        res[better] = rc[better]
-        alpha[better] = np.minimum(0.5, alpha[better] * 1.2)
-        alpha[worse] = np.maximum(1e-3, alpha[worse] * 0.5)
-    return m, res, used
 
 
 def _newton_rounds(m, shift, K, z, tol=SOLVER_TOL, rounds=40, halvings=10):
@@ -221,59 +194,61 @@ def _solve_batch(shift, K, z, warm=None):
     shift, warm and the returned m are (r, n), one column per row of the
     batch.  For Im z > 0 the system has exactly one root with Im m >= 0
     (Ajanki-Erdos-Krueger), so guarded Newton clamped to the closed upper
-    half-plane cannot settle on a wrong root and runs first.  It can stall
-    on the boundary Im m_s = 0, far from the root, where no
-    residual-lowering step exists.  A cold solve starts Newton at
-    _scalar_start, exact for r = 1, and the rows it leaves above
-    SOLVER_TOL restart _sweep_first from m = i; a warm solve restarts them
-    from warm.  A real z, which only a warm start reaches, takes the same
-    path; there the root need not be unique, and warm picks it.  Newton
-    carries only the live rows; see _newton_rounds and _newton_step for
-    how each step is solved.  Returns m and the work done, sweeps plus
-    Newton rounds.
+    half-plane cannot settle on a wrong root: it runs from warm or, cold,
+    from _scalar_start, exact for r = 1.  It can stall on the boundary
+    Im m_s = 0, far from the root, where no residual-lowering step exists;
+    _continue solves the rows it leaves above SOLVER_TOL.  A real z, which
+    only a warm start reaches, takes the same path; there the root need
+    not be unique, and warm, or for a stalled row the continuation, picks
+    it.  Returns m and the work done, Newton rounds.
     """
-    if warm is not None:
-        m0 = np.array(warm, dtype=complex).reshape(shift.shape)
-        if z.imag > 0:
-            np.maximum(m0.imag, 0.0, out=m0.imag)
+    if warm is None:
+        m = _scalar_start(shift, K, z)
     else:
-        m0 = np.full(shift.shape, 1j, dtype=complex)
-    m, res, work = _newton_rounds(
-        m0.copy() if warm is not None else _scalar_start(shift, K, z),
-        shift, K, z)
+        m = np.array(warm, dtype=complex).reshape(shift.shape)
+        if z.imag > 0:
+            np.maximum(m.imag, 0.0, out=m.imag)
+    m, res, work = _newton_rounds(m, shift, K, z)
     stalled = res > SOLVER_TOL
     if stalled.any():
-        m[:, stalled], more = _sweep_first(
-            m0.compress(stalled, 1), shift.compress(stalled, 1), K, z)
+        m[:, stalled], more = _continue(shift.compress(stalled, 1), K, z)
         work += more
     return m, work
 
 
-def _sweep_first(m, shift, K, z):
-    """Damped sweeps to 1e-6, then guarded Newton rounds and sweeps in turn.
+def _continue(shift, K, z):
+    """Newton continued in eta down to z, for (r, n) rows Newton stalls on.
 
-    The sweeps bring each row near the root before the first Newton
-    round.  Both phases accept a step only where it does not raise
-    the residual, so a row's residual never increases: a row that reaches
-    SOLVER_TOL is final.  Newton carries the rows above it; sweeps mask them.
-    Raises NonConvergence when 60 rounds of phases, at most
-    400 + 60 * 200 sweeps, leave a row above SOLVER_TOL.
+    The top level is Re z + i eta_top, eta_top = max(1, 2 sqrt(max_s sum_t
+    K_st)), where |m_s| <= 1/eta_top makes m -> -1/(z + shift + K m) a
+    contraction and Newton from _scalar_start converges.  Each level below
+    starts warm from the last one passed, where every row reached
+    SOLVER_TOL; eta steps down by a ratio that starts at 10, becomes its
+    square root after a level fails and squares, up to 10, after one
+    passes.  z itself is the last level, taken once eta would fall to
+    max(Im z, ETA_FLOOR).  Raises NonConvergence, naming the level, when
+    the top level fails or the ratio falls to 1.01.  Returns m and the
+    Newton rounds used.
     """
-    m, res, sweeps = _damped_sweeps(m, shift, K, z, 1e-6, 400)
-    rounds = 0
-    for _ in range(60):
+    at = complex(z.real, max(1.0, 2.0 * np.sqrt(K.sum(axis=1).max())))
+    m, res, work = _newton_rounds(_scalar_start(shift, K, at), shift, K, at)
+    # a top level that fails leaves no level to continue from
+    level, ratio = at, 10.0 if res.max() <= SOLVER_TOL else 1.0
+    floor = max(z.imag, ETA_FLOOR)
+    while level != z and ratio > 1.01:
+        eta = level.imag / ratio
+        at = z if eta <= floor else complex(z.real, eta)
+        w, res, used = _newton_rounds(m.copy(), shift, K, at)
+        work += used
         if res.max() <= SOLVER_TOL:
-            return m, sweeps + rounds
-        m, res, used = _newton_rounds(m, shift, K, z)
-        rounds += used
-        if res.max() <= SOLVER_TOL:
-            return m, sweeps + rounds
-        m, res, used = _damped_sweeps(m, shift, K, z, SOLVER_TOL, 200)
-        sweeps += used
+            level, m, ratio = at, w, min(10.0, ratio * ratio)
+        else:
+            ratio = np.sqrt(ratio)
     if res.max() > SOLVER_TOL:
         raise NonConvergence(
-            f"dyson solver stalled at residual {res.max():.3e} (z={z})")
-    return m, sweeps + rounds
+            f"dyson solver stalled at residual {res.max():.3e} on the level "
+            f"z={at} of the continuation to z={z}")
+    return m, work
 
 
 def _newton_step(m, denom, K, lstsq=False):

@@ -1,9 +1,11 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 from scipy.optimize import fsolve
 
+from glassland import complexity as cx
 from glassland import dyson as dy
 from glassland import mixture as mx
 from glassland.errors import (DegenerateU, InconsistentProbes, MassDeficit,
@@ -378,18 +380,13 @@ def test_two_levels_match_dense_ladder(case, monkeypatch):
     # the same root, and the z = 0 certificate takes both to the same u
     st, V = _hard_rows(case)
     K = dy._coupling(st)
-    sweep_first, fallbacks = dy._sweep_first, []
-
-    def sweep_first_counted(m, *args):
-        fallbacks.append(m.shape[1])
-        return sweep_first(m, *args)
-
-    monkeypatch.setattr(dy, "_sweep_first", sweep_first_counted)
+    fallbacks = _count_continuations(monkeypatch)
     ladder = _dense_ladder_values(V / st.lam, K)
-    ref_fallbacks, fallbacks[:] = sum(fallbacks), []
+    ref_fallbacks = sum(n for n, _, _ in fallbacks)
+    fallbacks.clear()
     got = dy.boundary_values(st, V)
-    # no more rows restarted in _sweep_first than down the dense ladder
-    assert sum(fallbacks) <= ref_fallbacks
+    # no more rows continued in eta than down the dense ladder
+    assert sum(n for n, _, _ in fallbacks) <= ref_fallbacks
     # every row of these hard rows is certified, to the root from the ladder
     assert dy._resid(got.T, V.T / st.lam[:, None], K, 0.0).max() <= 1e-12
     monkeypatch.setattr(dy, "_solve_batch", lambda *args: (ladder.copy(), 0))
@@ -423,42 +420,13 @@ def test_one_level_matches_dense_ladder(case, monkeypatch):
     # unpolished, the rows are solved once, cold at the last level, and
     # reach the root that the dense continuation reaches at that level
     st, V = _hard_rows(case)
-    sweep_first, fallbacks = dy._sweep_first, []
-
-    def sweep_first_counted(m, *args):
-        fallbacks.append(m.shape[1])
-        return sweep_first(m, *args)
-
-    monkeypatch.setattr(dy, "_sweep_first", sweep_first_counted)
+    fallbacks = _count_continuations(monkeypatch)
     ref = _dense_ladder_values(V / st.lam, dy._coupling(st))
-    ref_fallbacks, fallbacks[:] = sum(fallbacks), []
+    ref_fallbacks = sum(n for n, _, _ in fallbacks)
+    fallbacks.clear()
     got = dy.boundary_values(st, V, polish=False)
     assert np.abs(got - ref.T).max() <= ONE_LEVEL_TOL
-    assert sum(fallbacks) <= ref_fallbacks
-
-
-def _full_batch_damped_sweeps(m, shift, K, z, tol, sweeps, live_counts):
-    # reference: every sweep steps the whole batch and masks with live
-    res = dy._resid(m, shift, K, z)
-    alpha = np.full(m.shape[1], 0.5)
-    used = 0
-    for _ in range(sweeps):
-        live = res > tol
-        if not live.any():
-            break
-        live_counts.append(int(live.sum()))
-        used += 1
-        step = -1.0 / (z + shift + K @ m)
-        cand = (1.0 - alpha) * m + alpha * step
-        np.maximum(cand.imag, 0.0, out=cand.imag)
-        rc = dy._resid(cand, shift, K, z)
-        better = live & (rc <= res)
-        worse = live & ~better
-        m[:, better] = cand[:, better]
-        res[better] = rc[better]
-        alpha[better] = np.minimum(0.5, alpha[better] * 1.2)
-        alpha[worse] = np.maximum(1e-3, alpha[worse] * 0.5)
-    return m, res, used
+    assert sum(n for n, _, _ in fallbacks) <= ref_fallbacks
 
 
 @pytest.fixture(scope="module")
@@ -484,90 +452,139 @@ def edge_batch():
     return shift, K, z, m0
 
 
-# _sweep_first runs its damped phases at these two tolerances
-@pytest.mark.parametrize("tol", [1e-6, dy.SOLVER_TOL])
-def test_damped_sweeps_on_live_rows_match_full_batch(edge_batch, tol):
-    shift, K, z, m0 = edge_batch
-    settled = dy._resid(m0, shift, K, z) <= tol
-    assert 0 < settled.sum() < m0.shape[1]
-
-    live_counts = []
-    m_ref, res_ref, used_ref = _full_batch_damped_sweeps(
-        m0.copy(), shift, K, z, tol, 400, live_counts)
-    m, res, used = dy._damped_sweeps(m0.copy(), shift, K, z, tol, 400)
-    # the batch thins out to a lone straggler, the case numpy multiplies
-    # through gemv rather than gemm
-    assert live_counts[0] < m0.shape[1] and 1 in live_counts
-    assert np.array_equal(m, m_ref)
-    assert np.array_equal(res, res_ref)
-    assert used == used_ref
-    assert np.array_equal(m[:, settled], m0[:, settled])
-
-
 def _no_newton(m, shift, K, z):
     return m, dy._resid(m, shift, K, z), 0
 
 
-def test_newton_first_matches_sweep_first_down_the_ladder(edge_batch,
-                                                          monkeypatch):
+def test_newton_first_matches_the_continuation_down_the_ladder(
+        edge_batch, monkeypatch):
     shift, K, _, _ = edge_batch
     # and rows outside the support [-2.49, 2.23]: far below, just above,
     # and far above it
     rows = np.c_[shift, shift[:, :1] + np.array([-20.0, 6.0, 9.0, 60.0])]
-    sweep_first = dy._sweep_first
-    fallbacks = []
-
-    def counted(*args):
-        fallbacks.append(args[0].shape[1])
-        return sweep_first(*args)
-
-    monkeypatch.setattr(dy, "_sweep_first", counted)
-    m = ref = None
+    continue_ = dy._continue
+    fallbacks = _count_continuations(monkeypatch)
+    m = None
     # a cold level, and a warm one below it as solve_dyson takes
     for eta in (10.0 * dy.ETA, dy.ETA):
         z = 1j * eta
         m, _ = dy._solve_batch(rows, K, z, warm=m)
-        start = np.full(rows.shape, 1j) if ref is None else ref.copy()
-        ref, _ = sweep_first(start, rows, K, z)
+        ref, _ = continue_(rows, K, z)
         assert np.abs(m - ref).max() <= 1e-10
         assert np.all(m.imag > 0)
     # Newton alone solved every row at every level
     assert fallbacks == []
 
 
-def test_sweeps_alone_reach_the_newton_root(edge_batch, monkeypatch):
-    shift, K, z, m0 = edge_batch
-    root, _ = dy._solve_batch(shift, K, z, warm=m0)
-    # just inside the band edge: Newton solves it, while sweeps alone stop
-    # far from the root after _sweep_first's 400 + 60 * 200 sweeps
-    inside = shift[:, -1:] + 0.1
-    dy._solve_batch(inside, K, z, warm=m0[:, -1:])
+def test_stalled_rows_raise_naming_z(monkeypatch):
+    # Newton that never moves leaves the top level of the continuation
+    # unsolved, and there is no level to continue from
     monkeypatch.setattr(dy, "_newton_rounds", _no_newton)
-    m, work = dy._solve_batch(shift, K, z, warm=m0)
-    assert np.abs(m - root).max() <= 1e-10
-    assert work > 0
-    with pytest.raises(NonConvergence):
-        dy._solve_batch(inside, K, z, warm=m0[:, -1:])
+    z = 1j * dy.ETA
+    with pytest.raises(NonConvergence, match=re.escape(f"to z={z}")):
+        dy._solve_batch(np.array([[0.4], [-0.7]]), dy._coupling(FC), z)
 
 
-def test_stalled_newton_rows_restart_sweep_first():
-    # one tiny species weight makes the coupling stiff; from m = i, far
-    # below the support, Newton drives a component onto Im m_s = 0 and
-    # stops there, short of the root
-    lam = np.array([0.003, 0.2, 0.047, 0.75])
-    xi2 = np.array([[0.6, 1.1, 1.1, 1.3], [1.1, 2.0, 1.4, 0.8],
-                    [1.1, 1.4, 1.2, 1.7], [1.3, 0.8, 1.7, 2.0]])
-    K = xi2 / lam[:, None]
+def test_continue_shrinks_its_ratio_and_raises(monkeypatch):
+    # Newton that solves only the top level: every step below it fails,
+    # at the ratios 10, 10**(1/2), ..., 10**(1/128), until the ratio falls
+    # to 1.01, and the error names the last level tried and z
+    rounds, levels = dy._newton_rounds, []
+    K, z = dy._coupling(FC), 1j * dy.ETA
+    top = max(1.0, 2.0 * np.sqrt(K.sum(axis=1).max()))
+
+    def top_only(m, shift, K, z, *args):
+        levels.append(z)
+        if z.imag >= top:
+            return rounds(m, shift, K, z, *args)
+        return _no_newton(m, shift, K, z)
+
+    monkeypatch.setattr(dy, "_newton_rounds", top_only)
+    with pytest.raises(NonConvergence, match=re.escape(f"to z={z}")) as err:
+        dy._continue(np.array([[0.4], [-0.7]]), K, z)
+    want = top / 10.0 ** 0.5 ** np.arange(8)
+    assert levels[0] == 1j * top
+    assert np.allclose(np.imag(levels[1:]), want, rtol=1e-14, atol=0.0)
+    assert f"level z={levels[-1]}" in str(err.value)
+
+
+def _count_continuations(monkeypatch):
+    """Log each _continue call as (rows, z, its _newton_rounds calls)."""
+    continue_, rounds, log, calls = dy._continue, dy._newton_rounds, [], []
+
+    def newton(*args, **kwargs):
+        calls.append(args[3])
+        return rounds(*args, **kwargs)
+
+    def counted(shift, K, z):
+        calls.clear()
+        out = continue_(shift, K, z)
+        log.append((shift.shape[1], z, len(calls)))
+        return out
+
+    monkeypatch.setattr(dy, "_newton_rounds", newton)
+    monkeypatch.setattr(dy, "_continue", counted)
+    return log
+
+
+def _ladder_calls(K, z):
+    # _continue's _newton_rounds calls when no level fails: the top level,
+    # then one per tenfold step of eta down to z, the bound on its work
+    eta, calls = max(1.0, 2.0 * np.sqrt(K.sum(axis=1).max())), 1
+    while eta > max(z.imag, dy.ETA_FLOOR):
+        eta, calls = eta / 10.0, calls + 1
+    return calls
+
+
+# one tiny species weight makes the coupling stiff; from m = i, far below
+# the support, Newton drives a component onto Im m_s = 0 and stops there,
+# short of the root
+STIFF_LAM = np.array([0.003, 0.2, 0.047, 0.75])
+STIFF_XI2 = np.array([[0.6, 1.1, 1.1, 1.3], [1.1, 2.0, 1.4, 0.8],
+                      [1.1, 1.4, 1.2, 1.7], [1.3, 0.8, 1.7, 2.0]])
+
+
+@pytest.mark.parametrize("eta", [1e-2, dy.ETA])
+def test_stalled_newton_rows_continue_in_eta(eta, monkeypatch):
+    # a warm solve from m = i leaves two of the three rows to _continue,
+    # which solves them in one Newton call per level
+    K = STIFF_XI2 / STIFF_LAM[:, None]
     shift = np.ones((4, 1)) * np.array([-80.0, -70.0, -60.0])
-    z = 1e-2j
+    z = 1j * eta
     start = np.full(shift.shape, 1j)
     _, res, _ = dy._newton_rounds(start.copy(), shift, K, z)
-    assert res[0] <= dy.SOLVER_TOL and np.all(res[1:] > 1e-3)
-    m, _ = dy._solve_batch(shift, K, z)
-    ref, _ = dy._sweep_first(start, shift, K, z)
+    assert res[0] <= dy.SOLVER_TOL and np.all(res[1:] > dy.SOLVER_TOL)
+    continued = _count_continuations(monkeypatch)
+    m, _ = dy._solve_batch(shift, K, z, warm=start)
+    assert [(n, at) for n, at, _ in continued] == [(2, z)]
+    assert continued[0][2] <= _ladder_calls(K, z)
+    ref, _ = dy._continue(shift, K, z)
     assert dy._resid(m, shift, K, z).max() <= dy.SOLVER_TOL
     assert np.all(m.imag > 0)
     assert np.abs(m - ref).max() <= 1e-10
+
+
+# strictly super-solvable (min_eig 0.386), yet at STALLED_V Newton from the
+# scalar start stalls at z = i ETA, as it does cold at every eta <= 1e-5
+STALLED_PAIR = mx.MixtureSpec(r=2, lam=np.array([0.67, 0.33]), coeffs=(
+    (1, (0,), 1.61), (1, (1,), 1.17), (2, (0, 1), 1.5), (3, (0, 1, 1), 1.26)))
+STALLED_V = np.array([0.0018, 0.36])
+
+
+def test_stalled_pair_continues_to_its_boundary_value(monkeypatch):
+    st = mx.stats(STALLED_PAIR)
+    K, V = dy._coupling(st), STALLED_V[None, :]
+    continued = _count_continuations(monkeypatch)
+    U = dy.boundary_values(st, V)
+    assert [(n, z) for n, z, _ in continued] == [(1, 1j * dy.ETA)]
+    assert continued[0][2] <= _ladder_calls(K, 1j * dy.ETA)
+    # a certified real z = 0 root
+    assert np.all(U.imag == 0.0)
+    assert dy._resid(U.T, V.T / st.lam[:, None], K, 0.0).max() <= 1e-12
+    ref = _dense_ladder_values(V / st.lam, K)
+    got = dy.boundary_values(st, V, polish=False)
+    assert np.abs(got - ref.T).max() <= ONE_LEVEL_TOL
+    assert np.isfinite(cx.F_point(st, STALLED_V / np.sqrt(st.lam)).F)
 
 
 def _recomputing_newton_rounds(m, shift, K, z, counts):
@@ -653,15 +670,13 @@ def test_carried_denominators_match_recomputed_ones(monkeypatch):
         }
         for kind, (z, m0) in starts.items():
             _assert_rounds_match(m0, shift, K, z, counts[kind], steps)
-    # the coupling of test_stalled_newton_rows_restart_sweep_first, cold
-    # from m = i: some rows fail a whole line search while others go on
-    lam = np.array([0.003, 0.2, 0.047, 0.75])
-    xi2 = np.array([[0.6, 1.1, 1.1, 1.3], [1.1, 2.0, 1.4, 0.8],
-                    [1.1, 1.4, 1.2, 1.7], [1.3, 0.8, 1.7, 2.0]])
+    # the stiff coupling of test_stalled_newton_rows_continue_in_eta, from
+    # m = i: some rows fail a whole line search while others go on
     shift = np.ones((4, 1)) * np.linspace(-100.0, 20.0, 25)
     for z in (1e-2j, 1j * dy.ETA):
         _assert_rounds_match(np.full(shift.shape, 1j), shift,
-                             xi2 / lam[:, None], z, counts["stiff"], steps)
+                             STIFF_XI2 / STIFF_LAM[:, None], z,
+                             counts["stiff"], steps)
     # the where and compress branches carried some halved row's denominator,
     # and a row that failed every halving kept its last accepted one
     assert counts["cold"]["halved"] > 0 and counts["z=0"]["halved"] > 0
@@ -787,27 +802,20 @@ def test_scalar_start_mirrors_under_shift_to_minus_shift():
                 assert np.allclose(m[0], -1.0 / (z + S[0]), rtol=1e-15)
 
 
-def test_stalled_cold_rows_restart_from_i_and_converge(monkeypatch):
+def test_stalled_cold_rows_continue_in_eta_and_converge(monkeypatch):
     # the mirror test's random-1 rays hold rows where Newton stalls from the
-    # scalar start; _sweep_first restarts them from m = i, where it converges,
-    # at the one cold level, polished or not
+    # scalar start; _continue solves them down from eta_top at the one
+    # cold level, polished or not, in one Newton call per level
     st = mx.stats(_random_mixture(1))
     V = _rays_through_the_edge(st, seed=5)
-    sweep_first = dy._sweep_first
-    restarted = []
-
-    def counted(m, shift, K, z):
-        assert np.all(m == 1j) and z == 1j * dy.ETA
-        out, work = sweep_first(m, shift, K, z)
-        restarted.append((m.shape[1], dy._resid(out, shift, K, z).max()))
-        return out, work
-
-    monkeypatch.setattr(dy, "_sweep_first", counted)
+    continued = _count_continuations(monkeypatch)
     for polish in (False, True):
         U = dy.boundary_values(st, V, polish=polish)
         assert np.all(np.isfinite(U)) and np.all(U.imag >= 0.0)
-    assert [n for n, _ in restarted] == [2, 2]
-    assert max(res for _, res in restarted) <= dy.SOLVER_TOL
+    z = 1j * dy.ETA
+    assert [(n, at) for n, at, _ in continued] == [(2, z), (2, z)]
+    assert max(calls for _, _, calls in continued) <= _ladder_calls(
+        dy._coupling(st), z)
 
 
 def test_boundary_values_are_label_invariant():
