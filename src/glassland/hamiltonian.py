@@ -101,9 +101,10 @@ class StatePoint:
 
 @dataclass(frozen=True)
 class LocalData:
-    """rhess is in the tangent_basis coordinates, kept as the Householder
-    reflector pair (V, X) of _reflectors in reflectors, never as dense
-    blocks; both are None unless the Hessian was asked for."""
+    """rhess is in the tangent_basis coordinates, kept in reflectors as the
+    Householder pair (V, X) of _reflectors and the mask of the coordinates
+    tangent_basis keeps, never as dense blocks; tangent and ambient map to
+    and from them in O(N).  Both are None unless the Hessian was asked for."""
 
     value: float
     egrad: np.ndarray
@@ -112,6 +113,18 @@ class LocalData:
     curvature: np.ndarray
     rhess: np.ndarray
     reflectors: tuple = None
+
+    def tangent(self, vec: np.ndarray) -> np.ndarray:
+        """The tangent projection of vec in rhess's coordinates."""
+        V, X, mask = self.reflectors
+        return (vec - X @ (V.T @ vec))[mask]
+
+    def ambient(self, red: np.ndarray) -> np.ndarray:
+        """The tangent vector whose rhess coordinates are red."""
+        V, X, mask = self.reflectors
+        out = np.zeros(mask.size)
+        out[mask] = red
+        return out - X @ (V.T @ out)
 
 
 def _gamma_tables(mixture: MixtureSpec) -> dict:
@@ -363,7 +376,8 @@ def local_data(instance: HamiltonianInstance, sigma,
     if want_hessian:
         # rhess is P E P less each block's first row and column, and
         # P E P = E - U Z^T with W = E V and Y = W - X (V^T W)/2
-        V, X = refl = _reflectors(part, sig)
+        V, X = _reflectors(part, sig)
+        refl = (V, X, part._tangent_mask)
         W = ehess @ V
         Y = W - 0.5 * X @ (V.T @ W)
         U, Z = np.hstack((X, Y)), np.hstack((Y, X))

@@ -29,7 +29,7 @@ STEP_TOL = 1e-4
 # a one-unit step has no jump or index guard: at STEP_TOL, cubic-pair N=40
 # seed 5 delta = (-1, -1) drifted onto another branch near t = 0.55
 UNIT_STEP_TOL = 1e-6
-# homotopy steps longer than one grid unit (_long_step): a corrector that
+# homotopy steps longer than one grid unit: a corrector that
 # needs more iterations than this means the branch bends within the step
 LONG_STEP_ITERS = 6
 # a jump beyond this times sqrt(N) from the Euler prediction can land on a
@@ -72,18 +72,6 @@ class CriticalPointResult:
     grad_history: tuple
 
 
-def _reduced(refl, partition, vec):
-    V, X = refl
-    return (vec - X @ (V.T @ vec))[partition._tangent_mask]
-
-
-def _ambient(refl, partition, red):
-    V, X = refl
-    out = np.zeros(partition.N)
-    out[partition._tangent_mask] = red
-    return out - X @ (V.T @ out)
-
-
 def _try_step(instance, sig, ld, h, gn, t, halvings):
     """Backtracking search along the reduced step h from sig.
 
@@ -92,7 +80,7 @@ def _try_step(instance, sig, ld, h, gn, t, halvings):
     carries its Hessian.  Returns the accepted (sigma, LocalData) or None.
     """
     part = instance.partition
-    step = _ambient(ld.reflectors, part, h)
+    step = ld.ambient(h)
     cap = 0.5 * np.sqrt(part.N)
     snorm = float(np.linalg.norm(step))
     if snorm > cap:
@@ -108,21 +96,20 @@ def _try_step(instance, sig, ld, h, gn, t, halvings):
     return None
 
 
-def _newton(instance, sig, max_iters, tol, t, raise_on_fail, ld=None,
-            tangent=None):
+def _newton(instance, sig, max_iters, tol, t, ld=None, tangent=None):
     """The Newton loop of newton_refine on an on-manifold sig, for H_t.
 
-    ld, if given, is the LocalData with Hessian at sig and t.
-    Returns (sigma, LocalData with Hessian, grad_norm history, iterations,
-    singular, tangent), singular meaning the eigh ladder dropped a soft
-    mode.  Below t = 1 each plain step's LU also solves for d sigma/dt
-    (_tangent_rhs) at its iterate; tangent is the last, else the given one.
+    ld, if given, is the LocalData with Hessian at sig and t.  Stops at
+    tol, after max_iters iterations or when no step is accepted, and
+    returns (sigma, LocalData with Hessian, grad_norm history, iterations,
+    singular, tangent) for the caller to judge; singular means the eigh
+    ladder dropped a soft mode.  Raises MaxIters only on a non-finite
+    gradient or a numerically zero Hessian.  Below t = 1 each plain step's
+    LU also solves for d sigma/dt (_tangent_rhs) at its iterate; tangent
+    is the last, else the given one.
     """
-    part = instance.partition
-    sqrt_n = np.sqrt(part.N)
-    history = []
-    singular = False
-    iterations = 0
+    sqrt_n = np.sqrt(instance.partition.N)
+    history, singular, iterations = [], False, 0
     if ld is None:
         ld = local_data(instance, sig, want_hessian=True, t=t)
     while True:
@@ -130,14 +117,9 @@ def _newton(instance, sig, max_iters, tol, t, raise_on_fail, ld=None,
         if not np.isfinite(gn):
             raise MaxIters("newton reached a non-finite gradient")
         history.append(gn)
-        if gn <= tol:
+        if gn <= tol or iterations >= max_iters:
             break
-        if iterations >= max_iters:
-            if raise_on_fail:
-                raise MaxIters(
-                    f"no convergence in {max_iters} newton iterations")
-            break
-        g_red = _reduced(ld.reflectors, part, ld.rgrad)
+        g_red = ld.tangent(ld.rgrad)
         cols = [-g_red] + ([_tangent_rhs(instance, ld, t)] if t < 1 else [])
         accepted = None
         try:
@@ -146,7 +128,7 @@ def _newton(instance, sig, max_iters, tol, t, raise_on_fail, ld=None,
             sol = None
         if sol is not None and np.all(np.isfinite(sol)):
             if t < 1:
-                tangent = _ambient(ld.reflectors, part, sol[:, 1])
+                tangent = ld.ambient(sol[:, 1])
             accepted = _try_step(instance, sig, ld, sol[:, 0], gn, t, 1)
         if accepted is None:
             eigs, vecs = np.linalg.eigh(ld.rhess)
@@ -154,10 +136,10 @@ def _newton(instance, sig, max_iters, tol, t, raise_on_fail, ld=None,
             if scale_w < SINGULAR_EIG:
                 raise MaxIters("hessian numerically zero, no newton step")
             coef = vecs.T @ g_red
-            # mu=0 is the pseudo-inverse step; soft hessian modes overshoot
-            # when the spectral gap pinches, so failures escalate the damping
-            for mu in (0.0, 1e-3 * scale_w, 1e-2 * scale_w, 0.1 * scale_w,
-                       scale_w):
+            # mu=0 is the pseudo-inverse step; soft modes overshoot when the
+            # gap pinches, so failures escalate the damping (0.1 and 1 times
+            # scale_w accepted none of 40 tries in tests and benchmark runs)
+            for mu in (0.0, 1e-3 * scale_w, 1e-2 * scale_w):
                 if mu == 0.0:
                     keep = np.abs(eigs) >= SINGULAR_EIG
                     if not np.all(keep):
@@ -169,8 +151,6 @@ def _newton(instance, sig, max_iters, tol, t, raise_on_fail, ld=None,
                 if accepted is not None:
                     break
         if accepted is None:
-            if raise_on_fail:
-                raise MaxIters("newton line search stalled")
             break
         sig, ld = accepted
         if ld.rhess is None:
@@ -192,16 +172,17 @@ def newton_refine(instance: HamiltonianInstance, sigma0, max_iters: int = 50,
     step to ambient space in O(N).  Only if the solve fails or that trial
     does not cut the gradient norm by 10% does it fall back to an eigh
     ladder: the pseudo-inverse step without the modes of |eigenvalue| <
-    1e-6, then four increasing damping levels, each backtracked up to 20
+    1e-6, then two increasing damping levels, each backtracked up to 20
     times.  Steps are capped at 0.5 sqrt(N).  The accepted full-length
     trial carries its Hessian into the next iteration; an accepted
     backtracked one is evaluated again with it.  The final spectrum and
     index come from eigvalsh (the homotopy's long steps test only for
     their predicted index, by Cholesky: _has_index).  ill_conditioned is
     set when that spectrum has an |eigenvalue| < 1e-6 or the ladder
-    dropped a mode on the way.  Raises MaxIters when the budget runs out
-    or the search stalls, unless raise_on_fail is off, in which case the
-    best iterate is returned with its unconverged grad_norm.
+    dropped a mode on the way.  _newton returns its best iterate, and
+    newton_refine raises MaxIters when that missed tol because the budget
+    ran out or the search stalled, unless raise_on_fail is off, in which
+    case the iterate is returned with its unconverged grad_norm.
     """
     part = instance.partition
     sig = _as_sigma(sigma0)
@@ -209,19 +190,21 @@ def newton_refine(instance: HamiltonianInstance, sigma0, max_iters: int = 50,
         check_on_manifold(part, sig)
     except OffManifold:
         sig = retract(part, sig).sigma
-    return _result(instance, *_newton(instance, sig, max_iters, tol, 1.0,
-                                      raise_on_fail)[:5])
+    step = _newton(instance, sig, max_iters, tol, 1.0)
+    if raise_on_fail and step[2][-1] > tol:
+        raise MaxIters(f"no convergence in {max_iters} newton iterations"
+                       if step[3] >= max_iters else "newton line search stalled")
+    return _result(instance, *step[:5])
 
 
 def _result(instance, sig, ld, history, iterations, singular):
     """The CriticalPointResult of a finished _newton run."""
-    part = instance.partition
     spectrum = np.linalg.eigvalsh(ld.rhess)
     min_abs = float(np.min(np.abs(spectrum)))
     return CriticalPointResult(
         sigma_star=StatePoint(sigma=sig),
         grad_norm=history[-1],
-        energy=ld.value / part.N,
+        energy=ld.value / instance.N,
         radial=ld.radial,
         g1_overlap=g1_overlap(instance, sig),
         spectrum=spectrum,
@@ -241,8 +224,7 @@ def _tangent_rhs(instance, ld, t):
     rhess d sigma/dt = this.  ld.egrad is grad H_1 + t grad H_{>=2}, so
     the degree >= 2 gradient is read off it, not contracted again.
     """
-    return _reduced(ld.reflectors, instance.partition,
-                    (instance.external_field - ld.egrad) / t)
+    return ld.tangent((instance.external_field - ld.egrad) / t)
 
 
 def follow_critical_points(instance: HamiltonianInstance, delta,
@@ -257,14 +239,17 @@ def follow_critical_points(instance: HamiltonianInstance, delta,
     1990): each step of m grid units is predicted along the branch tangent,
     in closed form at t = 0 (_start_tangent), after it as a second column
     of the corrector's last plain LU (_newton), and corrected by Newton.
-    The first step is m = max(1, steps // 4) units (FIRST_STEP).  A
-    one-unit step always advances, corrected to UNIT_STEP_TOL within 40
-    iterations or carrying its best iterate forward.  A longer step's
-    corrector stops at STEP_TOL, inside the next predictor's basin, and
-    the step advances only if that takes at most LONG_STEP_ITERS
-    iterations, lands within LONG_STEP_JUMP sqrt(N) of the prediction and
-    keeps the predicted index sum_{delta_s = -1} (N_s - 1); otherwise m is
-    halved and the step retried from the last accepted point.  A step
+    The first step is m = max(1, steps // 4) units (FIRST_STEP).  Every
+    step makes the same _newton call, with its own budget and tolerance,
+    and the walk judges what it returns.  A one-unit step always advances,
+    corrected to UNIT_STEP_TOL within 40 iterations or carrying its best
+    iterate forward; a MaxIters from its corrector leaves the walk.  A
+    longer step's corrector stops at STEP_TOL, inside the next predictor's
+    basin, and the step advances only if it got there within
+    LONG_STEP_ITERS iterations, lands within LONG_STEP_JUMP sqrt(N) of the
+    prediction and keeps the predicted index sum_{delta_s = -1} (N_s - 1);
+    otherwise, as on a MaxIters, m is halved and the step retried from the
+    last accepted point.  A step
     whose corrector converged within EASY_ITERS iterations doubles m.  At
     t = 1 Newton polishes to NEWTON_TOL, and the endpoint counts as the
     type-delta point only if it converged, has the predicted index, and
@@ -305,16 +290,20 @@ def follow_critical_points(instance: HamiltonianInstance, delta,
         m = min(m, steps - k)
         t = (k + m) / steps
         pred = retract(part, sigma + tangent * m / steps).sigma
-        if m == 1:
-            # a fold can briefly swallow the branch mid-path, so stalls
-            # carry the best iterate forward; only the endpoint is judged
-            step = _newton(instance, pred, 40, UNIT_STEP_TOL, t, False,
-                           None, tangent)
-        else:
-            step = _long_step(instance, pred, t, up, tangent)
-            if step is None:
-                m //= 2
-                continue
+        budget = (40, UNIT_STEP_TOL) if m == 1 else (LONG_STEP_ITERS, STEP_TOL)
+        try:
+            step = _newton(instance, pred, *budget, t, None, tangent)
+        except MaxIters:
+            if m == 1:
+                raise
+            step = None
+        # a fold can briefly swallow the branch mid-path, so a unit step
+        # carries its best iterate forward and only the endpoint is judged
+        if m > 1 and (step is None or step[2][-1] > STEP_TOL
+                      or np.linalg.norm(step[0] - pred) / np.sqrt(part.N)
+                      > LONG_STEP_JUMP or not _has_index(step[1].rhess, up)):
+            m //= 2
+            continue
         sigma, ld, history, iters, _, tangent = step
         k += m
         if iters <= EASY_ITERS and history[-1] <= STEP_TOL:
@@ -325,7 +314,7 @@ def follow_critical_points(instance: HamiltonianInstance, delta,
             ld = step = None
     # the last corrector ran at t = 1: its LocalData starts the polish
     res = _result(instance, *_newton(instance, sigma, 40, NEWTON_TOL, t,
-                                     False, ld)[:5])
+                                     ld)[:5])
     if not is_type_delta(res):
         res = _soft_hop(instance, res.sigma_star.sigma, is_type_delta)
         if res is None:
@@ -346,26 +335,6 @@ def _start_tangent(instance, sig):
     part = instance.partition
     theta = part.block_sums(sig * instance.external_field) / part.sizes
     return local_data(instance, sig).rgrad / theta[part.labels]
-
-
-def _long_step(instance, pred, t, up, tangent):
-    """Correct a homotopy step longer than one grid unit, if it is safe.
-
-    Returns _newton's tuple, tangent passed on to it, when Newton reaches
-    STEP_TOL within LONG_STEP_ITERS, lands within LONG_STEP_JUMP sqrt(N)
-    of the prediction pred and the Hessian there has the index up.sum();
-    otherwise None, and the caller shortens the step.
-    """
-    try:
-        step = _newton(instance, pred, LONG_STEP_ITERS, STEP_TOL, t, True,
-                       None, tangent)
-    except MaxIters:
-        return None
-    sig, ld = step[:2]
-    jump = np.linalg.norm(sig - pred) / np.sqrt(instance.partition.N)
-    if jump > LONG_STEP_JUMP or not _has_index(ld.rhess, up):
-        return None
-    return step
 
 
 def _has_index(rhess, up):
@@ -441,7 +410,7 @@ def _soft_hop(instance, sigma, accept):
     ld = local_data(instance, sigma, want_hessian=True)
     eigs, vecs = np.linalg.eigh(ld.rhess)
     soft = vecs[:, int(np.argmin(np.abs(eigs)))]
-    direction = _ambient(ld.reflectors, part, soft)
+    direction = ld.ambient(soft)
     for amp in (0.3, 1.0, 3.0, 6.0):
         for sign in (1.0, -1.0):
             start = retract(part, sigma + sign * amp * direction)

@@ -778,6 +778,20 @@ def test_sup_vanishes_linearly_at_the_solvable_boundary():
     assert max(ratios) - min(ratios) < 0.01 * min(ratios)
 
 
+@pytest.mark.parametrize("delta", [5e-10, 1e-9, 2e-9, -1e-9, -1e-6])
+def test_sup_sign_just_beside_the_solvable_boundary(delta):
+    # at c = c*(1 - delta), min_eig = -3 delta: sup F = 0.125 |min_eig| is
+    # positive on the strictly sub-solvable side even where it lies below
+    # 1e-9, and vanishes within rounding on the super-solvable side
+    spec = _cubic_mixture(np.sqrt(3.0) * (1.0 - delta))
+    label = mx.classify_solvability(spec).label
+    value, _ = cx.sup_F(mx.stats(spec))
+    if delta > 0:
+        assert label == "strictly_sub_solvable" and value > 0.0
+    else:
+        assert label == "strictly_super_solvable" and abs(value) <= 1e-12
+
+
 def test_sup_typed_errors(monkeypatch):
     with pytest.raises(ValidationError):
         cx.sup_F(uncoupled(7))

@@ -494,6 +494,24 @@ def test_rhess_matches_explicit_basis(preset, branch):
     assert np.abs(d.rhess - explicit).max() <= 1e-12 * np.abs(ehess).max()
 
 
+def test_reflector_maps_are_the_tangent_projection():
+    # B^T B = I and B B^T = the per-species tangent projection, applied in
+    # O(N) through the reflectors instead of the dense basis
+    it = ham.sample(get_preset("three-species"), 47, seed=3)
+    part = it.partition
+    sig = ham.random_state(part, 8).sigma
+    ld = ham.local_data(it, sig, want_hessian=True)
+    rng = np.random.default_rng(1)
+    h = rng.standard_normal(part.N - part.r)
+    assert np.abs(ld.tangent(ld.ambient(h)) - h).max() <= 1e-13
+    g = rng.standard_normal(part.N)
+    proj = g.copy()
+    for s, sl in enumerate(part.slices()):
+        u = sig[sl] / np.sqrt(part.sizes[s])
+        proj[sl] -= (u @ g[sl]) * u
+    assert np.abs(ld.ambient(ld.tangent(g)) - proj).max() <= 1e-13
+
+
 def test_overlap_trivials(inst):
     part = inst.partition
     sig = ham.random_state(part, 31).sigma

@@ -29,8 +29,7 @@ def _expected_index(inst, delta):
 def _tangent(inst, sig, ld, t):
     # d sigma/dt at the point of ld, solved on its own from the walk's one
     # right-hand side
-    return ls._ambient(ld.reflectors, inst.partition,
-                       np.linalg.solve(ld.rhess, ls._tangent_rhs(inst, ld, t)))
+    return ld.ambient(np.linalg.solve(ld.rhess, ls._tangent_rhs(inst, ld, t)))
 
 
 def _uniform_follow(inst, delta, steps=40):
@@ -49,9 +48,8 @@ def _uniform_follow(inst, delta, steps=40):
             d = _tangent(inst, sigma, ld, (i - 1) / steps)
             sigma = ham.retract(part, sigma + d / steps).sigma
         if i < steps:
-            sigma, ld = ls._newton(inst, sigma, 40, 1e-6, t, False)[:2]
-    return ls._result(inst, *ls._newton(inst, sigma, 40, ls.NEWTON_TOL, t,
-                                        False)[:5])
+            sigma, ld = ls._newton(inst, sigma, 40, 1e-6, t)[:2]
+    return ls._result(inst, *ls._newton(inst, sigma, 40, ls.NEWTON_TOL, t)[:5])
 
 
 # an ascent stops at this scaled gradient |rgrad|/sqrt(N)
@@ -318,9 +316,7 @@ def test_start_tangent_is_the_t0_solve(preset):
         sig = ham.retract(part, delta[part.labels] * inst.tensors[1]).sigma
         ld = ham.local_data(inst, sig, want_hessian=True, t=0.0)
         rest = ham.local_data(inst, sig).egrad - inst.external_field
-        g_red = ls._reduced(ld.reflectors, part, rest)
-        solved = ls._ambient(ld.reflectors, part,
-                             np.linalg.solve(ld.rhess, -g_red))
+        solved = ld.ambient(np.linalg.solve(ld.rhess, -ld.tangent(rest)))
         assert (np.abs(ls._start_tangent(inst, sig) - solved).max()
                 <= 1e-13)
 
@@ -341,7 +337,7 @@ def test_follow_evaluates_endpoint_once(monkeypatch):
     for handed in (True, False):
         if not handed:
             monkeypatch.setattr(ls, "_newton", lambda *args: newton(
-                *args[:6], None, *args[7:]))
+                *args[:5], None, *args[6:]))
         for delta in all_sign_patterns(inst.mixture.r):
             calls.clear()
             points.append(ls.follow_critical_points(inst, delta))
@@ -557,11 +553,11 @@ def test_tangent_is_difference_quotient():
     inst = ham.sample(SYM, N, seed=0)
     end = ls.follow_critical_points(inst, (1, -1)).sigma_star.sigma
     t, eps = 0.5, 1e-4
-    at_t = ls._result(inst, *ls._newton(inst, end, 50, ls.NEWTON_TOL, t,
-                                        True)[:5])
+    at_t = ls._result(inst, *ls._newton(inst, end, 50, ls.NEWTON_TOL, t)[:5])
     sig = at_t.sigma_star.sigma
     after = ls._result(inst, *ls._newton(inst, sig, 50, ls.NEWTON_TOL,
-                                         t + eps, True)[:5])
+                                         t + eps)[:5])
+    assert max(at_t.grad_norm, after.grad_norm) <= ls.NEWTON_TOL
     assert not at_t.ill_conditioned
     ld = ham.local_data(inst, sig, want_hessian=True, t=t)
     tangent = _tangent(inst, sig, ld, t)
@@ -612,6 +608,26 @@ def test_converged_point_returns_unchanged():
     assert again.grad_history == (res.grad_norm,)
 
 
+def test_newton_corrector_work_is_bounded(monkeypatch):
+    # when no trial is accepted, one _newton call tries the plain step once
+    # and then the eigh ladder's three levels of 20 halvings each, and it
+    # returns its start for the caller to judge instead of raising
+    inst = ham.sample(SYM, N, seed=0)
+    start = ham.random_state(inst.partition, np.random.default_rng(0)).sigma
+    halvings = []
+
+    def refused(*args):
+        halvings.append(args[6])
+        return None
+
+    monkeypatch.setattr(ls, "_try_step", refused)
+    sig, _, history, iterations = ls._newton(inst, start, 40, ls.NEWTON_TOL,
+                                             1.0)[:4]
+    assert halvings == [1, 20, 20, 20]
+    assert iterations == 0 and history[-1] > ls.NEWTON_TOL
+    assert np.array_equal(sig, start)
+
+
 def test_newton_budget_exhausted_raises_max_iters():
     inst = ham.sample(SYM, N, seed=0)
     start = ham.random_state(inst.partition, np.random.default_rng(0))
@@ -620,26 +636,6 @@ def test_newton_budget_exhausted_raises_max_iters():
     res = ls.newton_refine(inst, start, max_iters=0, raise_on_fail=False)
     assert res.iterations == 0
     assert res.grad_norm > ls.NEWTON_TOL
-
-
-def test_reflector_maps_are_the_tangent_projection():
-    # B^T B = I and B B^T = the per-species tangent projection, applied in
-    # O(N) through the reflectors instead of the dense basis
-    inst = ham.sample(get_preset("three-species"), 47, seed=3)
-    part = inst.partition
-    sig = ham.random_state(part, 8).sigma
-    refl = ham.local_data(inst, sig, want_hessian=True).reflectors
-    rng = np.random.default_rng(1)
-    h = rng.standard_normal(part.N - part.r)
-    assert np.abs(ls._reduced(refl, part, ls._ambient(refl, part, h))
-                  - h).max() <= 1e-13
-    g = rng.standard_normal(part.N)
-    proj = g.copy()
-    for s, sl in enumerate(part.slices()):
-        u = sig[sl] / np.sqrt(part.sizes[s])
-        proj[sl] -= (u @ g[sl]) * u
-    assert np.abs(ls._ambient(refl, part, ls._reduced(refl, part, g))
-                  - proj).max() <= 1e-13
 
 
 def _inertia_case(route, rng):
