@@ -57,6 +57,9 @@ MASS_TOL = 1e-4
 SUPPORT_BISECTIONS = 20
 DYADIC_DEPTH = 4
 SOLVER_TOL = 1e-12
+# a z = 0 certificate's residual: what the census tests hold every preset's
+# points to; the polish aims below it, at 5e-14 real and 1e-14 complex
+CERTIFICATE_TOL = 1e-12
 # feasibility's slack: at a census point Mbar Im u is _census_b's residual
 FEASIBILITY_TOL = 1e-8
 # an edge root at residual 1e-12 has O(1e-6) stability eigenvalue error
@@ -315,7 +318,7 @@ def _polish_real(shift, K, wgt, m):
 
     shift, m and the polished roots are (r, n).  Returns the roots and the
     mask of rows accepted.  A row is accepted only when its real root u
-    converges (residual <= 1e-12), stays near the continued value
+    converges (residual <= CERTIFICATE_TOL), stays near the continued value
     (_near_continued), and its stability matrix diag(wgt/u^2) - diag(wgt) K
     has no eigenvalue below -1e-5; those three gates together certify
     that the true boundary value is real.  A row with a component below
@@ -357,7 +360,8 @@ def _polish_real(shift, K, wgt, m):
         live = live[moved]
         w[:, live] = step[:, moved]
     ok = np.zeros(w.shape[1], bool)
-    ok[start] = _resid(w[:, start], shift[:, start], K, 0.0) <= 1e-12
+    ok[start] = (_resid(w[:, start], shift[:, start], K, 0.0)
+                 <= CERTIFICATE_TOL)
     ok &= _near_continued(w, m)
     gated = np.flatnonzero(ok)
     wg = w[:, gated].T
@@ -393,9 +397,10 @@ def _boundary_batch(shift, K, wgt, polish=True):
     With polish each row is certified at z = 0: the near-real rows go
     through one _polish_real call, and every row it does not accept runs
     _newton_rounds at z = 0 in complex arithmetic, 20 rounds to 1e-14.  A
-    row takes that root when its residual is <= 1e-12, it lies near the
-    continued value (_near_continued) and its Im is >= -IMAG_ROUNDING,
-    then clamped to 0; otherwise it keeps its continued value.
+    row takes that root when its residual is <= CERTIFICATE_TOL, it lies
+    near the continued value (_near_continued) and its Im is >=
+    -IMAG_ROUNDING, then clamped to 0; otherwise it keeps its continued
+    value.
     """
     shift = np.ascontiguousarray(shift.T)
     m, _ = _solve_batch(shift, K, 1j * ETA)
@@ -406,7 +411,8 @@ def _boundary_batch(shift, K, wgt, polish=True):
         m[:, near[ok]], real[near] = roots[:, ok], ok
         rest = np.flatnonzero(~real)
         w, res, _ = _newton_rounds(m[:, rest], shift[:, rest], K, 0.0, 1e-14, 20)
-        keep = ((res <= 1e-12) & (w.imag.min(axis=0) >= -IMAG_ROUNDING)
+        keep = ((res <= CERTIFICATE_TOL)
+                & (w.imag.min(axis=0) >= -IMAG_ROUNDING)
                 & _near_continued(w, m[:, rest]))
         np.maximum(w.imag, 0.0, out=w.imag)
         m[:, rest[keep]] = w[:, keep]

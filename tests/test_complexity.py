@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
-from scipy import ndimage
-from scipy.optimize import minimize
 
 from glassland import complexity as cx
 from glassland import dyson as dy
@@ -37,6 +35,7 @@ def ascent_oracle(stats):
     The starts are the origin, the ideal points of every sign pattern (when
     there are few enough) and uniform draws; no census value is used.
     """
+    minimize = pytest.importorskip("scipy.optimize").minimize
     r = stats.r
     radius = cx._r_auto(stats)
     rng = np.random.default_rng(0)
@@ -757,7 +756,7 @@ def test_census_residuals_at_r_4_to_6(k):
         U = dy.boundary_values(stats, V)
         assert np.all(np.abs(U).max(axis=1) > 200.0)
         assert dy._resid(U.T, V.T / stats.lam[:, None], dy._coupling(stats),
-                         0.0).max() <= 1e-12
+                         0.0).max() <= dy.CERTIFICATE_TOL
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -906,6 +905,7 @@ def test_scan_one_species():
 
 
 def test_scan_pair_topology():
+    ndimage = pytest.importorskip("scipy.ndimage")
     sc = cx.scan(FB, (-6.0, 6.0, 61))
     assert np.isfinite(sc.F_values).all()
     _, n_components = ndimage.label(sc.boundary_mask)

@@ -3,7 +3,6 @@ import re
 
 import numpy as np
 import pytest
-from scipy.optimize import fsolve
 
 from glassland import complexity as cx
 from glassland import dyson as dy
@@ -1154,9 +1153,11 @@ def test_psi_oracles():
 
 def test_psi_modes_agree():
     rng = np.random.default_rng(11)
-    for stats in (SC, FB, TC):
-        for _ in range(4):
-            x = rng.uniform(-2, 2, size=stats.r)
+    for stats in (SC, FB, TC, T3):
+        xs = [rng.uniform(-2, 2, size=stats.r) for _ in range(4)]
+        if stats is T3:
+            xs.append(np.array([0.1, -0.2, 0.3]))
+        for x in xs:
             a = dy.psi(stats, x, mode="closed_form")
             b = dy.psi(stats, x, mode="quadrature")
             assert abs(a - b) < 1e-4
@@ -1224,6 +1225,7 @@ def _feasibility_rows(stats, rng):
     or infeasible), small complex ones (interior), large complex ones
     (mostly infeasible), and the imaginary root of lambda_s / b_s =
     (xi'' b)_s (boundary_imag)."""
+    fsolve = pytest.importorskip("scipy.optimize").fsolve
     r = stats.r
     re, im = rng.normal(size=(2, 24, r))
     b = fsolve(lambda b: stats.lam / b - stats.xi_dprime @ b, np.ones(r),

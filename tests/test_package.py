@@ -1,6 +1,9 @@
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +29,27 @@ def test_all_names_resolve():
         missing = [attr for attr in getattr(module, "__all__", ())
                    if not hasattr(module, attr)]
         assert not missing, f"glassland.{name}.__all__ lists {missing}"
+
+
+# the test extra of pyproject.toml: numpy is the one runtime dependency
+TEST_ONLY = ("scipy", "pytest", "hypothesis")
+
+
+def test_import_loads_no_test_only_package():
+    # a fresh interpreter, so the modules this suite has loaded do not count;
+    # report top-level names only, as scipy alone loads hundreds of modules
+    script = f"""
+import importlib, sys
+for name in {MODULES}:
+    importlib.import_module("glassland." + name)
+found = sorted({{n.split(".")[0] for n in sys.modules}} & set({TEST_ONLY}))
+sys.exit(f"importing glassland loaded {{found}}" if found else 0)
+"""
+    src = str(Path(glassland.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path})
+    assert run.returncode == 0, run.stderr
 
 
 def test_every_exception_is_raised():
