@@ -4,18 +4,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations_with_replacement, permutations, product
-from math import factorial
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
 from .errors import DegreeTooHigh, OffManifold, TooLarge, ValidationError
 from .mixture import MixtureSpec, species_sizes
 
+# a degree-3 instance holds N^2(N+1)/2 float64 entries, 257 MB here, and
+# every local_data reads all of them
 MAX_N_DEGREE3 = 400
+# a dense J_2 holds N^2 float64 entries, 128 MB here
 MAX_N = 4000
 MANIFOLD_RTOL = 1e-8
-# entries per tile of the in-place coupling build (256 KB)
+# entries per tile of the in-place degree-2 coupling build (256 KB)
 TILE_ENTRIES = 32768
 
 
@@ -65,7 +67,8 @@ class HamiltonianInstance:
     symmetric coupling J_2 (see sample).  tensors[3] holds the (i <= j)
     rows of the symmetric J_3 as an (N(N+1)/2, N) array, row p(i, j) =
     iN + j - i(i+1)/2 being J_3[i, j, :].  A degree-3 instance thus holds
-    N^2(N+1)/2 float64 entries, 257 MB at MAX_N_DEGREE3.  The partition
+    N^2(N+1)/2 float64 entries, 257 MB at MAX_N_DEGREE3, and sampling it
+    holds those rows and O(r N^2) more, never the N^3 draw.  The partition
     and the gamma tables are derived from mixture and N, not stored, and
     the instance itself is fixed by (mixture, N, seed) through sample."""
 
@@ -141,57 +144,53 @@ def make_partition(mixture: MixtureSpec, N: int) -> Partition:
 
 
 def _couple(g, partition: Partition, table: np.ndarray):
-    """Turn the degree-k draw g, k = 2 or 3, into its coupling J in place.
+    """Turn the N x N degree-2 draw g into its coupling J in place.
 
-    J = N^{-(k-1)/2} gamma sym(g), sym the mean over the k! axis
-    permutations and gamma the table entry of each index's species.
-    gamma is symmetric, so it is applied first, per species slab; for
-    k = 3 that pass adds the swap tau of the last two axes, as S_3 =
-    {e, c, c^2} {e, tau}.  Then each orbit of tile tuples under the cyclic
-    shift c is summed into one tile and written back to all of them, so
-    beside g at most about TILE_ENTRIES entries, or one N x N row, are held.
+    J = N^{-1/2} gamma (g + g^T)/2, gamma the table entry of each index's
+    species.  gamma is symmetric, so it is applied first, per species
+    slab.  Then each tile is summed with its transpose's tile and written
+    back to both, so beside g at most about TILE_ENTRIES entries, or one
+    row, are held.
     """
-    N, k = g.shape[0], g.ndim
-    weight = table * (N ** ((1 - k) / 2) / factorial(k))
-    for axis in range(1, k):
-        weight = np.repeat(weight, partition.sizes, axis=axis)
-    rows = max(1, TILE_ENTRIES // N ** (k - 1))
+    N = g.shape[0]
+    weight = np.repeat(table * (N ** -0.5 / 2), partition.sizes, axis=1)
+    rows = max(1, TILE_ENTRIES // N)
     for s, sl in enumerate(partition.slices()):
         for a in range(sl.start, sl.stop, rows):
             blk = g[a:min(a + rows, sl.stop)]
-            np.multiply(blk + np.swapaxes(blk, 1, 2) if k == 3 else blk,
-                        weight[s], out=blk)
-    n = -(-N // round(TILE_ENTRIES ** (1 / k)))
+            np.multiply(blk, weight[s], out=blk)
+    n = -(-N // round(TILE_ENTRIES ** 0.5))
     cuts = [slice(N * i // n, N * (i + 1) // n) for i in range(n)]
-    shift = [[(d + i) % k for d in range(k)] for i in range(k)]
-    for t in product(range(n), repeat=k):
-        rots = [t[i:] + t[:i] for i in range(k)]
-        if t > min(rots):  # each orbit once, at its least rotation
-            continue
-        tiles = [tuple(cuts[b] for b in rot) for rot in rots]
-        acc = g[tiles[0]] + g[tiles[1]].transpose(shift[-1])
-        for i in range(2, k):
-            acc += g[tiles[i]].transpose(shift[-i])
-        for i in range(k if len(set(rots)) > 1 else 1):
-            g[tiles[i]] = acc.transpose(shift[i])
+    for a, b in combinations_with_replacement(cuts, 2):
+        g[a, b] = acc = g[a, b] + g[b, a].T
+        g[b, a] = acc.T
 
 
-def _pack(g):
-    """Shrink the symmetric N^3 coupling g in place to the (N(N+1)/2, N)
-    array of its (i <= j) rows.
+def _cubic_rows(rng, partition: Partition, weights: np.ndarray) -> np.ndarray:
+    """Draw G_3 slab by slab into the packed (i <= j) rows of J_3.
 
-    Row p(i, j) = iN + j - i(i+1)/2 of the result is g[i, j, :].  It lies
-    at or before its source row iN + j, so moving the rows in increasing
-    order never overwrites one not yet read, and no second N^3 array is
-    made.  g must own its buffer, which resize then shrinks.
+    Slab x of the draw, g_x = G_3[x, :, :], gives h_x = w * (g_x + g_x^T)
+    elementwise, w = weights[s(x)] the gamma_3[s(x), s(j), s(k)] N^{-1}/6
+    matrix, and J[i, j, k] = h_i[j, k] + h_j[k, i] + h_k[i, j].  So slab x
+    adds h_x[j] to rows p(x, j), j >= x, h_x[i] to rows p(i, x), i <= x,
+    and h_x[i, j] to column x of row p(i, j).  Each stored copy of an
+    unordered triple takes the same three values in increasing slab order,
+    so J is exactly symmetric, and beside it O(N^2) entries are held.
     """
-    N = g.shape[0]
-    rows = g.reshape(N * N, N)
-    for i in range(1, N):
-        p = i * N - i * (i - 1) // 2
-        rows[p:p + N - i] = rows[i * N + i:(i + 1) * N]
-    del rows
-    g.resize((N * (N + 1) // 2, N), refcheck=False)
+    N = partition.N
+    i = np.arange(N)
+    base = i * N - i * (i + 1) // 2  # p(i, j) = base[i] + j
+    upper = _triu_flat(N)[0]
+    J = np.zeros((N * (N + 1) // 2, N))
+    g, h = np.empty((N, N)), np.empty((N, N))
+    for x, s in enumerate(partition.labels):
+        rng.standard_normal(out=g)
+        np.add(g, g.T, out=h)
+        h *= weights[s]
+        J[base[x] + x:base[x] + N] += h[x:]
+        J[base[:x + 1] + x] += h[:x + 1]
+        J[:, x] += h.reshape(-1)[upper]
+    return J
 
 
 @lru_cache(maxsize=8)
@@ -205,17 +204,23 @@ def sample(mixture: MixtureSpec, N: int, seed) -> HamiltonianInstance:
     """Draw one disorder instance; deterministic given the seed.
 
     One standard Gaussian G_k of shape (N,)*k is drawn per degree, in
-    increasing k.  For k >= 2 it is turned in place into the coupling
-    J_k (see _couple), so H(sigma) = sum_k N^{-(k-1)/2} gamma_k G_k(sigma,
-    ..., sigma) is gamma_1 G_1 . sigma + sum_{k>=2} J_k(sigma, ..., sigma).
-    J_3 is then packed in place to its (i <= j) rows (see
-    HamiltonianInstance): N^2(N+1)/2 floats are kept of the N^3 drawn.
+    increasing k, and turned into the coupling J_k for k >= 2, so
+    H(sigma) = sum_k N^{-(k-1)/2} gamma_k G_k(sigma, ..., sigma) is
+    gamma_1 G_1 . sigma + sum_{k>=2} J_k(sigma, ..., sigma).  J_2 is built
+    in place of G_2 (see _couple).  G_3 is drawn one N x N slab at a time
+    into J_3's packed (i <= j) rows (see _cubic_rows and
+    HamiltonianInstance), so sampling peaks at those N^2(N+1)/2 floats
+    plus O(r N^2): 257 MB at N = 400, where holding the N^3 draw took 512.
     """
     return _sampler(mixture, N)(seed)
 
 
 def _sampler(mixture: MixtureSpec, N: int):
-    """sample's checks and set-up, done once; returns seed -> instance."""
+    """sample's checks and set-up, done once; returns seed -> instance.
+
+    The set-up includes J_3's r per-species (N, N) weight matrices, so a
+    draw holds the packed J_3 rows and O(r N^2) more (see sample).
+    """
     tables = _gamma_tables(mixture)
     degrees = sorted(k for k, tab in tables.items() if np.any(tab > 0))
     if degrees and degrees[-1] > 3:
@@ -225,16 +230,22 @@ def _sampler(mixture: MixtureSpec, N: int):
     if N > cap:
         raise TooLarge(f"N={N} exceeds the dense cap {cap} for this mixture")
     partition = make_partition(mixture, N)
+    if 3 in degrees:
+        lab = partition.labels
+        weights = (tables[3] * (N ** -1.0 / 6))[:, lab][:, :, lab]
 
     def draw(seed) -> HamiltonianInstance:
         rng = np.random.default_rng(seed)
-        tensors = {k: rng.standard_normal((N,) * k) for k in degrees}
-        for k, g in tensors.items():
-            if k > 1:
-                _couple(g, partition, tables[k])
+        tensors = {}
+        for k in degrees:
             if k == 3:
-                _pack(g)
+                g = _cubic_rows(rng, partition, weights)
+            else:
+                g = rng.standard_normal((N,) * k)
+                if k == 2:
+                    _couple(g, partition, tables[2])
             g.flags.writeable = False
+            tensors[k] = g
         return HamiltonianInstance(mixture, N, tensors, seed)
     return draw
 
@@ -351,8 +362,15 @@ def _contract(instance: HamiltonianInstance, sig: np.ndarray,
         value += t * float(sig @ Msig)
         egrad += (t * k) * Msig
         if want_hessian:
-            term = (t * k * (k - 1)) * M
-            ehess = term if ehess is None else ehess + term
+            c = t * k * (k - 1)
+            if k == 2:
+                M = c * M
+            else:  # the degree-3 M is this call's own
+                M *= c
+            if ehess is None:
+                ehess = M
+            else:
+                ehess += M
     if want_hessian and ehess is None:
         ehess = np.zeros((N, N))
     return value, egrad, ehess
@@ -387,9 +405,11 @@ def local_data(instance: HamiltonianInstance, sigma,
         for a, b in combinations_with_replacement(range(part.r), 2):
             ta, tb = tails[a], tails[b]
             blk = rhess[tan[a], tan[b]]
-            np.subtract(ehess[ta, tb], U[ta] @ Z[tb].T, out=blk)
+            np.matmul(U[ta], Z[tb].T, out=blk)
+            np.subtract(ehess[ta, tb], blk, out=blk)
             if a == b:
-                blk[...] = 0.5 * (blk + blk.T)
+                blk += blk.T
+                blk *= 0.5
             else:
                 rhess[tan[b], tan[a]] = blk.T
         rhess.flat[::rhess.shape[0] + 1] -= np.repeat(curvature,

@@ -203,7 +203,8 @@ def _raw_oracle(mixture, N, seed, sig, t):
 def test_hamiltonian_matches_raw_draws(monkeypatch, mixture, N, t, tile):
     # the symmetrised couplings give the same function of sigma as the raw
     # Gaussian tensors; unequal blocks would expose a slab-weighting slip,
-    # and small tiles send the build through orbits of distinct tiles
+    # and small tiles send the degree-2 build through pairs of distinct
+    # tiles
     if tile is not None:
         monkeypatch.setattr(ham, "TILE_ENTRIES", tile)
     inst = ham.sample(mixture, N, seed=8)
@@ -219,25 +220,48 @@ def test_hamiltonian_matches_raw_draws(monkeypatch, mixture, N, t, tile):
             assert np.max(np.abs(got - ref)) <= 1e-11 * scale
 
 
-def test_sample_holds_one_cubic_array():
-    # J is built in place of the degree-3 draw: a second N^3 array would
-    # double the peak
-    N = 120
+def _traced_sample(N):
+    # the instance, and the traced memory held after and at peak during
+    # sample; the first default_rng seeding imports modules (about 0.7 MB)
+    # that are not the sampler's, so a small untraced draw goes first
+    ham.sample(CUBIC, 8, seed=0)
     tracemalloc.start()
     try:
-        ham.sample(CUBIC, N, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
+        inst = ham.sample(CUBIC, N, seed=1)
+        return (inst, *tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    assert peak <= 1.2 * 8 * N ** 3
 
 
-@pytest.mark.parametrize("mixture,N", [(CUBIC, 24), (TRIPLE, 25)],
-                         ids=["cubic-pair", "three-species-cubic"])
-def test_cubic_coupling_is_packed(mixture, N):
+def test_sample_holds_one_cubic_array():
+    # J_3 is drawn slab by slab into its packed rows: those 0.504 * 8N^3
+    # bytes and O(r N^2) more, 0.564 * 8N^3 measured at N = 120, where
+    # holding the N^3 draw would peak above 8N^3
+    N = 120
+    peak = _traced_sample(N)[2]
+    assert peak <= 0.6 * 8 * N ** 3
+
+
+# sizes (1, 10, 14), which species_sizes never makes, give slab 0 a species
+# and a weight matrix of its own
+CUBIC_CASES = pytest.mark.parametrize(
+    "mixture,N,sizes", [(CUBIC, 24, None), (TRIPLE, 25, None),
+                        (TRIPLE, 25, (1, 10, 14))],
+    ids=["cubic-pair", "three-species-cubic", "one-site-species"])
+
+
+def _sample_case(monkeypatch, mixture, N, sizes):
+    # the seed-8 instance, on the given species sizes if any
+    if sizes is not None:
+        monkeypatch.setattr(ham, "species_sizes", lambda lam, n: np.array(sizes))
+    return ham.sample(mixture, N, seed=8)
+
+
+@CUBIC_CASES
+def test_cubic_coupling_is_packed(monkeypatch, mixture, N, sizes):
     # tensors[3] holds the (i <= j) rows of the symmetrised raw draw, in
     # row-major order of (i, j)
-    inst = ham.sample(mixture, N, seed=8)
+    inst = _sample_case(monkeypatch, mixture, N, sizes)
     term = _raw_terms(mixture, N, 8)[3]
     sym = sum(term.transpose(p) for p in itertools.permutations(range(3))) / 6
     i, j = np.triu_indices(N)
@@ -245,6 +269,28 @@ def test_cubic_coupling_is_packed(mixture, N):
     assert packed.shape == (N * (N + 1) // 2, N)
     assert packed.flags.c_contiguous
     assert np.abs(packed - sym[i, j]).max() <= 1e-15 * np.abs(sym).max()
+
+
+@CUBIC_CASES
+def test_cubic_coupling_is_exactly_symmetric(monkeypatch, mixture, N, sizes):
+    # every stored copy of a triple takes the same values in the same
+    # order, so the dense J rebuilt from the packed rows is bitwise
+    # invariant under all six axis permutations
+    inst = _sample_case(monkeypatch, mixture, N, sizes)
+    i, j = np.triu_indices(N)
+    dense = np.empty((N, N, N))
+    dense[i, j] = dense[j, i] = inst.tensors[3]
+    for p in itertools.permutations(range(3)):
+        assert np.array_equal(dense.transpose(p), dense)
+    # the degree-1 and degree-2 draws come first from the stream, bitwise
+    # as one (N,) * k draw per degree
+    rng = np.random.default_rng(8)
+    g1, g2 = rng.standard_normal(N), rng.standard_normal((N, N))
+    labels = ham.make_partition(mixture, N).labels
+    h = g2 * (ham._gamma_tables(mixture)[2][np.ix_(labels, labels)]
+              * (N ** -0.5 / 2))
+    assert np.array_equal(inst.tensors[1], g1)
+    assert np.array_equal(inst.tensors[2], h + h.T)
 
 
 def test_cubic_hessian_is_exactly_symmetric(inst):
@@ -255,14 +301,9 @@ def test_cubic_hessian_is_exactly_symmetric(inst):
 
 
 def test_sample_keeps_only_the_packed_rows():
-    # the N^3 draw shrinks to N^2(N+1)/2 entries once packed
+    # of the N^3 draw only N^2(N+1)/2 entries are kept
     N = 120
-    tracemalloc.start()
-    try:
-        kept = ham.sample(CUBIC, N, seed=1)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+    kept, held, _ = _traced_sample(N)
     assert kept.tensors[3].nbytes == 8 * N * N * (N + 1) // 2
     assert held <= 0.55 * 8 * N ** 3
 
